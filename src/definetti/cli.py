@@ -4,8 +4,9 @@ Subcommands: prefix-prob, yn-law, verify, ratio-scan, recover, extend-check,
 oracle, tail-check.  All reports are JSON (exact values as "num/den"
 strings); ratio scans are CSV with a trailing summary JSON line.
 
-Exit codes: 0 success, 2 input/domain errors, 3 invariant violations,
-4 extendability rejection.
+Exit codes: 0 success, 2 input/domain errors, 3 invariant violations
+(invalid input objects and failed internal guards), 4 extendability
+rejection.  Any other exception is a bug and propagates as a traceback.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 from . import harness, io, model, oracle, recovery
 from .model import ExtendabilityError, PrefixEvent, ValidationError
+from .numerics import DomainError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -145,19 +147,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise io.InputFormatError("--pattern is required")
     if cfg.law_path:
         source = io.load_law(cfg.law_path)
-        rep = harness.verify_approximation(
-            source, cfg.pattern, backend=cfg.backend, stride=cfg.stride
-        )
+        rep = harness.verify_approximation(source, cfg.pattern, backend=cfg.backend)
     elif cfg.measure_path:
         if cfg.N is None:
             raise io.InputFormatError("-N is required with --measure")
         source = io.load_measure(cfg.measure_path)
         rep = harness.verify_approximation(
-            source,
-            cfg.pattern,
-            N=cfg.N,
-            backend=cfg.backend,
-            stride=cfg.stride,
+            source, cfg.pattern, N=cfg.N, backend=cfg.backend
         )
     else:
         raise io.InputFormatError("one of --measure, --law is required")
@@ -252,9 +248,9 @@ def _random_rational_measure(rng: random.Random) -> model.MixingMeasure:
 def cmd_oracle(cfg: RunConfig) -> int:
     N = cfg.N if cfg.N is not None else 6
     if N > 10:
-        raise ValueError(f"exhaustive oracle sweep capped at N = 10, got {N}")
+        raise DomainError(f"exhaustive oracle sweep capped at N = 10, got {N}")
     if N < 1:
-        raise ValueError("N must be positive")
+        raise DomainError("N must be positive")
     rng = random.Random(cfg.seed)
     trials = 5
     max_gap = Fraction(0)
@@ -361,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     handlers["yn-law"] = cmd_yn_law
 
     p = sub.add_parser("verify", help="two-sided verification report")
-    add_common(p, n=True, pattern=True, stride=True)
+    add_common(p, n=True, pattern=True)
     handlers["verify"] = cmd_verify
 
     p = sub.add_parser("ratio-scan", help="per-index kernel ratio scan (CSV)")
@@ -410,10 +406,10 @@ def main(argv: list[str] | None = None) -> int:
     except io.InputFormatError as exc:
         print(json.dumps({"error": "input", "message": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
-    except ValidationError as exc:
+    except (ValidationError, AssertionError) as exc:
         print(json.dumps({"error": "invariant", "message": str(exc)}), file=sys.stderr)
         return EXIT_INVARIANT
-    except ValueError as exc:
+    except DomainError as exc:
         print(json.dumps({"error": "domain", "message": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
 

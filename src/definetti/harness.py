@@ -43,8 +43,6 @@ from .numerics import (
 )
 
 EXACT_BACKEND_MAX_N = 2000
-# full scans above this size are strided by default
-FULL_SCAN_MAX_N = 100_000
 FLOAT_PATHOLOGICAL_TOL = 1e-15
 
 
@@ -334,7 +332,7 @@ class VerificationReport:
     rhs_mid: Value
     rhs_upper: Value
     eps_mid: Value
-    eps_mid_sampled: bool
+    eps_mid_sampled: bool            # always False: eps_mid scans every mid index
     sandwich_bound: Value
     lower_tail_bound: float | None   # N^(-(2*alpha-1)/3), alpha >= 1
     upper_tail_bound: float | None   # N^(-(k-alpha)/2), alpha <= k-1
@@ -349,7 +347,6 @@ def verify_approximation(
     e: PrefixEvent,
     N: int | None = None,
     backend: str = "auto",
-    stride: int | None = None,
     table: LogFactorialTable | None = None,
 ) -> VerificationReport:
     """Compute both sides of the approximation and a sound error budget.
@@ -361,9 +358,10 @@ def verify_approximation(
 
         eps_mid * rhs_mid + lhs_lower + rhs_lower + lhs_upper + rhs_upper
 
-    dominates |lhs - rhs| by the triangle inequality whenever eps_mid is
-    computed without striding.  In the exact backend every report field is
-    a Fraction and the domination is an identity, not a float statement.
+    dominates |lhs - rhs| by the triangle inequality; eps_mid is always
+    taken over every mid-window index, so ``eps_mid_sampled`` is always
+    false.  In the exact backend every report field is a Fraction and the
+    domination is an identity, not a float statement.
     """
     if isinstance(source, MixingMeasure):
         if N is None:
@@ -386,9 +384,7 @@ def verify_approximation(
                 "exact backend requires rational input data (num/den strings)"
             )
         return _verify_exact(source, e, law_n, bounds)
-    if stride is None:
-        stride = 1 if law_n <= FULL_SCAN_MAX_N else 97
-    return _verify_log(source, e, law_n, bounds, stride, table)
+    return _verify_log(source, e, law_n, bounds, table)
 
 
 def _verify_exact(source, e, N, bounds) -> VerificationReport:
@@ -582,7 +578,7 @@ def _eps_full_rescan(N, k, alpha, bounds) -> tuple[int, int]:
     return eps_num, eps_den
 
 
-def _verify_log(source, e, N, bounds, stride, table) -> VerificationReport:
+def _verify_log(source, e, N, bounds, table) -> VerificationReport:
     k, alpha = e.k, e.alpha
     t = table or default_table()
     t.ensure(N)
@@ -598,23 +594,15 @@ def _verify_log(source, e, N, bounds, stride, table) -> VerificationReport:
     lhs_lower, lhs_mid, lhs_upper, rhs_lower, rhs_mid, rhs_upper = map(float, sums)
     lhs = math.fsum((lhs_lower, lhs_mid, lhs_upper))
     rhs = math.fsum((rhs_lower, rhs_mid, rhs_upper))
-    sampled = stride > 1
-    if sampled:
-        mid_idx = scan_indices(N, bounds, stride)
-        mid_idx = mid_idx[(mid_idx > bounds.M1) & (mid_idx <= bounds.M2)]
-        la_m, lb_m = _kernels.scan_log_ab(t.delta, N, k, alpha, mid_idx)
-        eps_mid = float(
-            _kernels.max_ratio_dev(la_m, lb_m, np.ones(mid_idx.shape, dtype=np.bool_))
-        )
-    else:
-        mid_mask = (idx > bounds.M1) & (idx <= bounds.M2)
-        eps_mid = float(_kernels.max_ratio_dev(log_a, log_b, mid_mask))
-    below = idx < alpha
-    rhs_below_alpha = math.fsum(np.exp(log_b[below] + log_q[below])) if alpha > 0 else 0.0
-    above = idx - alpha > N - k
-    rhs_above_support = (
-        math.fsum(np.exp(log_b[above] + log_q[above])) if np.any(above) else 0.0
-    )
+    mid = np.zeros(N + 1, dtype=np.bool_)
+    mid[bounds.M1 + 1 : bounds.M2 + 1] = True
+    eps_mid = _kernels.max_ratio_dev(log_a, log_b, mid)
+    # b-side mass where the conditional weight is an exact zero:
+    # i < alpha and i > N - k + alpha (positions equal indices here)
+    below = slice(0, alpha)
+    above = slice(N - k + alpha + 1, N + 1)
+    rhs_below_alpha = float(np.sum(np.exp(log_b[below] + log_q[below])))
+    rhs_above_support = float(np.sum(np.exp(log_b[above] + log_q[above])))
     pathological = lhs < FLOAT_PATHOLOGICAL_TOL
     budget = eps_mid * rhs_mid + lhs_lower + rhs_lower + lhs_upper + rhs_upper
     return VerificationReport(
@@ -634,7 +622,7 @@ def _verify_log(source, e, N, bounds, stride, table) -> VerificationReport:
         rhs_mid=rhs_mid,
         rhs_upper=rhs_upper,
         eps_mid=eps_mid,
-        eps_mid_sampled=sampled,
+        eps_mid_sampled=False,
         sandwich_bound=budget,
         lower_tail_bound=_lower_tail_bound(N, alpha),
         upper_tail_bound=_upper_tail_bound(N, k, alpha),

@@ -12,6 +12,7 @@ on the float path.  Exact values always serialize back as "num/den" strings
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -27,6 +28,27 @@ class InputFormatError(ValueError):
     """Malformed input file or value."""
 
 
+def _any_size(convert, x):
+    """``convert(x)``, retried once with CPython's int<->str digit limit
+    (4300 by default) lifted when it raises ValueError; the limit is
+    restored before returning.
+
+    Exact reports at N in the thousands carry integers far past the limit.
+    Only a failed conversion takes the retry, so short numbers pay nothing.
+    """
+    try:
+        return convert(x)
+    except ValueError:
+        if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+            raise
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(x)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+
 def parse_value(x: Any) -> Value:
     """A JSON scalar as an exact or float value: int and "num/den" stay exact."""
     if isinstance(x, bool):
@@ -37,20 +59,24 @@ def parse_value(x: Any) -> Value:
         return x
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return _any_size(Fraction, x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"malformed rational string {x!r}") from exc
     raise InputFormatError(f"expected a number or 'num/den' string, got {x!r}")
 
 
+def _fraction_text(v: Fraction) -> str:
+    if v.denominator == 1:
+        return str(v.numerator)
+    return f"{v.numerator}/{v.denominator}"
+
+
 def format_value(v: Value) -> Any:
     """JSON form of a value: Fractions as "num/den" (or "n"), floats as floats."""
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
     if isinstance(v, int):
-        return str(v)
+        v = Fraction(v)
+    if isinstance(v, Fraction):
+        return _any_size(_fraction_text, v)
     return float(v)
 
 

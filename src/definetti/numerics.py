@@ -35,6 +35,10 @@ DEFAULT_TABLE_CAP = 10_000_000
 _MIN_TABLE_CAP = 1024
 
 
+class DomainError(ValueError):
+    """Arguments outside the domain where a quantity is defined."""
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -52,7 +56,7 @@ class LogSpaceValue:
     @classmethod
     def from_value(cls, x: float) -> "LogSpaceValue":
         if x < 0:
-            raise ValueError("log-space values are nonnegative")
+            raise DomainError("log-space values are nonnegative")
         return cls(math.log(x)) if x > 0 else cls.zero()
 
     @property
@@ -152,7 +156,7 @@ class LogFactorialTable:
 
     def log_factorial(self, n: int) -> float:
         if n < 0:
-            raise ValueError("factorial of a negative integer")
+            raise DomainError("factorial of a negative integer")
         if n < 2:
             return 0.0
         if n <= self.cap:
@@ -165,15 +169,9 @@ class LogFactorialTable:
     def log_binomial(self, n: int, r: int) -> float:
         """log C(n, r); -inf when r is outside [0, n]."""
         if n < 0:
-            raise ValueError("negative row in binomial coefficient")
+            raise DomainError("negative row in binomial coefficient")
         self.ensure(n)
         return _kernels.log_binomial_scalar(self._delta, n, r)
-
-    def log_binomial_array(self, n: int, r: np.ndarray) -> np.ndarray:
-        self.ensure(n)
-        return _kernels.log_binomial_array(
-            self._delta, n, np.ascontiguousarray(r, dtype=np.int64)
-        )
 
 
 _default_table: LogFactorialTable | None = None
@@ -193,7 +191,7 @@ def default_table() -> LogFactorialTable:
 def binomial(n: int, r: int) -> int:
     """C(n, r) as an exact integer; 0 when r < 0 or r > n."""
     if n < 0:
-        raise ValueError("negative row in binomial coefficient")
+        raise DomainError("negative row in binomial coefficient")
     if r < 0 or r > n:
         return 0
     return math.comb(n, r)
@@ -207,13 +205,13 @@ def log_binomial(n: int, r: int, table: LogFactorialTable | None = None) -> LogS
 
 def _check_prefix_args(N: int, k: int, alpha: int, i: int) -> None:
     if k > N:
-        raise ValueError(f"pattern length {k} exceeds sequence length {N}")
+        raise DomainError(f"pattern length {k} exceeds sequence length {N}")
     if not (0 <= alpha <= k):
-        raise ValueError(f"one-count {alpha} outside [0, {k}]")
+        raise DomainError(f"one-count {alpha} outside [0, {k}]")
     if not (0 <= i <= N):
-        raise ValueError(f"count index {i} outside [0, {N}]")
+        raise DomainError(f"count index {i} outside [0, {N}]")
     if k < 1:
-        raise ValueError("pattern length must be at least 1")
+        raise DomainError("pattern length must be at least 1")
 
 
 def conditional_prefix_prob(N: int, k: int, alpha: int, i: int) -> Fraction:
@@ -274,16 +272,16 @@ def falling_product(N: int, k: int) -> int:
 def replacement_correction(N: int, k: int) -> Fraction:
     """N^k over the k-term falling product; always >= 1."""
     if k > N:
-        raise ValueError(f"pattern length {k} exceeds sequence length {N}")
+        raise DomainError(f"pattern length {k} exceeds sequence length {N}")
     if k < 1:
-        raise ValueError("pattern length must be at least 1")
+        raise DomainError("pattern length must be at least 1")
     return Fraction(N**k, falling_product(N, k))
 
 
 def replacement_correction_float(N: int, k: int) -> float:
     """Float evaluation of the correction; exact to ~k*eps relative."""
     if k > N:
-        raise ValueError(f"pattern length {k} exceeds sequence length {N}")
+        raise DomainError(f"pattern length {k} exceeds sequence length {N}")
     out = 1.0
     for j in range(1, k):
         out /= 1.0 - j / N
@@ -292,7 +290,7 @@ def replacement_correction_float(N: int, k: int) -> float:
 
 def replacement_correction_log(N: int, k: int) -> LogSpaceValue:
     if k > N:
-        raise ValueError(f"pattern length {k} exceeds sequence length {N}")
+        raise DomainError(f"pattern length {k} exceeds sequence length {N}")
     v = -math.fsum(math.log1p(-j / N) for j in range(1, k))
     return LogSpaceValue(v)
 
@@ -306,7 +304,7 @@ def ratio_factors(N: int, k: int, alpha: int, i: int) -> RatioFactors:
     """
     _check_prefix_args(N, k, alpha, i)
     if iid_kernel(N, k, alpha, i) == 0:
-        raise ValueError(f"iid kernel vanishes at i={i}; ratio undefined")
+        raise DomainError(f"iid kernel vanishes at i={i}; ratio undefined")
     falling = Fraction(1)
     for m in range(alpha):
         falling *= Fraction(i - m, i)
@@ -320,7 +318,7 @@ def ratio_factors_float(N: int, k: int, alpha: int, i: int) -> RatioFactors:
     """Float twin of ratio_factors for the log backend (k, alpha are small)."""
     _check_prefix_args(N, k, alpha, i)
     if (i == 0 and alpha > 0) or (i == N and alpha < k):
-        raise ValueError(f"iid kernel vanishes at i={i}; ratio undefined")
+        raise DomainError(f"iid kernel vanishes at i={i}; ratio undefined")
     falling = 1.0
     for m in range(alpha):
         falling *= (i - m) / i
@@ -339,7 +337,7 @@ def ratio_within_correction(N: int, k: int, alpha: int, i: int) -> bool:
     """
     _check_prefix_args(N, k, alpha, i)
     if (i == 0 and alpha > 0) or (i == N and alpha < k):
-        raise ValueError(f"iid kernel vanishes at i={i}; ratio undefined")
+        raise DomainError(f"iid kernel vanishes at i={i}; ratio undefined")
     lhs = binomial(N - k, i - alpha) * falling_product(N, k)
     rhs = math.comb(N, i) * i**alpha * (N - i) ** (k - alpha)
     return lhs <= rhs
@@ -388,7 +386,7 @@ def region_bounds(N: int, m1: int | None = None) -> RegionBounds:
     must keep the mid window nonempty.
     """
     if N < 8:
-        raise ValueError(f"regions undefined for N={N} < 8")
+        raise DomainError(f"regions undefined for N={N} < 8")
     s = math.isqrt(N)
     # floor(N - sqrt(N)) is N - s for perfect squares, N - s - 1 otherwise
     m2 = (N - s if s * s == N else N - s - 1) + 1
@@ -397,7 +395,7 @@ def region_bounds(N: int, m1: int | None = None) -> RegionBounds:
     else:
         m1 = int(m1)
         if m1 < 1:
-            raise ValueError("lower cut must be positive")
+            raise DomainError("lower cut must be positive")
     if not m1 < m2 <= N:
-        raise ValueError(f"degenerate regions: M1={m1}, M2={m2}, N={N}")
+        raise DomainError(f"degenerate regions: M1={m1}, M2={m2}, N={N}")
     return RegionBounds(N=N, M1=m1, M2=m2)

@@ -19,6 +19,7 @@ from .model import (
     Value,
     mean_law_from_moments,
 )
+from .numerics import DomainError
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def weak_convergence_gap(
     """Gaps between law and target expectations over monomials p^m (m <= k_max)
     and kernels p^a (1-p)^(k-a) (k <= k_max)."""
     if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+        raise DomainError("k_max must be nonnegative")
     entries: list[tuple[str, Value]] = []
     for m in range(k_max + 1):
         gap = abs(_expect_kernel_law(law, m, m) - _expect_kernel_measure(target, m, m))

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from definetti import harness, io
 from definetti.cli import main
 
 
@@ -392,3 +394,118 @@ def test_oracle_determinism_in_process(capsys):
     code2, out2, _ = run_cli(["oracle", "-N", "4", "--seed", "9"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# exact values past CPython's int<->str digit limit
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def eighth_file(tmp_path):
+    # denominators 8^5000: 4516 digits, past the default limit of 4300
+    return write_json(tmp_path, "eighth.json", {"atoms": [{"p": "1/8", "w": "1"}]})
+
+
+def test_io_round_trip_past_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    x = Fraction(7**6000 + 1, 2**20000)
+    text = io.format_value(x)
+    assert len(text) > 2 * limit
+    assert io.parse_value(text) == x
+    assert sys.get_int_max_str_digits() == limit   # restored, not left lifted
+    with pytest.raises(io.InputFormatError):
+        io.parse_value("1/x" + "1" * 5000)
+
+
+def test_exact_yn_law_n5000_round_trips_through_law(eighth_file, tmp_path, capsys):
+    law_path = tmp_path / "law.json"
+    code, _, _ = run_cli(
+        ["yn-law", "--measure", eighth_file, "-N", "5000", "--out", str(law_path)],
+        capsys,
+    )
+    assert code == 0
+    q = json.loads(law_path.read_text())["q"]
+    assert len(q) == 5001 and max(map(len, q)) > 2 * sys.get_int_max_str_digits()
+    # k = 1: the law's mean, E[S_N / N] = 1/8
+    code, out, _ = run_cli(
+        ["verify", "--law", str(law_path), "--pattern", "1", "--backend", "log"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["lhs"] == pytest.approx(0.125, rel=1e-12, abs=0)
+
+
+def test_exact_verify_n5000_exits_0(eighth_file, capsys):
+    code, out, _ = run_cli(
+        ["verify", "--backend", "exact", "--measure", eighth_file, "-N", "5000",
+         "--pattern", "1,0,1"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lhs"] == "7/512"   # (1/8)^2 (7/8), the finite de Finetti value
+    assert io.parse_value(doc["abs_diff"]) <= io.parse_value(doc["sandwich_bound"])
+    assert max(len(v) for v in doc.values() if isinstance(v, str)) > 4300
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+# ---------------------------------------------------------------------------
+
+def _violate_ratio_bound(monkeypatch):
+    # a correction constant below the true ratio trips the scan's guard
+    monkeypatch.setattr(harness, "replacement_correction_float", lambda N, k: 0.5)
+
+
+def _vanish_conditional_weights(monkeypatch):
+    # lhs = 0 with interior kernel mass trips the pathological-run guard
+    monkeypatch.setattr(harness, "conditional_prefix_prob", lambda *a: Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "argv, patch, code, error",
+    [
+        (["prefix-prob", "--measure", "{fair}", "--pattern", "1"], None, 0, None),
+        (["prefix-prob", "--measure", "{broken}", "--pattern", "1"], None, 2, "input"),
+        (["ratio-scan", "-N", "7", "--pattern", "1"], None, 2, "domain"),
+        (["prefix-prob", "--measure", "{bad}", "--pattern", "1"], None, 3, "invariant"),
+        (["ratio-scan", "-N", "4000", "--pattern", "1,0"], _violate_ratio_bound, 3,
+         "invariant"),
+        (["verify", "--law", "{law}", "--pattern", "1,0"], _vanish_conditional_weights, 3,
+         "invariant"),
+        (["recover", "--moments", "{bad_moments}", "--level", "3"], None, 4,
+         "extendability"),
+    ],
+)
+def test_exit_codes(argv, patch, code, error, fair_file, tmp_path, monkeypatch, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    files = {
+        "fair": fair_file,
+        "broken": str(broken),
+        "bad": write_json(tmp_path, "bad.json", {"atoms": [{"p": "1/2", "w": "9/10"}]}),
+        "law": write_json(tmp_path, "law.json", {"q": ["1/4", "1/4", "1/4", "0"] + ["0"] * 6 + ["1/4"]}),
+        "bad_moments": write_json(tmp_path, "m.json", {"c": ["1", "1/2", "0", "0"]}),
+    }
+    if patch is not None:
+        patch(monkeypatch)
+    got, _, err = run_cli([arg.format(**files) for arg in argv], capsys)
+    assert got == code
+    if error is not None:
+        assert json.loads(err)["error"] == error
+
+
+def test_unexpected_errors_are_not_mapped_to_exit_codes(fair_file, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not an input problem")
+
+    monkeypatch.setattr(harness, "verify_approximation", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["verify", "--measure", fair_file, "-N", "100", "--pattern", "1"])
+
+
+def test_verify_has_no_stride_option(fair_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--measure", fair_file, "-N", "100", "--pattern", "1",
+              "--stride", "3"])
+    assert exc.value.code == 2

@@ -300,6 +300,16 @@ def test_verify_log_backend_agrees_with_exact(three_atom_mu):
     assert lg.abs_diff <= lg.sandwich_bound * (1 + 1e-12)
 
 
+def test_verify_log_eps_mid_closed_form_at_1e7():
+    # pattern (1, 0): a_i / b_i = N / (N - 1) at every interior i, so the
+    # mid-window deviation is exactly 1 / (N - 1), scanned over all indices
+    N = 10**7
+    mu = MixingMeasure(((0.3, 0.5), (0.7, 0.5)))
+    rep = verify_approximation(mu, PrefixEvent((1, 0)), N=N)
+    assert rep.backend == "log" and rep.eps_mid_sampled is False
+    assert abs(rep.eps_mid - 1 / (N - 1)) <= 1e-13
+
+
 def test_verify_auto_backend_switches(three_atom_mu):
     e = PrefixEvent((1, 0))
     assert verify_approximation(three_atom_mu, e, N=2000).backend == "exact"
