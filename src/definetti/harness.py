@@ -8,8 +8,10 @@ For a count law q and a prefix pattern (k, alpha) it computes
 splits both sums into lower tail (i <= M1), mid window (M1 < i <= M2) and
 upper tail (i > M2), and assembles a sound bound for |lhs - rhs| from the
 max ratio deviation in the mid window plus the four tail partial sums.
-Everything is exact rationals for N <= 2000 (or on request) and log-space
-float64 above.
+The sums are exact rationals for N <= 2000 (or on request) and log-space
+float64 above.  The mid-window deviation does not depend on the law, and
+both backends take it from one exact function, ``mid_window_eps``, which
+certifies it in O(k log N) from the unimodality of the ratio.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .numerics import (
     conditional_prefix_prob,
     default_table,
     iid_kernel,
+    ratio_factors,
     region_bounds,
     replacement_correction,
     replacement_correction_float,
@@ -102,15 +105,17 @@ def ratio_scan(
     stride: int = 1,
     backend: str = "auto",
     table: LogFactorialTable | None = None,
-    m1: int | None = None,
 ) -> RatioScan:
     """Per-index scan of the two kernels and their ratio over 0..N.
 
     The ratio column is absent exactly where the iid kernel vanishes or
-    where the count is too small to match the pattern (i < alpha); the max
-    mid-window deviation eps_mid is taken over the present ratios.  Every
-    present ratio is asserted to stay below the replacement correction
-    (exactly in the exact backend, within float rounding in the log one).
+    where the count is too small to match the pattern (i < alpha).  The
+    scan's eps_mid is the max deviation over the mid-window ratios it
+    emits, so it can fall below the certified ``mid_window_eps`` that
+    ``verify_approximation`` reports (rows thinned by stride > 1, absent
+    ratios at i < alpha).  Every present ratio is asserted to stay below
+    the replacement correction (exactly in the exact backend, within float
+    rounding in the log one).
     """
     if not (0 <= alpha <= k <= N):
         raise ValidationError(f"invalid (N, k, alpha) = ({N}, {k}, {alpha})")
@@ -118,7 +123,7 @@ def ratio_scan(
         raise ValidationError("pattern length must be at least 1")
     if stride < 1:
         raise ValidationError("stride must be at least 1")
-    bounds = region_bounds(N, m1=m1)
+    bounds = region_bounds(N)
     backend = resolve_backend(backend, N)
     idx = scan_indices(N, bounds, stride)
     if backend == "exact":
@@ -311,6 +316,50 @@ def tail_bounds_check(N: int, k: int, alpha: int) -> TailBounds:
 
 
 # ---------------------------------------------------------------------------
+# certified mid-window deviation
+# ---------------------------------------------------------------------------
+
+def mid_window_eps(N: int, k: int, alpha: int, bounds: RegionBounds) -> Fraction:
+    """Exact max |a_i / b_i - 1| over the mid window M1 < i <= M2.
+
+    a_i = C(N-k, i-alpha) / C(N, i) is the conditional prefix probability
+    and b_i = (i/N)^alpha (1-i/N)^(k-alpha) the iid kernel.  The maximum is
+    certified from O(log N) ratio evaluations of O(k) small Fractions each:
+
+    * b_i > 0 on the whole window, because 2 <= M1 < M2 < N for N >= 8.
+    * Off the support alpha <= i <= N-k+alpha, a_i = 0, so the deviation
+      there is exactly 1.
+    * On the support, rho(i) = a_i / b_i = falling(i) * edge(i) * r with
+      log falling = sum_{m<alpha} log(1 - m/i) and
+      log edge = sum_{0<j<k-alpha} log(1 - j/(N-i)).  Every term is concave
+      in i and every factor is positive there, so log rho is concave and
+      rho is unimodal: rho(i+1) > rho(i) holds on a prefix of the support.
+    * Hence over [lo, hi], the window inside the support,
+      eps = max(1 - rho(lo), 1 - rho(hi), rho(peak) - 1), and integer
+      bisection on rho(i+1) > rho(i) finds the peak.
+    """
+    lo = max(bounds.M1 + 1, alpha)
+    hi = min(bounds.M2, N - k + alpha)
+    if lo > hi:
+        return Fraction(1)
+
+    def rho(i: int) -> Fraction:
+        return ratio_factors(N, k, alpha, i).product()
+
+    left, right = lo, hi
+    while left < right:
+        mid = (left + right) // 2
+        if rho(mid + 1) > rho(mid):
+            left = mid + 1
+        else:
+            right = mid
+    eps = max(1 - rho(lo), 1 - rho(hi), rho(left) - 1)
+    if lo > bounds.M1 + 1 or hi < bounds.M2:
+        eps = max(eps, Fraction(1))
+    return eps
+
+
+# ---------------------------------------------------------------------------
 # full verification report
 # ---------------------------------------------------------------------------
 
@@ -332,7 +381,7 @@ class VerificationReport:
     rhs_mid: Value
     rhs_upper: Value
     eps_mid: Value
-    eps_mid_sampled: bool            # always False: eps_mid scans every mid index
+    eps_mid_sampled: bool            # always False: eps_mid is certified exactly
     sandwich_bound: Value
     lower_tail_bound: float | None   # N^(-(2*alpha-1)/3), alpha >= 1
     upper_tail_bound: float | None   # N^(-(k-alpha)/2), alpha <= k-1
@@ -358,10 +407,11 @@ def verify_approximation(
 
         eps_mid * rhs_mid + lhs_lower + rhs_lower + lhs_upper + rhs_upper
 
-    dominates |lhs - rhs| by the triangle inequality; eps_mid is always
-    taken over every mid-window index, so ``eps_mid_sampled`` is always
-    false.  In the exact backend every report field is a Fraction and the
-    domination is an identity, not a float statement.
+    dominates |lhs - rhs| by the triangle inequality.  eps_mid comes from
+    ``mid_window_eps`` in both backends (the log report carries its
+    correctly rounded float), so ``eps_mid_sampled`` is always false.  In
+    the exact backend every report field is a Fraction and the domination
+    is an identity, not a float statement.
     """
     if isinstance(source, MixingMeasure):
         if N is None:
@@ -393,13 +443,9 @@ def _verify_exact(source, e, N, bounds) -> VerificationReport:
         fields = _exact_fields_integer(law, e, N, bounds)
     else:
         fields = _exact_fields_fractions(law, e, N, bounds)
-    (
-        parts,
-        eps_mid,
-        rhs_below_alpha,
-        rhs_above_support,
-    ) = fields
+    parts, rhs_below_alpha, rhs_above_support = fields
     k, alpha = e.k, e.alpha
+    eps_mid = mid_window_eps(N, k, alpha, bounds)
     lhs = parts[("a", "lower")] + parts[("a", "mid")] + parts[("a", "upper")]
     rhs = parts[("b", "lower")] + parts[("b", "mid")] + parts[("b", "upper")]
     abs_diff = abs(lhs - rhs)
@@ -452,34 +498,28 @@ def _exact_fields_fractions(law, e, N, bounds):
     parts.update({("b", r): zero for r in ("lower", "mid", "upper")})
     rhs_below_alpha = zero
     rhs_above_support = zero
-    eps_mid = zero
     for i in range(N + 1):
         qi = q[i]
+        if qi == 0:
+            continue
         region = bounds.region_of(i)
         b = iid_kernel(N, k, alpha, i)
         a = conditional_prefix_prob(N, k, alpha, i)
-        if region == "mid" and b != 0:
-            eps_mid = max(eps_mid, abs(a / b - 1))
-        if qi == 0:
-            continue
         parts[("a", region)] += a * qi
         parts[("b", region)] += b * qi
         if i < alpha:
             rhs_below_alpha += b * qi
         if i - alpha > N - k:
             rhs_above_support += b * qi
-    return parts, eps_mid, rhs_below_alpha, rhs_above_support
+    return parts, rhs_below_alpha, rhs_above_support
 
 
 def _exact_fields_integer(law, e, N, bounds):
     """Integer accumulation over the law's common denominator.
 
     The left sums telescope to C(N-k, i-alpha) * m_i / D where m_i is the
-    per-count-class word weight; the right sums live over D * N^k.  The
-    exact mid-window deviation is found by a float prescan (error <= ~1e-9)
-    that nominates candidate indices, whose deviations are then compared
-    exactly; a final exact inequality check on the mid sums guards the
-    prescan, falling back to a full exact scan if it ever misses.
+    per-count-class word weight; the right sums live over D * N^k.  One
+    pass carries C(N-k, i-alpha) by its multiplicative recurrence.
     """
     k, alpha = e.k, e.alpha
     class_nums, den = law.class_numerators()
@@ -488,41 +528,24 @@ def _exact_fields_integer(law, e, N, bounds):
     n_pow_k = N**k
     hi = N - k + alpha  # conditional prefix probability vanishes above
 
-    candidates = _eps_candidates(N, k, alpha, bounds)
-
     lhs_num = [0, 0, 0]   # lower, mid, upper over denominator den
     rhs_num = [0, 0, 0]   # over denominator den * N^k
     below_num = 0
     above_num = 0
-    eps_num, eps_den = 0, 1   # running max deviation |u - v| / v
     choose_a = 1              # C(N-k, i-alpha), valid on [alpha, hi]
-    choose_full = 1           # C(N, i)
     for i in range(N + 1):
         reg = 0 if i <= m1 else (1 if i <= m2 else 2)
-        b_factor = i**alpha * (N - i) ** (k - alpha)
-        rhs_term = b_factor * nums[i]
+        rhs_term = i**alpha * (N - i) ** (k - alpha) * nums[i]
         rhs_num[reg] += rhs_term
         if i < alpha:
             below_num += rhs_term
         elif i > hi:
             above_num += rhs_term
-        in_support = alpha <= i <= hi
-        if in_support:
+        else:
             lhs_num[reg] += choose_a * class_nums[i]
-        if i in candidates and b_factor != 0:
-            u = (choose_a if in_support else 0) * n_pow_k
-            v = choose_full * b_factor
-            d_num = abs(u - v)
-            if d_num * eps_den > eps_num * v:
-                eps_num, eps_den = d_num, v
-        if in_support and i < hi:
-            j = i - alpha
-            choose_a = choose_a * (N - k - j) // (j + 1)
-        choose_full = choose_full * (N - i) // (i + 1)
-    # guard: the nominated eps must dominate the mid window, provable from
-    # the sums alone; rescan exactly if the float prescan missed the peak
-    if abs(lhs_num[1] * n_pow_k - rhs_num[1]) * eps_den > eps_num * rhs_num[1]:
-        eps_num, eps_den = _eps_full_rescan(N, k, alpha, bounds)
+            if i < hi:
+                j = i - alpha
+                choose_a = choose_a * (N - k - j) // (j + 1)
     parts = {
         ("a", "lower"): Fraction(lhs_num[0], den),
         ("a", "mid"): Fraction(lhs_num[1], den),
@@ -533,49 +556,9 @@ def _exact_fields_integer(law, e, N, bounds):
     }
     return (
         parts,
-        Fraction(eps_num, eps_den),
         Fraction(below_num, den * n_pow_k),
         Fraction(above_num, den * n_pow_k),
     )
-
-
-def _eps_candidates(N, k, alpha, bounds) -> set[int]:
-    """Mid-window indices that may attain the max ratio deviation.
-
-    Nominated from a float scan with a slack far above its ~1e-9 error;
-    the window edges are always included.
-    """
-    t = default_table()
-    t.ensure(N)
-    mid_idx = np.arange(bounds.M1 + 1, bounds.M2 + 1, dtype=np.int64)
-    log_a, log_b = _kernels.scan_log_ab(t.delta, N, k, alpha, mid_idx)
-    dev = np.abs(np.expm1(log_a - log_b))
-    cut = dev.max() * (1.0 - 1e-6) - 1e-7
-    chosen = mid_idx[dev >= cut]
-    out = set(map(int, chosen))
-    out.update((bounds.M1 + 1, bounds.M2))
-    return out
-
-
-def _eps_full_rescan(N, k, alpha, bounds) -> tuple[int, int]:
-    n_pow_k = N**k
-    hi = N - k + alpha
-    eps_num, eps_den = 0, 1
-    start = bounds.M1 + 1
-    choose_a = math.comb(N - k, start - alpha) if start >= alpha else 1
-    choose_full = math.comb(N, start)
-    for i in range(start, bounds.M2 + 1):
-        b_factor = i**alpha * (N - i) ** (k - alpha)
-        u = (choose_a if alpha <= i <= hi else 0) * n_pow_k
-        v = choose_full * b_factor
-        d_num = abs(u - v)
-        if d_num * eps_den > eps_num * v:
-            eps_num, eps_den = d_num, v
-        if alpha <= i < hi:
-            j = i - alpha
-            choose_a = choose_a * (N - k - j) // (j + 1)
-        choose_full = choose_full * (N - i) // (i + 1)
-    return eps_num, eps_den
 
 
 def _verify_log(source, e, N, bounds, table) -> VerificationReport:
@@ -594,9 +577,7 @@ def _verify_log(source, e, N, bounds, table) -> VerificationReport:
     lhs_lower, lhs_mid, lhs_upper, rhs_lower, rhs_mid, rhs_upper = map(float, sums)
     lhs = math.fsum((lhs_lower, lhs_mid, lhs_upper))
     rhs = math.fsum((rhs_lower, rhs_mid, rhs_upper))
-    mid = np.zeros(N + 1, dtype=np.bool_)
-    mid[bounds.M1 + 1 : bounds.M2 + 1] = True
-    eps_mid = _kernels.max_ratio_dev(log_a, log_b, mid)
+    eps_mid = float(mid_window_eps(N, k, alpha, bounds))
     # b-side mass where the conditional weight is an exact zero:
     # i < alpha and i > N - k + alpha (positions equal indices here)
     below = slice(0, alpha)

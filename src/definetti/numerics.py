@@ -379,23 +379,15 @@ def _icbrt(n: int) -> int:
     return x
 
 
-def region_bounds(N: int, m1: int | None = None) -> RegionBounds:
+def region_bounds(N: int) -> RegionBounds:
     """Region cuts for a scan over 0..N; N must be at least 8.
 
-    ``m1`` overrides the lower cut (default floor(N^(1/3))); any override
-    must keep the mid window nonempty.
+    From N = 8 on, 2 <= M1 < M2 < N, so the mid window is nonempty and
+    stays clear of both ends.
     """
     if N < 8:
         raise DomainError(f"regions undefined for N={N} < 8")
     s = math.isqrt(N)
     # floor(N - sqrt(N)) is N - s for perfect squares, N - s - 1 otherwise
     m2 = (N - s if s * s == N else N - s - 1) + 1
-    if m1 is None:
-        m1 = _icbrt(N)
-    else:
-        m1 = int(m1)
-        if m1 < 1:
-            raise DomainError("lower cut must be positive")
-    if not m1 < m2 <= N:
-        raise DomainError(f"degenerate regions: M1={m1}, M2={m2}, N={N}")
-    return RegionBounds(N=N, M1=m1, M2=m2)
+    return RegionBounds(N=N, M1=_icbrt(N), M2=m2)

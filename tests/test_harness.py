@@ -3,9 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import definetti as d
+from definetti import harness
 from definetti.harness import (
+    mid_window_eps,
     ratio_scan,
     sandwich_bound,
     scan_indices,
@@ -296,18 +300,18 @@ def test_verify_log_backend_agrees_with_exact(three_atom_mu):
     assert abs(lg.lhs - float(ex.lhs)) < 1e-12
     assert abs(lg.rhs - float(ex.rhs)) < 1e-12
     assert abs(lg.abs_diff - float(ex.abs_diff)) < 1e-12
-    assert abs(lg.eps_mid - float(ex.eps_mid)) < 1e-8
+    assert lg.eps_mid == float(ex.eps_mid)
     assert lg.abs_diff <= lg.sandwich_bound * (1 + 1e-12)
 
 
 def test_verify_log_eps_mid_closed_form_at_1e7():
     # pattern (1, 0): a_i / b_i = N / (N - 1) at every interior i, so the
-    # mid-window deviation is exactly 1 / (N - 1), scanned over all indices
+    # mid-window deviation is exactly 1 / (N - 1), reported correctly rounded
     N = 10**7
     mu = MixingMeasure(((0.3, 0.5), (0.7, 0.5)))
     rep = verify_approximation(mu, PrefixEvent((1, 0)), N=N)
     assert rep.backend == "log" and rep.eps_mid_sampled is False
-    assert abs(rep.eps_mid - 1 / (N - 1)) <= 1e-13
+    assert rep.eps_mid == 1 / (N - 1)
 
 
 def test_verify_auto_backend_switches(three_atom_mu):
@@ -343,7 +347,7 @@ def test_verify_rejects_bad_args(three_atom_mu):
 
 
 def test_exact_eps_mid_equals_brute_maximum():
-    # validates the float-prescan + exact-candidate scheme against a plain
+    # the reported eps_mid (endpoints plus bisected peak) against a plain
     # Fraction maximum over the whole mid window
     rng = random.Random(97)
     for _ in range(12):
@@ -364,21 +368,31 @@ def test_exact_eps_mid_equals_brute_maximum():
         assert rep.eps_mid == brute, (N, k, alpha)
 
 
-def test_eps_full_rescan_matches_brute():
-    # the guard fallback must agree with a plain Fraction maximum
-    from definetti.harness import _eps_full_rescan
+@given(st.data())
+def test_mid_window_eps_matches_brute(data):
+    # the unimodal peak search against a plain Fraction maximum
+    N = data.draw(st.integers(8, 200), label="N")
+    k = data.draw(st.integers(1, min(N, 10)), label="k")
+    alpha = data.draw(st.integers(0, k), label="alpha")
+    b = region_bounds(N)
+    brute = max(
+        abs(conditional_prefix_prob(N, k, alpha, i) / iid_kernel(N, k, alpha, i) - 1)
+        for i in range(b.M1 + 1, b.M2 + 1)
+    )
+    assert mid_window_eps(N, k, alpha, b) == brute
 
-    for N, k, alpha in [(50, 3, 2), (101, 5, 0), (40, 4, 4), (64, 2, 1)]:
-        b = region_bounds(N)
-        num, den = _eps_full_rescan(N, k, alpha, b)
-        brute = F(0)
-        for i in range(b.M1 + 1, b.M2 + 1):
-            bi = iid_kernel(N, k, alpha, i)
-            if bi != 0:
-                brute = max(
-                    brute, abs(conditional_prefix_prob(N, k, alpha, i) / bi - 1)
-                )
-        assert F(num, den) == brute, (N, k, alpha)
+
+def test_exact_verify_uses_no_float_kernel(three_atom_mu, monkeypatch):
+    # the exact backend certifies eps_mid without a float scan
+    def refuse(*args, **kwargs):
+        raise AssertionError("float kernel called on the exact path")
+
+    monkeypatch.setattr(harness._kernels, "scan_log_ab", refuse)
+    rep = verify_approximation(
+        three_atom_mu, PrefixEvent((1, 1, 0)), N=500, backend="exact"
+    )
+    assert rep.backend == "exact"
+    assert rep.abs_diff <= rep.sandwich_bound
 
 
 def test_pathological_decomposition_for_random_edge_laws():

@@ -354,13 +354,6 @@ def test_region_bounds_integer_exact_everywhere():
         assert b.M1 < b.M2 <= N
 
 
-def test_region_bounds_override():
-    b = region_bounds(1000, m1=25)
-    assert b.M1 == 25 and b.M2 == 969
-    with pytest.raises(ValueError):
-        region_bounds(1000, m1=969)   # mid window would vanish
-
-
 # ---------------------------------------------------------------------------
 # backend agreement
 # ---------------------------------------------------------------------------
