@@ -12,6 +12,7 @@ rejection.  Any other exception is a bug and propagates as a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -26,6 +27,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 EXIT_EXTENDABILITY = 4
+
+SCAN_BLOCK_ROWS = 65_536   # ratio-scan CSV rows formatted per write
 
 
 @dataclass
@@ -65,12 +68,19 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _emit(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    """The --out file opened for writing, or stdout."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 def _emit_json(doc, out_path: str | None) -> None:
@@ -161,6 +171,32 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _scan_csv_blocks(scan: harness.RatioScan):
+    """CSV rows of a scan as text, one string per SCAN_BLOCK_ROWS rows."""
+    names = harness.REGION_NAMES
+    for start in range(0, len(scan.i), SCAN_BLOCK_ROWS):
+        block = slice(start, start + SCAN_BLOCK_ROWS)
+        if scan.log_columns:
+            # "{}" formats a Python float as its shortest repr; NaN marks
+            # an absent ratio
+            a_col = scan.a[block].tolist()
+            b_col = scan.b[block].tolist()
+            ratio_col = ["" if x != x else repr(x) for x in scan.ratio[block].tolist()]
+        else:
+            fmt = io.format_value
+            a_col = map(fmt, scan.a[block])
+            b_col = map(fmt, scan.b[block])
+            ratio_col = ("" if x is None else fmt(x) for x in scan.ratio[block])
+        yield "".join(map(
+            "{},{},{},{},{}\n".format,
+            scan.i[block].tolist(),
+            a_col,
+            b_col,
+            ratio_col,
+            (names[c] for c in scan.region[block].tolist()),
+        ))
+
+
 def cmd_ratio_scan(cfg: RunConfig) -> int:
     if cfg.pattern is None:
         raise io.InputFormatError("--pattern is required (supplies k and alpha)")
@@ -173,21 +209,6 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
         stride=cfg.stride,
         backend=cfg.backend,
     )
-    lines = []
-    if scan.log_columns:
-        lines.append("i,log_a,log_b,ratio,region")
-    else:
-        lines.append("i,a,b,ratio,region")
-    for row in scan.rows:
-        if scan.log_columns:
-            a_txt = repr(row.a)
-            b_txt = repr(row.b)
-            ratio_txt = "" if row.ratio is None else repr(float(row.ratio))
-        else:
-            a_txt = io.format_value(row.a)
-            b_txt = io.format_value(row.b)
-            ratio_txt = "" if row.ratio is None else str(io.format_value(row.ratio))
-        lines.append(f"{row.i},{a_txt},{b_txt},{ratio_txt},{row.region}")
     summary = {
         "eps_mid": io.format_value(scan.eps_mid),
         "r": io.format_value(scan.r),
@@ -197,8 +218,13 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
         "sampled": scan.sampled,
         "backend": scan.backend,
     }
-    lines.append(json.dumps(summary))
-    _emit("\n".join(lines) + "\n", cfg.out_path)
+    with _output(cfg.out_path) as fh:
+        if scan.log_columns:
+            fh.write("i,log_a,log_b,ratio,region\n")
+        else:
+            fh.write("i,a,b,ratio,region\n")
+        fh.writelines(_scan_csv_blocks(scan))
+        fh.write(json.dumps(summary) + "\n")
     return EXIT_OK
 
 

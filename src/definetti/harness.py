@@ -17,9 +17,9 @@ certifies it in O(k log N) from the unimodality of the ratio.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .model import (
 from .numerics import (
     LogFactorialTable,
     RegionBounds,
-    conditional_prefix_prob,
     default_table,
     iid_kernel,
     ratio_factors,
@@ -61,6 +60,9 @@ def resolve_backend(backend: str, N: int) -> str:
 # ratio scan
 # ---------------------------------------------------------------------------
 
+REGION_NAMES = ("lower", "mid", "upper")   # indexed by RatioScan.region codes
+
+
 @dataclass(frozen=True)
 class ScanRow:
     i: int
@@ -70,13 +72,31 @@ class ScanRow:
     region: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatioScan:
+    """Column-wise result of ``ratio_scan``, one entry per scanned index.
+
+    * ``i``: int64 array of the scanned counts, strictly increasing.
+    * ``a``, ``b``: log backend, float64 arrays of natural logs (-inf for
+      an exact zero); exact backend, tuples of Fractions.
+    * ``ratio``: log backend, a float64 array with NaN where the ratio is
+      absent; exact backend, a tuple of Fractions with None where absent.
+    * ``region``: int8 array of codes into ``REGION_NAMES``
+      (0 lower, 1 mid, 2 upper).
+
+    ``rows`` is a read-only sequence view that builds a ``ScanRow`` only
+    when one is accessed; absent ratios read as None there in both backends.
+    """
+
     N: int
     k: int
     alpha: int
     bounds: RegionBounds
-    rows: tuple[ScanRow, ...]
+    i: np.ndarray
+    a: np.ndarray | tuple[Fraction, ...]
+    b: np.ndarray | tuple[Fraction, ...]
+    ratio: np.ndarray | tuple[Fraction | None, ...]
+    region: np.ndarray
     r: Value
     eps_mid: Value
     stride: int
@@ -87,15 +107,43 @@ class RatioScan:
     def log_columns(self) -> bool:
         return self.backend == "log"
 
+    @property
+    def rows(self) -> ScanRows:
+        return ScanRows(self)
+
+
+class ScanRows(Sequence):
+    """Lazy ``Sequence[ScanRow]`` over the columns of a ``RatioScan``."""
+
+    __slots__ = ("_scan",)
+
+    def __init__(self, scan: RatioScan):
+        self._scan = scan
+
+    def __len__(self) -> int:
+        return len(self._scan.i)
+
+    def __getitem__(self, pos):
+        if isinstance(pos, slice):
+            return tuple(self[j] for j in range(*pos.indices(len(self))))
+        s = self._scan
+        a, b, ratio = s.a[pos], s.b[pos], s.ratio[pos]
+        if s.log_columns:
+            a, b, ratio = float(a), float(b), None if math.isnan(ratio) else float(ratio)
+        return ScanRow(int(s.i[pos]), a, b, ratio, REGION_NAMES[s.region[pos]])
+
 
 def scan_indices(N: int, bounds: RegionBounds, stride: int) -> np.ndarray:
     """Strided index set over 0..N with the region edges always included."""
     idx = np.arange(0, N + 1, stride, dtype=np.int64)
-    forced = np.array(
+    if stride == 1:
+        return idx
+    forced = np.unique(np.array(
         [0, bounds.M1, bounds.M1 + 1, bounds.M2, min(bounds.M2 + 1, N), N],
         dtype=np.int64,
-    )
-    return np.unique(np.concatenate([idx, forced]))
+    ))
+    forced = forced[forced % stride != 0]   # the rest are already in idx
+    return np.insert(idx, np.searchsorted(idx, forced), forced)
 
 
 def ratio_scan(
@@ -115,7 +163,8 @@ def ratio_scan(
     ``verify_approximation`` reports (rows thinned by stride > 1, absent
     ratios at i < alpha).  Every present ratio is asserted to stay below
     the replacement correction (exactly in the exact backend, within float
-    rounding in the log one).
+    rounding in the log one); a violation raises AssertionError naming the
+    smallest offending i.
     """
     if not (0 <= alpha <= k <= N):
         raise ValidationError(f"invalid (N, k, alpha) = ({N}, {k}, {alpha})")
@@ -126,16 +175,22 @@ def ratio_scan(
     bounds = region_bounds(N)
     backend = resolve_backend(backend, N)
     idx = scan_indices(N, bounds, stride)
+    region = (idx > bounds.M1).astype(np.int8)
+    region += idx > bounds.M2
     if backend == "exact":
-        rows, eps_mid, r = _scan_exact(N, k, alpha, bounds, idx)
+        a, b, ratio, eps_mid, r = _scan_exact(N, k, alpha, idx, region)
     else:
-        rows, eps_mid, r = _scan_log(N, k, alpha, bounds, idx, table)
+        a, b, ratio, eps_mid, r = _scan_log(N, k, alpha, idx, region, table)
     return RatioScan(
         N=N,
         k=k,
         alpha=alpha,
         bounds=bounds,
-        rows=tuple(rows),
+        i=idx,
+        a=a,
+        b=b,
+        ratio=ratio,
+        region=region,
         r=r,
         eps_mid=eps_mid,
         stride=stride,
@@ -144,14 +199,15 @@ def ratio_scan(
     )
 
 
-def _scan_exact(N, k, alpha, bounds, idx):
+def _scan_exact(N, k, alpha, idx, region):
+    # a_i and b_i in the falling-factorial form of ``_exact_fields``
     r = replacement_correction(N, k)
-    rows = []
+    a_den, b_den = math.perm(N, k), N**k
+    a_col, b_col, ratio_col = [], [], []
     eps_mid = Fraction(0)
-    for i in map(int, idx):
-        a = conditional_prefix_prob(N, k, alpha, i)
-        b = iid_kernel(N, k, alpha, i)
-        region = bounds.region_of(i)
+    for i, code in zip(idx.tolist(), region.tolist()):
+        a = Fraction(math.perm(i, alpha) * math.perm(N - i, k - alpha), a_den)
+        b = Fraction(i**alpha * (N - i) ** (k - alpha), b_den)
         ratio = None
         if b != 0 and not (a == 0 and i < alpha):
             ratio = a / b
@@ -159,41 +215,44 @@ def _scan_exact(N, k, alpha, bounds, idx):
                 raise AssertionError(
                     f"ratio bound violated at i={i}: {ratio} > {r}"
                 )
-            if region == "mid":
+            if code == 1:
                 eps_mid = max(eps_mid, abs(ratio - 1))
-        rows.append(ScanRow(i=i, a=a, b=b, ratio=ratio, region=region))
-    return rows, eps_mid, r
+        a_col.append(a)
+        b_col.append(b)
+        ratio_col.append(ratio)
+    return tuple(a_col), tuple(b_col), tuple(ratio_col), eps_mid, r
 
 
-def _scan_log(N, k, alpha, bounds, idx, table):
+def _scan_log(N, k, alpha, idx, region, table):
     t = table or default_table()
     t.ensure(N)
     log_a, log_b = _kernels.scan_log_ab(t.delta, N, k, alpha, idx)
     r = replacement_correction_float(N, k)
     log_r = math.log(r)
-    rows = []
-    eps_mid = 0.0
-    # float slack for the row-wise ratio bound; the bound is exact math,
-    # only the evaluation rounds
+    a_zero = log_a == _kernels.NEG_INF
+    present = (log_b != _kernels.NEG_INF) & ~(a_zero & (idx < alpha))
+    finite = present & ~a_zero
+    log_ratio = log_a[finite] - log_b[finite]
+    # float slack for the ratio bound; the bound is exact math, only the
+    # evaluation rounds
     slack = 1e-9
-    for t_pos, i in enumerate(map(int, idx)):
-        la = float(log_a[t_pos])
-        lb = float(log_b[t_pos])
-        region = bounds.region_of(i)
-        ratio = None
-        if lb != _kernels.NEG_INF and not (la == _kernels.NEG_INF and i < alpha):
-            if la == _kernels.NEG_INF:
-                ratio = 0.0
-            else:
-                if la - lb > log_r + slack:
-                    raise AssertionError(
-                        f"ratio bound violated at i={i}: log ratio {la - lb} > log r {log_r}"
-                    )
-                ratio = math.exp(la - lb)
-            if region == "mid":
-                eps_mid = max(eps_mid, abs(ratio - 1.0))
-        rows.append(ScanRow(i=i, a=la, b=lb, ratio=ratio, region=region))
-    return rows, eps_mid, r
+    over = np.flatnonzero(log_ratio > log_r + slack)
+    if over.size:
+        j = over[0]
+        raise AssertionError(
+            f"ratio bound violated at i={int(idx[finite][j])}: "
+            f"log ratio {float(log_ratio[j])} > log r {log_r}"
+        )
+    ratio = np.full(idx.shape, np.nan)
+    ratio[present] = 0.0
+    # math.exp, not np.exp: the two differ in the last ulp on some inputs,
+    # and the CSV prints every digit
+    ratio[finite] = np.fromiter(
+        map(math.exp, log_ratio.tolist()), dtype=np.float64, count=log_ratio.size
+    )
+    mid_dev = np.abs(ratio[present & (region == 1)] - 1.0)
+    eps_mid = float(mid_dev.max()) if mid_dev.size else 0.0
+    return log_a, log_b, ratio, eps_mid, r
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +498,7 @@ def verify_approximation(
 
 def _verify_exact(source, e, N, bounds) -> VerificationReport:
     law = sample_mean_law(source, N) if isinstance(source, MixingMeasure) else source
-    if law.class_numerators() is not None:
-        fields = _exact_fields_integer(law, e, N, bounds)
-    else:
-        fields = _exact_fields_fractions(law, e, N, bounds)
-    parts, rhs_below_alpha, rhs_above_support = fields
+    parts, rhs_below_alpha, rhs_above_support = _exact_fields(law, e, N, bounds)
     k, alpha = e.k, e.alpha
     eps_mid = mid_window_eps(N, k, alpha, bounds)
     lhs = parts[("a", "lower")] + parts[("a", "mid")] + parts[("a", "upper")]
@@ -489,76 +544,58 @@ def _verify_exact(source, e, N, bounds) -> VerificationReport:
     )
 
 
-def _exact_fields_fractions(law, e, N, bounds):
-    """Reference exact accumulation, Fraction per term (small N only)."""
-    k, alpha = e.k, e.alpha
-    q = law.weights
-    zero = Fraction(0)
-    parts = {("a", r): zero for r in ("lower", "mid", "upper")}
-    parts.update({("b", r): zero for r in ("lower", "mid", "upper")})
-    rhs_below_alpha = zero
-    rhs_above_support = zero
-    for i in range(N + 1):
-        qi = q[i]
-        if qi == 0:
-            continue
-        region = bounds.region_of(i)
-        b = iid_kernel(N, k, alpha, i)
-        a = conditional_prefix_prob(N, k, alpha, i)
-        parts[("a", region)] += a * qi
-        parts[("b", region)] += b * qi
-        if i < alpha:
-            rhs_below_alpha += b * qi
-        if i - alpha > N - k:
-            rhs_above_support += b * qi
-    return parts, rhs_below_alpha, rhs_above_support
+def _integer_weights(law: SampleMeanLaw) -> tuple[Sequence[int], int]:
+    """The law as integer numerators over one common denominator.
+
+    Laws built from a measure carry this form; for any other exact law the
+    denominator is the lcm of the weights' denominators.
+    """
+    form = law.integer_form()
+    if form is not None:
+        return form
+    q = [Fraction(x) for x in law.weights]
+    den = math.lcm(*(x.denominator for x in q))
+    return [x.numerator * (den // x.denominator) for x in q], den
 
 
-def _exact_fields_integer(law, e, N, bounds):
-    """Integer accumulation over the law's common denominator.
+def _exact_fields(law, e, N, bounds):
+    """Exact region sums of both sides, accumulated as integers.
 
-    The left sums telescope to C(N-k, i-alpha) * m_i / D where m_i is the
-    per-count-class word weight; the right sums live over D * N^k.  One
-    pass carries C(N-k, i-alpha) by its multiplicative recurrence.
+    With q_i = nums[i] / den and falling factorials x^(m) = x (x-1) ... (x-m+1),
+    the conditional weight is a_i = C(N-k, i-alpha) / C(N, i)
+    = i^(alpha) (N-i)^(k-alpha) / N^(k), which vanishes off the support
+    alpha <= i <= N-k+alpha by itself, and b_i = i^alpha (N-i)^(k-alpha) / N^k.
+    So every left sum is an integer over den * N^(k) and every right sum
+    one over den * N^k: one pass of small-integer times numerator products,
+    with no bignum binomials and no per-term gcd.
     """
     k, alpha = e.k, e.alpha
-    class_nums, den = law.class_numerators()
-    nums, _ = law.integer_form()
+    nums, den = _integer_weights(law)
     m1, m2 = bounds.M1, bounds.M2
-    n_pow_k = N**k
     hi = N - k + alpha  # conditional prefix probability vanishes above
 
-    lhs_num = [0, 0, 0]   # lower, mid, upper over denominator den
-    rhs_num = [0, 0, 0]   # over denominator den * N^k
+    lhs_num = [0, 0, 0]   # lower, mid, upper over den * N^(k)
+    rhs_num = [0, 0, 0]   # over den * N^k
     below_num = 0
     above_num = 0
-    choose_a = 1              # C(N-k, i-alpha), valid on [alpha, hi]
-    for i in range(N + 1):
+    for i, num in enumerate(nums):
+        if num == 0:
+            continue
         reg = 0 if i <= m1 else (1 if i <= m2 else 2)
-        rhs_term = i**alpha * (N - i) ** (k - alpha) * nums[i]
+        lhs_num[reg] += math.perm(i, alpha) * math.perm(N - i, k - alpha) * num
+        rhs_term = i**alpha * (N - i) ** (k - alpha) * num
         rhs_num[reg] += rhs_term
         if i < alpha:
             below_num += rhs_term
         elif i > hi:
             above_num += rhs_term
-        else:
-            lhs_num[reg] += choose_a * class_nums[i]
-            if i < hi:
-                j = i - alpha
-                choose_a = choose_a * (N - k - j) // (j + 1)
-    parts = {
-        ("a", "lower"): Fraction(lhs_num[0], den),
-        ("a", "mid"): Fraction(lhs_num[1], den),
-        ("a", "upper"): Fraction(lhs_num[2], den),
-        ("b", "lower"): Fraction(rhs_num[0], den * n_pow_k),
-        ("b", "mid"): Fraction(rhs_num[1], den * n_pow_k),
-        ("b", "upper"): Fraction(rhs_num[2], den * n_pow_k),
-    }
-    return (
-        parts,
-        Fraction(below_num, den * n_pow_k),
-        Fraction(above_num, den * n_pow_k),
+    lhs_den = den * math.perm(N, k)
+    rhs_den = den * N**k
+    parts = {("a", name): Fraction(n, lhs_den) for name, n in zip(REGION_NAMES, lhs_num)}
+    parts.update(
+        {("b", name): Fraction(n, rhs_den) for name, n in zip(REGION_NAMES, rhs_num)}
     )
+    return parts, Fraction(below_num, rhs_den), Fraction(above_num, rhs_den)
 
 
 def _verify_log(source, e, N, bounds, table) -> VerificationReport:

@@ -1,12 +1,22 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from definetti import harness, io
+from definetti import _kernels, harness, io
 from definetti.cli import main
+from definetti.numerics import (
+    conditional_prefix_prob,
+    default_table,
+    iid_kernel,
+    region_bounds,
+    replacement_correction,
+    replacement_correction_float,
+)
 
 
 def run_cli(args, capsys):
@@ -210,6 +220,65 @@ def test_ratio_scan_large_n_eps_shrinks(capsys):
     eps_small = json.loads(out_small.strip().split("\n")[-1])["eps_mid"]
     eps_big = json.loads(out_big.strip().split("\n")[-1])["eps_mid"]
     assert eps_big < eps_small
+
+
+def _reference_scan_csv(N, k, alpha, stride, backend):
+    """The ratio-scan CSV built one row at a time: math.exp of each log ratio,
+    repr of each float, format_value of each Fraction, and eps_mid as a
+    running maximum over the mid rows."""
+    b = region_bounds(N)
+    forced = [0, b.M1, b.M1 + 1, b.M2, min(b.M2 + 1, N), N]
+    idx = np.unique(np.concatenate([np.arange(0, N + 1, stride), forced]))
+    fmt = io.format_value
+    if backend == "log":
+        table = default_table()
+        table.ensure(N)
+        log_a, log_b = _kernels.scan_log_ab(table.delta, N, k, alpha, idx)
+        r, eps = replacement_correction_float(N, k), 0.0
+        lines = ["i,log_a,log_b,ratio,region"]
+    else:
+        r, eps = replacement_correction(N, k), Fraction(0)
+        lines = ["i,a,b,ratio,region"]
+    for pos, i in enumerate(map(int, idx)):
+        region = b.region_of(i)
+        ratio = None
+        if backend == "log":
+            a, bi = float(log_a[pos]), float(log_b[pos])
+            if bi != -math.inf and not (a == -math.inf and i < alpha):
+                ratio = 0.0 if a == -math.inf else math.exp(a - bi)
+            a_txt, b_txt = repr(a), repr(bi)
+            ratio_txt = "" if ratio is None else repr(ratio)
+        else:
+            a, bi = conditional_prefix_prob(N, k, alpha, i), iid_kernel(N, k, alpha, i)
+            if bi != 0 and not (a == 0 and i < alpha):
+                ratio = a / bi
+            a_txt, b_txt = fmt(a), fmt(bi)
+            ratio_txt = "" if ratio is None else fmt(ratio)
+        if ratio is not None and region == "mid":
+            eps = max(eps, abs(ratio - 1))
+        lines.append(f"{i},{a_txt},{b_txt},{ratio_txt},{region}")
+    summary = {"eps_mid": fmt(eps), "r": fmt(r), "M1": b.M1, "M2": b.M2,
+               "stride": stride, "sampled": stride > 1, "backend": backend}
+    lines.append(json.dumps(summary))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "backend, N, stride",
+    [("log", 10**4, 1), ("log", 10**4, 13), ("exact", 300, 1), ("exact", 300, 7)],
+)
+@pytest.mark.parametrize("pattern", ["1,1,0,1", "1,1,1", "0,1"])
+def test_ratio_scan_csv_matches_row_writer(backend, N, stride, pattern, tmp_path, capsys):
+    bits = [int(x) for x in pattern.split(",")]
+    expected = _reference_scan_csv(N, len(bits), sum(bits), stride, backend)
+    argv = ["ratio-scan", "--backend", backend, "-N", str(N), "--stride", str(stride),
+            "--pattern", pattern]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == expected
+    out_file = tmp_path / "scan.csv"
+    assert main(argv + ["--out", str(out_file)]) == 0
+    assert out_file.read_bytes() == expected.encode()
 
 
 def test_verify_large_n_log_backend_sound(three_atom_file, capsys):
@@ -459,7 +528,14 @@ def _violate_ratio_bound(monkeypatch):
 
 def _vanish_conditional_weights(monkeypatch):
     # lhs = 0 with interior kernel mass trips the pathological-run guard
-    monkeypatch.setattr(harness, "conditional_prefix_prob", lambda *a: Fraction(0))
+    accumulate = harness._exact_fields
+
+    def without_lhs(*args):
+        parts, below, above = accumulate(*args)
+        parts = {key: Fraction(0) if key[0] == "a" else v for key, v in parts.items()}
+        return parts, below, above
+
+    monkeypatch.setattr(harness, "_exact_fields", without_lhs)
 
 
 @pytest.mark.parametrize(

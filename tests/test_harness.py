@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import definetti as d
 from definetti import harness
 from definetti.harness import (
+    REGION_NAMES,
     mid_window_eps,
     ratio_scan,
     sandwich_bound,
@@ -109,6 +111,57 @@ def test_scan_indices_cover_everything_at_stride_one():
     b = region_bounds(300)
     idx = scan_indices(300, b, 1)
     assert list(idx) == list(range(301))
+
+
+@pytest.mark.parametrize("N", [8, 9, 300, 10**4 + 3])
+def test_scan_indices_merge_matches_unique(N):
+    b = region_bounds(N)
+    forced = [0, b.M1, b.M1 + 1, b.M2, min(b.M2 + 1, N), N]
+    strides = {2, 3, 7, b.M1, b.M1 + 1, b.M2, N // 2 + 1, N - 1, N, N + 5}
+    for stride in sorted(strides):
+        idx = scan_indices(N, b, stride)
+        assert idx.dtype == np.int64
+        assert np.all(np.diff(idx) > 0)
+        old = np.unique(np.concatenate([np.arange(0, N + 1, stride), forced]))
+        assert idx.tolist() == old.tolist()
+
+
+def test_scan_rows_view_matches_columns():
+    N = 10**4
+    scan = ratio_scan(N, 4, 2, backend="log")
+    assert len(scan.rows) == N + 1 == len(scan.i)
+    assert scan.rows[-1].i == N
+    for j, row in enumerate(scan.rows):
+        assert row.i == scan.i[j] == j
+        assert row.a == scan.a[j] and row.b == scan.b[j]
+        if row.ratio is None:
+            assert math.isnan(scan.ratio[j])
+        else:
+            assert type(row.ratio) is float and row.ratio == scan.ratio[j]
+        assert row.region == REGION_NAMES[scan.region[j]] == scan.bounds.region_of(j)
+    ex = ratio_scan(300, 3, 1, stride=7, backend="exact")
+    assert len(ex.rows) == len(ex.i) == len(ex.a) == len(ex.ratio)
+    assert ex.rows[2:4] == (ex.rows[2], ex.rows[3])
+    for j, row in enumerate(ex.rows):
+        assert (row.i, row.a, row.b, row.ratio) == (ex.i[j], ex.a[j], ex.b[j], ex.ratio[j])
+        assert row.region == ex.bounds.region_of(row.i)
+
+
+@pytest.mark.parametrize("stride", [1, 5])
+def test_scan_log_guard_names_smallest_violating_i(stride, monkeypatch):
+    # every true ratio stays below the correction; a correction of 1/2
+    # instead is crossed first where i(i-1)(i-2)/i^3 (times ~1) passes 1/2
+    N, k, alpha = 1000, 3, 3
+    idx = scan_indices(N, region_bounds(N), stride).tolist()
+    first = min(
+        i for i in idx
+        if iid_kernel(N, k, alpha, i) > 0
+        and conditional_prefix_prob(N, k, alpha, i) / iid_kernel(N, k, alpha, i) > F(1, 2)
+    )
+    assert first == (6 if stride == 1 else 10)
+    monkeypatch.setattr(harness, "replacement_correction_float", lambda N, k: 0.5)
+    with pytest.raises(AssertionError, match=rf"ratio bound violated at i={first}: "):
+        ratio_scan(N, k, alpha, stride=stride, backend="log")
 
 
 def test_eps_mid_shrinks_with_n():
