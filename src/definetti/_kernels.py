@@ -12,6 +12,25 @@ product, so ``scan_log_ab`` needs k vectorized logs per index and no table
 lookups for the pattern lengths that occur in practice.  The table serves the
 count law's ``log C(N, i)`` row, the scalar API and scans with long patterns.
 
+The count law is evaluated only on its float64 support.  For an atom at
+0 < p < 1 and 0 <= i <= N, the method of types gives
+C(N, i) p^i (1-p)^(N-i) <= exp(-N D(i/N || p)): C(N, i) <= exp(N H(i/N)) and
+p^i (1-p)^(N-i) = exp(-N (H(i/N) + D(i/N || p))).  Pinsker's inequality
+D(x || p) >= 2 (x - p)^2 then bounds the term by exp(-2 (i - Np)^2 / N), which
+is below exp(-LOG_TERM_FLOOR) once |i - Np| > h = sqrt(LOG_TERM_FLOOR N / 2).
+A weight w <= 1 only lowers it, so outside every atom's window
+|i - Np| <= h the law is below exp(-LOG_TERM_FLOOR) = exp(-800), far under
+the smallest float64 subnormal 2^-1074 = exp(-744.44).  Every factor a_i, b_i
+the verifier multiplies q_i by is at most 1, so each product term
+exp(log x_i + log q_i) there already rounds to exactly 0.0, and so does an
+atom's term at an index inside another atom's window but outside its own:
+leaving it out changes log q_i by less than half an ulp unless
+q_i < exp(-763), whose product terms round to 0.0 as well.  The rounding
+error of a computed log term is far under the 55-nat margin between
+exp(-800) and the subnormal floor.  So the kernels take the union of the
+atoms' windows (atoms at 0 and 1 give {0} and {N}) as the index set, and the
+sums over it equal the sums over 0..N up to the order of summation.
+
 Region sums add nonnegative terms with numpy's pairwise ``np.sum`` over
 contiguous slices.  numpy sums blocks of up to 128 terms in 8 interleaved
 lanes and splits longer ranges in halves, so each term passes through at
@@ -43,6 +62,10 @@ KERNEL_BACKEND = "numpy"
 #   product  0.28  0.58  1.03  1.23  1.64  1.71  2.42 s
 #   table    1.95  1.90  1.91  1.95  1.92  1.81  1.72 s
 PRODUCT_SCAN_MAX_K = 24
+
+# exp(-LOG_TERM_FLOOR) is under the smallest float64 subnormal, exp(-744.44);
+# count-law terms below it are left out (module docstring)
+LOG_TERM_FLOOR = 800
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +178,8 @@ def log_binomial_array_np(delta: np.ndarray, n: int, r: np.ndarray) -> np.ndarra
     """Vectorized log C(n, r_t); -inf outside [0, n]. Plain (uncompensated) form.
 
     Gathers two table entries per index; ``_log_binomial_row`` is the
-    gather-free form for the whole row r = 0..n.  (The ``_np`` suffix is the
-    name perfbench's span tracer wraps.)
+    gather-free form for a contiguous window of the row.  (The ``_np``
+    suffix is the name perfbench's span tracer wraps.)
     """
     r = np.ascontiguousarray(r, dtype=np.int64)
     out = np.full(r.shape, NEG_INF, dtype=np.float64)
@@ -186,25 +209,31 @@ def log_binomial_array_np(delta: np.ndarray, n: int, r: np.ndarray) -> np.ndarra
     return out
 
 
-def _log_binomial_row(delta: np.ndarray, n: int) -> np.ndarray:
-    """log C(n, i) for i = 0..n, bit-identical to ``log_binomial_array_np``
-    on ``arange(n + 1)``.
+def _residual_range(delta: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Stirling residuals of lo..hi: table entries up to the cap, the series
+    on float indices above it."""
+    cap = delta.shape[0] - 1
+    if hi <= cap:
+        return delta[lo:hi + 1]
+    tail = residual_series(np.arange(max(lo, cap + 1), hi + 1, dtype=np.float64))
+    return tail if lo > cap else np.concatenate([delta[lo:], tail])
 
-    The residuals of i and n - i for i = 1..n-1 are one contiguous table
-    slice read forwards and backwards, and the same operations run in the
-    same order, in place.
+
+def _log_binomial_row(delta: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
+    """log C(n, i) for i = lo..hi, 0 <= lo <= hi <= n, bit-identical to
+    ``log_binomial_array_np`` on ``arange(lo, hi + 1)``.
+
+    The residuals of i and n - i are two contiguous table slices, the second
+    read backwards, and the same operations run in the same order, in place.
     """
-    out = np.zeros(n + 1, dtype=np.float64)
-    if n < 2:
+    out = np.zeros(hi - lo + 1, dtype=np.float64)
+    first, last = max(lo, 1), min(hi, n - 1)   # 0 and n are log 1 = 0
+    if first > last:
         return out
     cap = delta.shape[0] - 1
-    rf = np.arange(1, n, dtype=np.float64)
-    mf = rf[::-1]  # n - i, exact in float64
-    if n - 1 <= cap:
-        res = delta[1:n]
-    else:
-        res = np.concatenate([delta[1:], residual_series(rf[cap:])])
-    main = out[1:n]
+    rf = np.arange(first, last + 1, dtype=np.float64)
+    mf = np.subtract(float(n), rf)  # n - i, exact in float64
+    main = out[first - lo:last - lo + 1]
     np.divide(mf, rf, out=main)
     np.log1p(main, out=main)
     main *= rf
@@ -219,8 +248,8 @@ def _log_binomial_row(delta: np.ndarray, n: int) -> np.ndarray:
     tmp *= 0.5
     main += tmp
     main += delta[n] if n <= cap else residual_series(n)
-    main -= res
-    main -= res[::-1]
+    main -= _residual_range(delta, first, last)
+    main -= _residual_range(delta, n - last, n - first)[::-1]
     return out
 
 
@@ -279,38 +308,59 @@ def scan_log_ab(
     return log_a, log_i
 
 
+def _atom_window(N: int, p: float) -> tuple[int, int]:
+    """Indices [lo, hi] outside which an atom's binomial term is below
+    exp(-LOG_TERM_FLOOR) (bound in the module docstring)."""
+    if p <= 0.0:
+        return 0, 0
+    if p >= 1.0:
+        return N, N
+    # with s = sqrt(LOG_TERM_FLOOR N / 2), |i - Np| <= s implies
+    # |i - round(Np)| <= s + 1/2 < isqrt(LOG_TERM_FLOOR N / 2) + 3/2
+    h = math.isqrt(LOG_TERM_FLOOR * N // 2) + 1
+    c = round(N * p)
+    return max(0, c - h), min(N, c + h)
+
+
 def log_mean_law(
     delta: np.ndarray, N: int, ps: np.ndarray, log_ws: np.ndarray
-) -> np.ndarray:
-    """log q_i of the mixture-of-binomials count law, i = 0..N.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, log q_idx) of the mixture-of-binomials count law on its support.
 
-    Atoms at 0 and 1 are point masses at the ends.  Each interior atom adds
-    lw + log C(N, i) + i log p + (N - i) log(1 - p) by logaddexp; the first
-    one is copied in, as logaddexp(-inf, x) is exactly x.
+    ``idx`` is the ascending union of the atoms' windows (``_atom_window``),
+    merged into intervals; every index left out has q_i < exp(-LOG_TERM_FLOOR),
+    an exact zero in float64.  Atoms at 0 and 1 are point masses at the ends.
+    On each interval, every atom whose window it holds adds
+    lw + log C(N, i) + i log p + (N - i) log(1 - p) by logaddexp, in input
+    order; the first term is copied in, as logaddexp(-inf, x) is exactly x.
     """
-    log_choose = _log_binomial_row(delta, N)
-    i = np.arange(N + 1, dtype=np.float64)
-    lq = np.full(N + 1, NEG_INF, dtype=np.float64)
-    term = np.empty(N + 1, dtype=np.float64)
-    buf = np.empty(N + 1, dtype=np.float64)
-    interior = False
-    for p, lw in zip(ps, log_ws):
-        if p <= 0.0:
-            lq[0] = np.logaddexp(lq[0], lw)
-        elif p >= 1.0:
-            lq[N] = np.logaddexp(lq[N], lw)
+    windows = [_atom_window(N, float(p)) for p in ps]
+    intervals: list[list[int]] = []
+    for lo, hi in sorted(windows):
+        if intervals and lo <= intervals[-1][1] + 1:
+            intervals[-1][1] = max(intervals[-1][1], hi)
         else:
-            np.add(log_choose, lw, out=term)
-            term += np.multiply(i, math.log(p), out=buf)
-            term += np.multiply(i[::-1], math.log1p(-p), out=buf)
-            if interior:
-                np.logaddexp(lq, term, out=lq)
+            intervals.append([lo, hi])
+    idx_parts, lq_parts = [], []
+    for lo, hi in intervals:
+        log_choose = _log_binomial_row(delta, N, lo, hi)
+        i = np.arange(lo, hi + 1, dtype=np.float64)
+        buf = np.empty_like(i)
+        lq = None
+        for p, lw, (w_lo, _) in zip(ps, log_ws, windows):
+            if not lo <= w_lo <= hi:
+                continue
+            if p <= 0.0 or p >= 1.0:
+                term = np.full(i.shape, NEG_INF)
+                term[0 if p <= 0.0 else -1] = lw   # the index 0 or N
             else:
-                # only the end points of lq can be finite yet
-                term[[0, N]] = np.logaddexp(lq[[0, N]], term[[0, N]])
-                lq, term = term, lq
-                interior = True
-    return lq
+                term = np.add(log_choose, lw)
+                term += np.multiply(i, math.log(p), out=buf)
+                term += np.multiply(np.subtract(N, i, out=buf), math.log1p(-p), out=buf)
+            lq = term if lq is None else np.logaddexp(lq, term, out=lq)
+        idx_parts.append(np.arange(lo, hi + 1, dtype=np.int64))
+        lq_parts.append(lq)
+    return np.concatenate(idx_parts), np.concatenate(lq_parts)
 
 
 def pair_region_sums(

@@ -602,13 +602,13 @@ def _verify_log(source, e, N, bounds, table) -> VerificationReport:
     k, alpha = e.k, e.alpha
     t = table or default_table()
     t.ensure(N)
+    # the law on its support: every index left out has q_i = 0 in float64
     if isinstance(source, MixingMeasure):
-        log_q = _log_mean_law_array(source, N, t)
+        idx, log_q = _log_mean_law_array(source, N, t)
     else:
         weights = np.array([float(x) for x in source.weights], dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            log_q = np.log(weights)
-    idx = np.arange(N + 1, dtype=np.int64)
+        idx = np.flatnonzero(weights)
+        log_q = np.log(weights[idx])
     log_a, log_b = _kernels.scan_log_ab(t.delta, N, k, alpha, idx)
     sums = _kernels.pair_region_sums(log_a, log_b, log_q, idx, bounds.M1, bounds.M2)
     lhs_lower, lhs_mid, lhs_upper, rhs_lower, rhs_mid, rhs_upper = map(float, sums)
@@ -616,9 +616,9 @@ def _verify_log(source, e, N, bounds, table) -> VerificationReport:
     rhs = math.fsum((rhs_lower, rhs_mid, rhs_upper))
     eps_mid = float(mid_window_eps(N, k, alpha, bounds))
     # b-side mass where the conditional weight is an exact zero:
-    # i < alpha and i > N - k + alpha (positions equal indices here)
-    below = slice(0, alpha)
-    above = slice(N - k + alpha + 1, N + 1)
+    # i < alpha and i > N - k + alpha
+    below = slice(0, np.searchsorted(idx, alpha))
+    above = slice(np.searchsorted(idx, N - k + alpha, side="right"), None)
     rhs_below_alpha = float(np.sum(np.exp(log_b[below] + log_q[below])))
     rhs_above_support = float(np.sum(np.exp(log_b[above] + log_q[above])))
     pathological = lhs < FLOAT_PATHOLOGICAL_TOL

@@ -12,6 +12,7 @@ on the float path.  Exact values always serialize back as "num/den" strings
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any
@@ -109,14 +110,39 @@ def load_moments(path: str) -> MomentVector:
     return MomentVector(tuple(parse_value(x) for x in doc["c"]))
 
 
+def _law_entry(x: Any) -> tuple[int, int] | float:
+    """A law weight as (numerator, denominator), unreduced, or a float.
+
+    Plain "n" and "n/d" strings are read with ``int()``, which skips the
+    gcd ``Fraction`` would take; every other spelling goes through
+    ``parse_value``.
+    """
+    if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        digits = num[1:] if num.startswith("-") else num
+        if digits.isdecimal() and (den.isdecimal() or not slash):
+            d = _any_size(int, den) if slash else 1
+            if d == 0:
+                raise InputFormatError(f"malformed rational string {x!r}")
+            return _any_size(int, num), d
+    v = parse_value(x)
+    return v if isinstance(v, float) else (v.numerator, v.denominator)
+
+
 def load_law(path: str) -> SampleMeanLaw:
+    """A count law; all-exact weights become integer numerators over the lcm
+    of their denominators, so validation sums integers."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or "q" not in doc or not isinstance(doc["q"], list):
         raise InputFormatError(f"{path}: expected an object with a 'q' list")
-    q = [parse_value(x) for x in doc["q"]]
+    q = [_law_entry(x) for x in doc["q"]]
     if len(q) < 2:
         raise InputFormatError(f"{path}: law needs at least two weights")
-    return SampleMeanLaw(N=len(q) - 1, weights=tuple(q))
+    if any(isinstance(v, float) for v in q):
+        weights = (v if isinstance(v, float) else Fraction(*v) for v in q)
+        return SampleMeanLaw(N=len(q) - 1, weights=tuple(weights))
+    den = math.lcm(*{d for _, d in q})
+    return SampleMeanLaw.from_integer_ratios([n * (den // d) for n, d in q], den)
 
 
 def measure_to_doc(mu: MixingMeasure, level: int | None = None) -> dict:

@@ -354,13 +354,16 @@ def sample_mean_law(
             nums.append(choose * class_nums[i])
             choose = choose * (N - i) // (i + 1)
         return SampleMeanLaw.from_integer_ratios(nums, den, class_nums=class_nums)
-    lq = _log_mean_law_array(mu, N, table)
-    return SampleMeanLaw(N=N, weights=tuple(float(x) for x in np.exp(lq)))
+    idx, log_q = _log_mean_law_array(mu, N, table)
+    q = np.zeros(N + 1, dtype=np.float64)
+    q[idx] = np.exp(log_q)
+    return SampleMeanLaw(N=N, weights=tuple(q.tolist()))
 
 
 def _log_mean_law_array(
     mu: MixingMeasure, N: int, table: LogFactorialTable | None = None
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, log q_idx) of the float count law on its support (``_kernels``)."""
     t = table or default_table()
     t.ensure(N)
     ps = np.array([float(p) for p, _ in mu.atoms], dtype=np.float64)
@@ -394,10 +397,10 @@ def prefix_prob_from_mean_law(
         )
     t = table or default_table()
     t.ensure(N)
-    idx = np.arange(N + 1, dtype=np.int64)
-    log_a, _ = _kernels.scan_log_ab(t.delta, N, k, alpha, idx)
     q = np.array([float(x) for x in law.weights], dtype=np.float64)
-    return math.fsum(np.exp(log_a) * q)
+    idx = np.flatnonzero(q)
+    log_a, _ = _kernels.scan_log_ab(t.delta, N, k, alpha, idx)
+    return math.fsum(np.exp(log_a) * q[idx])
 
 
 def moments_from_measure(mu: MixingMeasure, n: int) -> MomentVector:

@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 import definetti as d
+from definetti import _kernels
 
 settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
 settings.load_profile("suite")
@@ -39,3 +42,21 @@ def random_rational_measure(rng: random.Random, max_atoms: int = 4,
     raw = [Fraction(rng.randint(1, 9)) for _ in locs]
     total = sum(raw)
     return d.MixingMeasure(tuple((p, w / total) for p, w in zip(locs, raw)))
+
+
+def dense_log_mean_law(delta, N, ps, log_ws):
+    """Reference count law on every index 0..N: each atom's term over the
+    whole row (the gather-form log C(N, i)), combined by logaddexp in order."""
+    i = np.arange(N + 1, dtype=np.float64)
+    log_choose = _kernels.log_binomial_array_np(delta, N, np.arange(N + 1))
+    lq = np.full(N + 1, _kernels.NEG_INF)
+    for p, lw in zip(ps, log_ws):
+        term = np.full(N + 1, _kernels.NEG_INF)
+        if p <= 0.0:
+            term[0] = lw
+        elif p >= 1.0:
+            term[N] = lw
+        else:
+            term = log_choose + lw + i * math.log(p) + (N - i) * math.log1p(-p)
+        lq = np.logaddexp(lq, term)
+    return lq

@@ -439,6 +439,45 @@ def test_yn_law_output_feeds_verify_law_input(three_atom_file, tmp_path, capsys)
     assert json.loads(out_law) == json.loads(out_mu)
 
 
+@pytest.mark.parametrize("pattern", ["1", "1,0,1", "1,1,0,1"])
+def test_exact_law_file_verifies_byte_identical_to_measure(three_atom_file, tmp_path,
+                                                           pattern, capsys):
+    law_path = tmp_path / "law.json"
+    argv = ["yn-law", "--measure", three_atom_file, "-N", "2000", "--out", str(law_path)]
+    assert run_cli(argv, capsys)[0] == 0
+    law = io.load_law(str(law_path))
+    assert law.integer_form() is not None   # loaded as integer numerators
+    _, out_law, _ = run_cli(["verify", "--law", str(law_path), "--pattern", pattern], capsys)
+    _, out_mu, _ = run_cli(
+        ["verify", "--measure", three_atom_file, "-N", "2000", "--pattern", pattern], capsys
+    )
+    assert out_law == out_mu
+
+
+@pytest.mark.parametrize(
+    "q, code, value",
+    [
+        (["2/4", "1/4", "1/4"], 0, "3/8"),        # unreduced entries are fine
+        ([0, "1/3", "0006/9"], 0, "5/6"),
+        (["1/2", "+1/4", " 1/4 "], 0, "3/8"),     # other spellings parse as before
+        (["1/2", 0.25, "1/4"], 0, 0.375),          # a float entry: float law
+        (["1/0", "1"], 2, None),
+        (["1/2", "1/-2"], 2, None),
+        (["1/2", "x"], 2, None),
+        (["1/2", True], 2, None),
+        (["1/2"], 2, None),
+        (["-1/2", "3/2"], 3, None),
+        (["1/2", "1/3"], 3, None),
+    ],
+)
+def test_law_file_entries(q, code, value, tmp_path, capsys):
+    path = write_json(tmp_path, "law.json", {"q": q})
+    got, out, _ = run_cli(["prefix-prob", "--law", path, "--pattern", "1"], capsys)
+    assert got == code
+    if value is not None:
+        assert json.loads(out)["value"] == value
+
+
 def test_determinism_byte_identical(three_atom_file):
     cmd = [
         sys.executable,

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import definetti as d
-from definetti import harness
+from definetti import _kernels, harness
+from definetti.cli import main
 from definetti.harness import (
     REGION_NAMES,
     mid_window_eps,
@@ -27,13 +29,14 @@ from definetti.model import (
     sample_mean_law,
 )
 from definetti.numerics import (
+    LogFactorialTable,
     conditional_prefix_prob,
     iid_kernel,
     region_bounds,
     replacement_correction,
 )
 
-from conftest import random_rational_measure
+from conftest import dense_log_mean_law, random_rational_measure
 
 F = Fraction
 
@@ -365,6 +368,106 @@ def test_verify_log_eps_mid_closed_form_at_1e7():
     rep = verify_approximation(mu, PrefixEvent((1, 0)), N=N)
     assert rep.backend == "log" and rep.eps_mid_sampled is False
     assert rep.eps_mid == 1 / (N - 1)
+
+
+def _dense_log_verify(log_q, N, e, table):
+    """Log-verify sums over every index 0..N (the dense-row reference)."""
+    k, alpha = e.k, e.alpha
+    b = region_bounds(N)
+    idx = np.arange(N + 1)
+    log_a, log_b = _kernels.scan_log_ab(table.delta, N, k, alpha, idx)
+    sums = _kernels.pair_region_sums(log_a, log_b, log_q, idx, b.M1, b.M2)
+    fields = dict(zip(
+        ("lhs_lower", "lhs_mid", "lhs_upper", "rhs_lower", "rhs_mid", "rhs_upper"),
+        map(float, sums),
+    ))
+    fields["lhs"] = math.fsum(sums[:3])
+    fields["rhs"] = math.fsum(sums[3:])
+    fields["rhs_below_alpha"] = float(np.sum(np.exp(log_b[:alpha] + log_q[:alpha])))
+    top = N - k + alpha + 1
+    fields["rhs_above_support"] = float(np.sum(np.exp(log_b[top:] + log_q[top:])))
+    return fields
+
+
+def _assert_matches_dense(rep, want, N):
+    # both sides sum the same nonnegative terms pairwise, the support side
+    # without the exact zeros, so each differs from the exact sum by at most
+    # gamma times it (module docstring of _kernels); lhs and rhs add one
+    # fsum rounding, abs_diff the errors of both
+    d = math.ceil(math.log2(N + 1)) + 25
+    gamma = d * 2.0**-53 / (1 - d * 2.0**-53)
+    for field, value in want.items():
+        got = rep[field]
+        assert abs(got - value) <= 3 * gamma * value, (field, got, value)
+    diff_err = 3 * gamma * (want["lhs"] + want["rhs"])
+    assert abs(rep["abs_diff"] - abs(want["lhs"] - want["rhs"])) <= diff_err
+    budget = rep["eps_mid"] * want["rhs_mid"] + sum(
+        want[f] for f in ("lhs_lower", "rhs_lower", "lhs_upper", "rhs_upper")
+    )
+    assert abs(rep["sandwich_bound"] - budget) <= 3 * gamma * budget
+
+
+@pytest.mark.parametrize(
+    "atoms, N, pattern",
+    [
+        # point masses at the ends: windows {0} and {N} apart from the rest
+        (((0.0, 0.2), (0.3, 0.5), (1.0, 0.3)), 5000, (1, 1)),
+        (((0.0, 0.2), (0.3, 0.5), (1.0, 0.3)), 5000, (0, 0)),
+        (((0.0, 0.2), (0.3, 0.5), (1.0, 0.3)), 5000, (1, 1, 0)),
+        # disjoint windows, and one window reaching index 0
+        (((0.1, 0.5), (0.9, 0.5)), 10**5, (1, 0, 1)),
+        (((1e-4, 0.4), (0.6, 0.6)), 10**5, (0, 1, 0, 0)),
+    ],
+)
+def test_verify_log_on_support_matches_dense_row(atoms, N, pattern):
+    mu = MixingMeasure(atoms)
+    e = PrefixEvent(pattern)
+    table = LogFactorialTable()
+    table.ensure(N)
+    ps = np.array([p for p, _ in atoms])
+    lws = np.log(np.array([w for _, w in atoms]))
+    want = _dense_log_verify(dense_log_mean_law(table.delta, N, ps, lws), N, e, table)
+    rep = verify_approximation(mu, e, N=N, backend="log", table=table)
+    _assert_matches_dense(vars(rep), want, N)
+
+
+@pytest.mark.parametrize("pattern", [(1, 1, 0), (1, 0, 0), (1, 1, 1, 0)])
+def test_verify_log_float_law_with_zeros_matches_dense_row(pattern):
+    # zero weights are left out of the index set; mass at 1 and N - 1 puts
+    # terms below alpha and above the support
+    N = 3000
+    rng = np.random.default_rng(5)
+    q = rng.uniform(0.0, 1.0, N + 1)
+    q[::3] = 0.0
+    q[[1, N - 1]] = 2.0
+    q /= math.fsum(q)
+    law = SampleMeanLaw(N=N, weights=tuple(q.tolist()))
+    e = PrefixEvent(pattern)
+    table = LogFactorialTable()
+    table.ensure(N)
+    with np.errstate(divide="ignore"):
+        want = _dense_log_verify(np.log(q), N, e, table)
+    assert want["rhs_below_alpha"] > 0 or want["rhs_above_support"] > 0
+    rep = verify_approximation(law, e, backend="log", table=table)
+    _assert_matches_dense(vars(rep), want, N)
+
+
+@pytest.mark.parametrize("N", [8, 60, 300])
+def test_cli_log_backend_small_n_matches_dense_row(N, three_atom_mu, tmp_path, capsys):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps({"atoms": [
+        {"p": float(p), "w": float(w)} for p, w in three_atom_mu.atoms
+    ]}))
+    e = PrefixEvent((1, 0, 1))
+    assert main(["verify", "--measure", str(path), "-N", str(N), "--pattern", "1,0,1",
+                 "--backend", "log"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    table = LogFactorialTable()
+    table.ensure(N)
+    ps = np.array([float(p) for p, _ in three_atom_mu.atoms])
+    lws = np.log(np.array([float(w) for _, w in three_atom_mu.atoms]))
+    want = _dense_log_verify(dense_log_mean_law(table.delta, N, ps, lws), N, e, table)
+    _assert_matches_dense(rep, want, N)
 
 
 def test_verify_auto_backend_switches(three_atom_mu):

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from definetti import _kernels as K
+from definetti.model import MixingMeasure, PrefixEvent, SampleMeanLaw
+from definetti.model import prefix_prob_from_mean_law, sample_mean_law
 from definetti.numerics import LogFactorialTable
+
+from conftest import dense_log_mean_law
 
 
 def test_table_cap_env_override():
@@ -110,7 +114,7 @@ def test_scan_table_form_matches_exact_logs(N):
 def test_log_binomial_row_matches_scalar(N):
     table = LogFactorialTable()
     table.ensure(N)
-    row = K._log_binomial_row(table.delta, N)
+    row = K._log_binomial_row(table.delta, N, 0, N)
     assert row.shape == (N + 1,)
     step = max(1, N // 5000)
     for r in list(range(0, N + 1, step)) + [N - 1, N]:
@@ -122,9 +126,98 @@ def test_log_binomial_row_above_table_cap():
     # indices past the cap take the Stirling series, as in the gather form
     delta = K.build_residual_table(1024)
     N = 5000
-    row = K._log_binomial_row(delta, N)
+    row = K._log_binomial_row(delta, N, 0, N)
     gathered = K.log_binomial_array_np(delta, N, np.arange(N + 1))
     assert np.array_equal(row, gathered)
+
+
+@pytest.mark.parametrize("cap", [None, 1024, 3000])
+def test_log_binomial_row_window_is_a_bitwise_slice(cap):
+    # cap None: every residual from the table; 1024: every index past the
+    # cap takes the series; 3000: windows straddle the cap
+    N = 5000
+    delta = K.build_residual_table(cap or N)
+    full = K._log_binomial_row(delta, N, 0, N)
+    assert np.array_equal(full, K.log_binomial_array_np(delta, N, np.arange(N + 1)))
+    for lo, hi in ((0, 0), (N, N), (0, 1), (N - 1, N), (0, 17), (N - 17, N),
+                   (1, N - 1), (999, 1100), (2990, 3010), (1980, 2030), (4000, 4999)):
+        got = K._log_binomial_row(delta, N, lo, hi)
+        assert got.shape == (hi - lo + 1,)
+        assert np.array_equal(got, full[lo:hi + 1]), (lo, hi)
+        gathered = K.log_binomial_array_np(delta, N, np.arange(lo, hi + 1))
+        assert np.array_equal(got, gathered), (lo, hi)
+
+
+def test_mean_law_windows_at_1e5():
+    # atoms at 0.1 and 0.9 have disjoint windows; everything between them
+    # and past them is left out.  Np = 50000.45 and 69999.55 put the two
+    # other windows' upper and lower edges at the Pinsker bound.
+    mpmath = pytest.importorskip("mpmath")
+    N = 10**5
+    table = LogFactorialTable()
+    table.ensure(N)
+    ps = np.array([0.1, 0.5000045, 0.6999955, 0.9])
+    lws = np.log(np.array([0.1, 0.2, 0.3, 0.4]))
+    idx, lq = K.log_mean_law(table.delta, N, ps, lws)
+    assert np.all(np.diff(idx) > 0) and idx.shape == lq.shape
+    gaps = np.flatnonzero(np.diff(idx) > 1)
+    assert gaps.size == 3 and idx[0] > 0 and idx[-1] < N
+    # the windows hold every index the Pinsker bound leaves above
+    # exp(-LOG_TERM_FLOOR): 2 (i - Np)^2 / N <= LOG_TERM_FLOOR
+    kept = set(idx.tolist())
+    for p in ps.tolist():
+        num, den = p.as_integer_ratio()
+        near = [i for i in range(N + 1)
+                if 2 * (i * den - num * N) ** 2 <= K.LOG_TERM_FLOOR * N * den**2]
+        assert set(near) <= kept, p
+    # against the binomial mixture at 40 digits, with the float atoms' exact
+    # values; the tolerance is relative to the largest summand, log C(N, i),
+    # as for the row itself (the log law carries the row's rounding)
+    with mpmath.workdps(40):
+        logs = [(mpmath.log(mpmath.mpf(p)), mpmath.log1p(-mpmath.mpf(p)), mpmath.mpf(lw))
+                for p, lw in zip(ps.tolist(), lws.tolist())]
+        for i, got in zip(idx[::7].tolist(), lq[::7].tolist()):
+            log_c = mpmath.loggamma(N + 1) - mpmath.loggamma(i + 1) - mpmath.loggamma(N - i + 1)
+            want = log_c + mpmath.log(
+                sum(mpmath.exp(lw + i * a + (N - i) * b) for a, b, lw in logs)
+            )
+            assert abs(got - float(want)) <= 1e-12 * max(1.0, float(log_c)), i
+    # every index left out has every atom term below -LOG_TERM_FLOOR
+    left_out = np.setdiff1d(np.arange(N + 1), idx)
+    assert left_out.size + idx.size == N + 1
+    for i in left_out.tolist():
+        for p, lw in zip(ps.tolist(), lws.tolist()):
+            term = (K.log_binomial_scalar(table.delta, N, i)
+                    + i * math.log(p) + (N - i) * math.log1p(-p) + lw)
+            assert term < -K.LOG_TERM_FLOOR, (i, p)
+    # where q_i is representable, the windowed law is the dense row's value
+    dense = dense_log_mean_law(table.delta, N, ps, lws)
+    normal = lq > -745.0
+    assert np.array_equal(lq[normal], dense[idx[normal]])
+
+
+def test_float_count_law_callers_match_dense_row():
+    # sample_mean_law scatters the support into zeros, and the float
+    # prefix probability sums over nonzero weights only: both equal the
+    # dense-row results bit for bit
+    table = LogFactorialTable()
+    N = 20_000
+    table.ensure(N)
+    atoms = ((0.0, 0.1), (0.004, 0.2), (0.5, 0.3), (0.93, 0.2), (1.0, 0.2))
+    mu = MixingMeasure(atoms)
+    ps = np.array([p for p, _ in atoms])
+    lws = np.log(np.array([w for _, w in atoms]))
+    dense = np.exp(dense_log_mean_law(table.delta, N, ps, lws))
+    law = sample_mean_law(mu, N, table)
+    assert law.weights == tuple(dense.tolist())
+    idx = np.arange(N + 1)
+    for pattern in ((1,), (0, 0), (1, 0, 1), (0, 0, 1, 1)):
+        e = PrefixEvent(pattern)
+        log_a, _ = K.scan_log_ab(table.delta, N, e.k, e.alpha, idx)
+        want = math.fsum(np.exp(log_a) * dense)
+        assert prefix_prob_from_mean_law(law, e, table) == want
+    sparse = SampleMeanLaw(N=4, weights=(0.25, 0.0, 0.5, 0.0, 0.25))
+    assert prefix_prob_from_mean_law(sparse, PrefixEvent((0,)), table) == 0.5
 
 
 def test_mean_law_matches_exact_binomial_mixture():
@@ -134,7 +227,9 @@ def test_mean_law_matches_exact_binomial_mixture():
     atoms = ((0.0, 0.1), (0.2, 0.2), (0.5, 0.3), (0.9, 0.2), (1.0, 0.2))
     ps = np.array([p for p, _ in atoms])
     lws = np.log(np.array([w for _, w in atoms]))
-    lq = K.log_mean_law(table.delta, N, ps, lws)
+    idx, lq = K.log_mean_law(table.delta, N, ps, lws)
+    # every atom's concentration window covers 0..N at this size
+    assert np.array_equal(idx, np.arange(N + 1))
     exact = [
         sum(
             Fraction(w) * math.comb(N, i) * Fraction(p) ** i * (1 - Fraction(p)) ** (N - i)
