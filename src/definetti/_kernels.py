@@ -10,7 +10,7 @@ keeps the table exact to ~1e-12 at any index.
 The count-conditional weight C(N-k, i-alpha) / C(N, i) is a k-term falling
 product, so ``scan_log_ab`` needs k vectorized logs per index and no table
 lookups for the pattern lengths that occur in practice.  The table serves the
-count law's ``log C(N, i)`` row, the scalar API and scans with long patterns.
+count law's ``log C(N, i)`` row and scans with long patterns.
 
 The count law is evaluated only on its float64 support.  For an atom at
 0 < p < 1 and 0 <= i <= N, the method of types gives
@@ -50,7 +50,6 @@ NEG_INF = float("-inf")
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # Stirling residual at i = 1: log(1!) - (1.5*log(1) - 1 + 0.5*log(2pi))
 DELTA_ONE = 1.0 - HALF_LOG_2PI
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 # The only kernel implementation; perfbench/run.py records this name.
 KERNEL_BACKEND = "numpy"
@@ -116,52 +115,6 @@ def residual_series(x):
 
 
 # ---------------------------------------------------------------------------
-# scalar log-binomial, compensated (used by the scalar API in numerics)
-# ---------------------------------------------------------------------------
-
-def log_binomial_scalar(delta: np.ndarray, n: int, r: int) -> float:
-    """log C(n, r) with compensated (Dekker/Neumaier) main-term arithmetic.
-
-    Relative error of C(n, r) stays at the float64 representation floor of
-    the log value: <= ~1.5e-10 for n <= 2e6 and a few ulp of log C beyond.
-    Returns -inf when r is outside [0, n].
-    """
-    if r < 0 or r > n:
-        return NEG_INF
-    if r == 0 or r == n:
-        return 0.0
-    m = n - r
-    t1, e1 = _two_prod(float(r), math.log1p(m / r))
-    t2, e2 = _two_prod(float(m), math.log1p(r / m))
-    t3 = 0.5 * math.log(n / (2.0 * math.pi * r * m))
-    cap = delta.shape[0] - 1
-    dn = delta[n] if n <= cap else residual_series(n)
-    dr = delta[r] if r <= cap else residual_series(r)
-    dm = delta[m] if m <= cap else residual_series(m)
-    s, c = _two_sum(t1, t2)
-    c += e1 + e2
-    s, cc = _two_sum(s, t3 + (dn - dr - dm))
-    return s + (c + cc)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ca = _SPLIT * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLIT * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-# ---------------------------------------------------------------------------
 # array kernels
 # ---------------------------------------------------------------------------
 
@@ -175,7 +128,7 @@ def _residual_lookup(delta: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def log_binomial_array_np(delta: np.ndarray, n: int, r: np.ndarray) -> np.ndarray:
-    """Vectorized log C(n, r_t); -inf outside [0, n]. Plain (uncompensated) form.
+    """Vectorized log C(n, r_t); -inf outside [0, n].
 
     Gathers two table entries per index; ``_log_binomial_row`` is the
     gather-free form for a contiguous window of the row.  (The ``_np``

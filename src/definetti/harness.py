@@ -606,7 +606,10 @@ def _verify_log(source, e, N, bounds, table) -> VerificationReport:
     if isinstance(source, MixingMeasure):
         idx, log_q = _log_mean_law_array(source, N, t)
     else:
-        weights = np.array([float(x) for x in source.weights], dtype=np.float64)
+        # int / int rounds correctly, so it equals float() of the reduced Fraction
+        form = source.integer_form()
+        values = [n / form[1] for n in form[0]] if form else source.weights
+        weights = np.array([float(x) for x in values], dtype=np.float64)
         idx = np.flatnonzero(weights)
         log_q = np.log(weights[idx])
     log_a, log_b = _kernels.scan_log_ab(t.delta, N, k, alpha, idx)

@@ -1,10 +1,12 @@
-"""Exact and log-space combinatorial primitives.
+"""Exact combinatorial primitives and the log-factorial table.
 
-Two backends share one set of formulas.  The exact backend works in
-``fractions.Fraction`` (always reduced, positive denominator) and is the
-ground truth for every probability this package reports.  The log-space
-backend carries natural logs in float64 with ``-inf`` as the exact-zero
-marker and scales to counts around 1e7 where the exact path is hopeless.
+The quantities below are exact integers or ``fractions.Fraction`` (always
+reduced, positive denominator), the ground truth for every probability this
+package reports.  The log backend does not evaluate them index by index:
+``_kernels.scan_log_ab`` computes the natural logs of the conditional weight
+and the iid kernel in float64 over a whole index set, with ``-inf`` as the
+exact-zero marker, and ``_kernels.log_mean_law`` reads the count law's
+``log C(N, i)`` from the ``LogFactorialTable`` kept here.
 
 Core quantities, for a 0/1 prefix pattern of length k with alpha ones out of
 a sequence of length N:
@@ -44,43 +46,6 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LogSpaceValue:
-    """A nonnegative quantity stored as its natural log; -inf marks exact zero."""
-
-    log: float
-
-    @classmethod
-    def zero(cls) -> "LogSpaceValue":
-        return cls(_kernels.NEG_INF)
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogSpaceValue":
-        if x < 0:
-            raise DomainError("log-space values are nonnegative")
-        return cls(math.log(x)) if x > 0 else cls.zero()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log == _kernels.NEG_INF
-
-    @property
-    def value(self) -> float:
-        return 0.0 if self.is_zero else math.exp(self.log)
-
-    def __mul__(self, other: "LogSpaceValue") -> "LogSpaceValue":
-        if self.is_zero or other.is_zero:
-            return LogSpaceValue.zero()
-        return LogSpaceValue(self.log + other.log)
-
-    def __truediv__(self, other: "LogSpaceValue") -> "LogSpaceValue":
-        if other.is_zero:
-            raise ZeroDivisionError("division by log-space zero")
-        if self.is_zero:
-            return LogSpaceValue.zero()
-        return LogSpaceValue(self.log - other.log)
-
-
-@dataclass(frozen=True)
 class RegionBounds:
     """Cut indices splitting 0..N into lower tail, mid window, upper tail.
 
@@ -108,11 +73,11 @@ class RatioFactors:
     ``correction``.
     """
 
-    falling: Fraction | float
-    edge: Fraction | float
-    correction: Fraction | float
+    falling: Fraction
+    edge: Fraction
+    correction: Fraction
 
-    def product(self):
+    def product(self) -> Fraction:
         return self.falling * self.edge * self.correction
 
 
@@ -154,25 +119,6 @@ class LogFactorialTable:
             self._delta = _kernels.extend_residual_table(self._delta, target)
         return self._delta
 
-    def log_factorial(self, n: int) -> float:
-        if n < 0:
-            raise DomainError("factorial of a negative integer")
-        if n < 2:
-            return 0.0
-        if n <= self.cap:
-            delta = self.ensure(n)
-            d = delta[n]
-        else:
-            d = _kernels.residual_series(n)
-        return (n + 0.5) * math.log(n) - n + _kernels.HALF_LOG_2PI + d
-
-    def log_binomial(self, n: int, r: int) -> float:
-        """log C(n, r); -inf when r is outside [0, n]."""
-        if n < 0:
-            raise DomainError("negative row in binomial coefficient")
-        self.ensure(n)
-        return _kernels.log_binomial_scalar(self._delta, n, r)
-
 
 _default_table: LogFactorialTable | None = None
 
@@ -195,12 +141,6 @@ def binomial(n: int, r: int) -> int:
     if r < 0 or r > n:
         return 0
     return math.comb(n, r)
-
-
-def log_binomial(n: int, r: int, table: LogFactorialTable | None = None) -> LogSpaceValue:
-    """log C(n, r) as a LogSpaceValue; the zero marker when r is out of range."""
-    t = table or default_table()
-    return LogSpaceValue(t.log_binomial(n, r))
 
 
 def _check_prefix_args(N: int, k: int, alpha: int, i: int) -> None:
@@ -227,38 +167,10 @@ def conditional_prefix_prob(N: int, k: int, alpha: int, i: int) -> Fraction:
     return Fraction(num, math.comb(N, i))
 
 
-def conditional_prefix_prob_log(
-    N: int, k: int, alpha: int, i: int, table: LogFactorialTable | None = None
-) -> LogSpaceValue:
-    """Log-space twin of conditional_prefix_prob."""
-    _check_prefix_args(N, k, alpha, i)
-    t = table or default_table()
-    la = t.log_binomial(N - k, i - alpha)
-    if la == _kernels.NEG_INF:
-        return LogSpaceValue.zero()
-    return LogSpaceValue(la - t.log_binomial(N, i))
-
-
 def iid_kernel(N: int, k: int, alpha: int, i: int) -> Fraction:
     """(i/N)^alpha (1 - i/N)^(k-alpha), exact, with 0^0 = 1."""
     _check_prefix_args(N, k, alpha, i)
     return Fraction(i, N) ** alpha * Fraction(N - i, N) ** (k - alpha)
-
-
-def iid_kernel_log(
-    N: int, k: int, alpha: int, i: int, table: LogFactorialTable | None = None
-) -> LogSpaceValue:
-    """Log-space twin of iid_kernel."""
-    _check_prefix_args(N, k, alpha, i)
-    if (i == 0 and alpha > 0) or (i == N and alpha < k):
-        return LogSpaceValue.zero()
-    v = 0.0
-    log_n = math.log(N)
-    if alpha > 0:
-        v += alpha * (math.log(i) - log_n)
-    if alpha < k:
-        v += (k - alpha) * (math.log(N - i) - log_n)
-    return LogSpaceValue(v)
 
 
 def falling_product(N: int, k: int) -> int:
@@ -288,13 +200,6 @@ def replacement_correction_float(N: int, k: int) -> float:
     return out
 
 
-def replacement_correction_log(N: int, k: int) -> LogSpaceValue:
-    if k > N:
-        raise DomainError(f"pattern length {k} exceeds sequence length {N}")
-    v = -math.fsum(math.log1p(-j / N) for j in range(1, k))
-    return LogSpaceValue(v)
-
-
 def ratio_factors(N: int, k: int, alpha: int, i: int) -> RatioFactors:
     """Exact factor decomposition of conditional-prefix / iid-kernel at i.
 
@@ -312,20 +217,6 @@ def ratio_factors(N: int, k: int, alpha: int, i: int) -> RatioFactors:
     for j in range(1, k - alpha):
         edge *= Fraction(N - i - j, N - i)
     return RatioFactors(falling, edge, replacement_correction(N, k))
-
-
-def ratio_factors_float(N: int, k: int, alpha: int, i: int) -> RatioFactors:
-    """Float twin of ratio_factors for the log backend (k, alpha are small)."""
-    _check_prefix_args(N, k, alpha, i)
-    if (i == 0 and alpha > 0) or (i == N and alpha < k):
-        raise DomainError(f"iid kernel vanishes at i={i}; ratio undefined")
-    falling = 1.0
-    for m in range(alpha):
-        falling *= (i - m) / i
-    edge = 1.0
-    for j in range(1, k - alpha):
-        edge *= (N - i - j) / (N - i)
-    return RatioFactors(falling, edge, replacement_correction_float(N, k))
 
 
 def ratio_within_correction(N: int, k: int, alpha: int, i: int) -> bool:

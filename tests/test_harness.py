@@ -360,6 +360,20 @@ def test_verify_log_backend_agrees_with_exact(three_atom_mu):
     assert lg.abs_diff <= lg.sandwich_bound * (1 + 1e-12)
 
 
+def test_verify_log_integer_law_matches_fraction_law():
+    # an exact law carrying integer numerators over one denominator reads
+    # its floats as nums[i] / den; the same law rebuilt from its reduced
+    # Fractions (no integer form) must give the same log report.  The
+    # denominator 8^1500 is far past the float range.
+    law = sample_mean_law(MixingMeasure(((F(1, 8), F(1)),)), 1500)
+    plain = SampleMeanLaw(N=law.N, weights=law.weights)
+    assert law.integer_form() is not None and plain.integer_form() is None
+    e = PrefixEvent((1, 1, 0))
+    rep = verify_approximation(law, e, backend="log")
+    assert rep == verify_approximation(plain, e, backend="log")
+    assert rep.lhs > 0
+
+
 def test_verify_log_eps_mid_closed_form_at_1e7():
     # pattern (1, 0): a_i / b_i = N / (N - 1) at every interior i, so the
     # mid-window deviation is exactly 1 / (N - 1), reported correctly rounded

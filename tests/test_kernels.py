@@ -40,13 +40,13 @@ def test_residual_series_agrees_with_table():
         assert abs(K.residual_series(x) - delta[x]) < 1e-13
 
 
-def test_scalar_log_binomial_vs_exact():
+def test_log_binomial_row_vs_exact():
     delta = K.build_residual_table(2048)
     worst = 0.0
     for n in (2, 17, 300, 1999):
+        row = K._log_binomial_row(delta, n, 0, n)
         for r in range(n + 1):
-            got = K.log_binomial_scalar(delta, n, r)
-            worst = max(worst, abs(math.expm1(got - math.log(math.comb(n, r)))))
+            worst = max(worst, abs(math.expm1(row[r] - math.log(math.comb(n, r)))))
     assert worst < 1e-12
 
 
@@ -110,16 +110,29 @@ def test_scan_table_form_matches_exact_logs(N):
     _check_scan(N, (K.PRODUCT_SCAN_MAX_K + 1, K.PRODUCT_SCAN_MAX_K + 3), lambda k: 1e-10)
 
 
-@pytest.mark.parametrize("N", [2, 17, 300, 2000, 10**6])
-def test_log_binomial_row_matches_scalar(N):
-    table = LogFactorialTable()
+def _mpmath_log_binomial(mpmath, n, r):
+    return float(mpmath.loggamma(n + 1) - mpmath.loggamma(r + 1) - mpmath.loggamma(n - r + 1))
+
+
+@pytest.mark.parametrize("N, cap", [
+    *(pytest.param(N, None, id=str(N)) for N in (2, 17, 300, 2000, 10**6)),
+    # a table capped at 2048 leaves most of the row to the Stirling series
+    *(pytest.param(N, 2048, id=f"{N}-cap2048") for N in (10_000, 99_991)),
+])
+def test_log_binomial_row_matches_mpmath(N, cap):
+    mpmath = pytest.importorskip("mpmath")
+    table = LogFactorialTable(cap=cap)
     table.ensure(N)
     row = K._log_binomial_row(table.delta, N, 0, N)
     assert row.shape == (N + 1,)
     step = max(1, N // 5000)
-    for r in list(range(0, N + 1, step)) + [N - 1, N]:
-        want = K.log_binomial_scalar(table.delta, N, r)
-        assert abs(row[r] - want) <= 1e-12 * max(1.0, abs(want)), (N, r)
+    with mpmath.workdps(30):
+        for r in list(range(0, N + 1, step)) + [N - 1, N]:
+            want = _mpmath_log_binomial(mpmath, N, r)
+            tol = 1e-12 * max(1.0, abs(want))
+            if cap is not None:
+                tol = min(tol, 1e-9)   # the series' absolute bound
+            assert abs(row[r] - want) <= tol, (N, r)
 
 
 def test_log_binomial_row_above_table_cap():
@@ -182,13 +195,19 @@ def test_mean_law_windows_at_1e5():
                 sum(mpmath.exp(lw + i * a + (N - i) * b) for a, b, lw in logs)
             )
             assert abs(got - float(want)) <= 1e-12 * max(1.0, float(log_c)), i
-    # every index left out has every atom term below -LOG_TERM_FLOOR
+    # every index left out has every atom term below -LOG_TERM_FLOOR, with
+    # log C(N, i) the log of the exact integer (multiplicative recurrence
+    # over half the row, mirrored)
+    half, c = [], 1
+    for i in range(N // 2 + 1):
+        half.append(math.log(c))
+        c = c * (N - i) // (i + 1)
+    log_choose = half + half[:(N + 1) // 2][::-1]
     left_out = np.setdiff1d(np.arange(N + 1), idx)
     assert left_out.size + idx.size == N + 1
     for i in left_out.tolist():
         for p, lw in zip(ps.tolist(), lws.tolist()):
-            term = (K.log_binomial_scalar(table.delta, N, i)
-                    + i * math.log(p) + (N - i) * math.log1p(-p) + lw)
+            term = log_choose[i] + i * math.log(p) + (N - i) * math.log1p(-p) + lw
             assert term < -K.LOG_TERM_FLOOR, (i, p)
     # where q_i is representable, the windowed law is the dense row's value
     dense = dense_log_mean_law(table.delta, N, ps, lws)
@@ -276,18 +295,19 @@ def test_max_ratio_dev_reads_only_the_mask():
     assert K.max_ratio_dev(log_a, log_b, np.zeros_like(mask)) == 0.0
 
 
-def test_array_log_binomial_matches_scalar():
+def test_array_log_binomial_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
     table = LogFactorialTable()
     n = 10**6
     table.ensure(n)
     r = np.array([-1, 0, 1, 17, 10**5, 5 * 10**5, n - 1, n, n + 1], dtype=np.int64)
     arr = K.log_binomial_array_np(table.delta, n, r)
-    for rv, got in zip(r, arr):
-        want = K.log_binomial_scalar(table.delta, n, int(rv))
-        if want == K.NEG_INF:
-            assert got == K.NEG_INF
-        else:
-            assert abs(got - want) < 1e-8
+    with mpmath.workdps(30):
+        for rv, got in zip(r.tolist(), arr.tolist()):
+            if not 0 <= rv <= n:
+                assert got == K.NEG_INF
+            else:
+                assert abs(got - _mpmath_log_binomial(mpmath, n, rv)) < 1e-8
 
 
 def test_region_sums_compensated_order():

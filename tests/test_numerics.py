@@ -6,24 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from definetti import _kernels as K
 from definetti import numerics as nx
 from definetti.numerics import (
     LogFactorialTable,
-    LogSpaceValue,
     binomial,
     conditional_prefix_prob,
-    conditional_prefix_prob_log,
     iid_kernel,
-    iid_kernel_log,
-    log_binomial,
     ratio_bound_holds_all,
     ratio_factors,
-    ratio_factors_float,
     ratio_within_correction,
     region_bounds,
     replacement_correction,
     replacement_correction_float,
-    replacement_correction_log,
 )
 
 
@@ -61,21 +56,26 @@ def test_binomial_small_and_out_of_range():
 # log binomial
 # ---------------------------------------------------------------------------
 
+def _log_binomial(table, n, r):
+    return float(K.log_binomial_array_np(table.delta, n, np.array([r]))[0])
+
+
 def test_log_binomial_small_cross_check():
-    assert abs(log_binomial(5, 2).log - math.log(10)) < 1e-12
-    assert log_binomial(3, 4).is_zero
-    assert log_binomial(7, -1).is_zero
-    assert log_binomial(9, 0).log == 0.0
-    assert log_binomial(9, 9).log == 0.0
+    table = LogFactorialTable()
+    assert abs(_log_binomial(table, 5, 2) - math.log(10)) < 1e-12
+    assert _log_binomial(table, 3, 4) == K.NEG_INF
+    assert _log_binomial(table, 7, -1) == K.NEG_INF
+    assert _log_binomial(table, 9, 0) == 0.0
+    assert _log_binomial(table, 9, 9) == 0.0
 
 
 def test_log_binomial_exact_cross_check_moderate():
     table = LogFactorialTable()
     worst = 0.0
     for n in range(1, 400):
-        for r in range(1, n):
-            got = table.log_binomial(n, r)
-            worst = max(worst, abs(got - math.log(math.comb(n, r))))
+        got = K.log_binomial_array_np(table.delta, n, np.arange(1, n))
+        for r, g in zip(range(1, n), got.tolist()):
+            worst = max(worst, abs(g - math.log(math.comb(n, r))))
     assert worst < 1e-12
 
 
@@ -83,29 +83,15 @@ def test_log_binomial_large_against_independent_stirling():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
     table = LogFactorialTable()
+    table.ensure(10**6)
 
     def reference(n, r):
         return mpmath.loggamma(n + 1) - mpmath.loggamma(r + 1) - mpmath.loggamma(n - r + 1)
 
     for n, r in [(10**6, 5 * 10**5), (10**6, 17), (10**6, 999_983), (123_457, 3571)]:
-        got = table.log_binomial(n, r)
+        got = _log_binomial(table, n, r)
         rel = abs(float(mpmath.expm1(got - reference(n, r))))
         assert rel < 1e-9, (n, r, rel)
-
-
-def test_log_binomial_above_cap_series_path():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 50
-    small = LogFactorialTable(cap=2048)   # forces the series for n > 2048
-    big = LogFactorialTable(cap=10**6)
-    for n, r in [(10_000, 5000), (99_991, 137), (10_000, 9999)]:
-        a = small.log_binomial(n, r)
-        b = big.log_binomial(n, r)
-        assert abs(math.expm1(a - b)) < 1e-10
-        ref = float(
-            mpmath.loggamma(n + 1) - mpmath.loggamma(r + 1) - mpmath.loggamma(n - r + 1)
-        )
-        assert abs(math.expm1(a - ref)) < 1e-9
 
 
 def test_table_grows_lazily_and_respects_cap():
@@ -219,7 +205,6 @@ def test_replacement_correction_values():
     eps = r6 - 1
     assert 0 < eps < Fraction(1, 10**4)
     assert abs(replacement_correction_float(10**6, 5) - float(r6)) < 1e-12
-    assert abs(replacement_correction_log(10**6, 5).value - float(r6)) < 1e-12
     with pytest.raises(ValueError):
         replacement_correction(3, 4)
 
@@ -265,20 +250,6 @@ def test_ratio_factors_trivial_k1():
 def test_ratio_factors_rejects_vanishing_kernel():
     with pytest.raises(ValueError):
         ratio_factors(10, 2, 1, 0)
-    with pytest.raises(ValueError):
-        ratio_factors_float(10, 2, 1, 0)
-
-
-def test_ratio_factors_float_two_evaluation_orders():
-    # large-N float factors against the direct log-space quotient
-    N, k, alpha, i = 10**6, 5, 2, 10**3
-    f = ratio_factors_float(N, k, alpha, i)
-    direct = (
-        conditional_prefix_prob_log(N, k, alpha, i)
-        / iid_kernel_log(N, k, alpha, i)
-    ).value
-    assert abs(f.product() / direct - 1) < 1e-8
-    assert f.product() <= replacement_correction_float(N, k) * (1 + 1e-12)
 
 
 def test_alpha_extremes_match_reduced_factor_forms():
@@ -360,42 +331,23 @@ def test_region_bounds_integer_exact_everywhere():
 
 @pytest.mark.parametrize("N", [8, 199, 512, 2000])
 def test_backend_agreement(N):
+    # the exact backend's Fractions against the log backend's scan kernel
     table = LogFactorialTable()
+    table.ensure(N)
+    idx = np.arange(0, N + 1, max(1, N // 97))
     for k in (1, 2, 5, 6):
         if k > N:
             continue
         r_exact = replacement_correction(N, k)
-        assert abs(replacement_correction_log(N, k).value / float(r_exact) - 1) < 1e-8
+        assert abs(replacement_correction_float(N, k) / float(r_exact) - 1) < 1e-8
         for alpha in range(k + 1):
-            for i in range(0, N + 1, max(1, N // 97)):
-                a = conditional_prefix_prob(N, k, alpha, i)
-                al = conditional_prefix_prob_log(N, k, alpha, i, table)
-                if a == 0:
-                    assert al.is_zero
-                else:
-                    assert abs(al.value / float(a) - 1) < 1e-8
-                b = iid_kernel(N, k, alpha, i)
-                bl = iid_kernel_log(N, k, alpha, i, table)
-                if b == 0:
-                    assert bl.is_zero
-                else:
-                    assert abs(bl.value / float(b) - 1) < 1e-8
-
-
-# ---------------------------------------------------------------------------
-# LogSpaceValue semantics
-# ---------------------------------------------------------------------------
-
-def test_log_space_value_arithmetic():
-    x = LogSpaceValue.from_value(0.5)
-    y = LogSpaceValue.from_value(0.25)
-    assert abs((x * y).value - 0.125) < 1e-15
-    assert abs((x / y).value - 2.0) < 1e-15
-    z = LogSpaceValue.zero()
-    assert (x * z).is_zero
-    assert (z / x).is_zero
-    with pytest.raises(ZeroDivisionError):
-        x / z
-    with pytest.raises(ValueError):
-        LogSpaceValue.from_value(-1.0)
-    assert LogSpaceValue.from_value(0.0).is_zero
+            log_a, log_b = K.scan_log_ab(table.delta, N, k, alpha, idx)
+            for i, la, lb in zip(idx.tolist(), log_a.tolist(), log_b.tolist()):
+                for exact, got in (
+                    (conditional_prefix_prob(N, k, alpha, i), la),
+                    (iid_kernel(N, k, alpha, i), lb),
+                ):
+                    if exact == 0:
+                        assert got == K.NEG_INF
+                    else:
+                        assert abs(math.exp(got) / float(exact) - 1) < 1e-8
