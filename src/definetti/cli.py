@@ -4,6 +4,11 @@ Subcommands: prefix-prob, yn-law, verify, ratio-scan, recover, extend-check,
 oracle, tail-check.  All reports are JSON (exact values as "num/den"
 strings); ratio scans are CSV with a trailing summary JSON line.
 
+ratio-scan formats its CSV in SCAN_BLOCK_ROWS-row blocks on worker processes,
+one per usable CPU and never more than there are blocks (in-process when
+that is one), and writes the blocks in order: the bytes do not depend on the
+CPU count, and at most one block per worker is in flight.
+
 Exit codes: 0 success, 2 input/domain errors, 3 invariant violations
 (invalid input objects and failed internal guards), 4 extendability
 rejection.  Any other exception is a bug and propagates as a traceback.
@@ -12,8 +17,11 @@ rejection.  Any other exception is a bug and propagates as a traceback.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
+import itertools
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -171,30 +179,111 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _scan_csv_blocks(scan: harness.RatioScan):
-    """CSV rows of a scan as text, one string per SCAN_BLOCK_ROWS rows."""
-    names = harness.REGION_NAMES
+def _scan_blocks(scan: harness.RatioScan):
+    """The scan's columns in SCAN_BLOCK_ROWS-row blocks, each a tuple of slices."""
     for start in range(0, len(scan.i), SCAN_BLOCK_ROWS):
         block = slice(start, start + SCAN_BLOCK_ROWS)
-        if scan.log_columns:
-            # "{}" formats a Python float as its shortest repr; NaN marks
-            # an absent ratio
-            a_col = scan.a[block].tolist()
-            b_col = scan.b[block].tolist()
-            ratio_col = ["" if x != x else repr(x) for x in scan.ratio[block].tolist()]
-        else:
-            fmt = io.format_value
-            a_col = map(fmt, scan.a[block])
-            b_col = map(fmt, scan.b[block])
-            ratio_col = ("" if x is None else fmt(x) for x in scan.ratio[block])
-        yield "".join(map(
-            "{},{},{},{},{}\n".format,
-            scan.i[block].tolist(),
-            a_col,
-            b_col,
-            ratio_col,
-            (names[c] for c in scan.region[block].tolist()),
-        ))
+        yield (scan.log_columns, scan.i[block], scan.a[block], scan.b[block],
+               scan.ratio[block], scan.region[block])
+
+
+def _format_block(columns) -> str:
+    """CSV rows of one block from ``_scan_blocks``, as one string."""
+    log_columns, i, a, b, ratio, region = columns
+    names = harness.REGION_NAMES
+    if log_columns:
+        # "{}" formats a Python float as its shortest repr; NaN marks an
+        # absent ratio
+        a_col = a.tolist()
+        b_col = b.tolist()
+        ratio_col = ["" if x != x else repr(x) for x in ratio.tolist()]
+    else:
+        fmt = io.format_value
+        a_col = map(fmt, a)
+        b_col = map(fmt, b)
+        ratio_col = ("" if x is None else fmt(x) for x in ratio)
+    return "".join(map(
+        "{},{},{},{},{}\n".format,
+        i.tolist(),
+        a_col,
+        b_col,
+        ratio_col,
+        (names[c] for c in region.tolist()),
+    ))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _format_worker(conn) -> None:
+    """Worker process: format each block received on ``conn`` and send back
+    its text, or the exception that formatting raised."""
+    while True:
+        columns = conn.recv()
+        try:
+            text = _format_block(columns)
+        except Exception as exc:
+            text = exc
+        conn.send(text)
+
+
+def _raised(text):
+    """A worker's reply: its text, or the exception it relayed, raised here."""
+    if isinstance(text, Exception):
+        raise text
+    return text
+
+
+@contextlib.contextmanager
+def _block_formatter(workers: int):
+    """A lazy map of ``_format_block`` over blocks, in block order, on
+    ``workers`` processes; the builtin ``map`` below 2 workers.
+
+    Block j goes to worker j mod ``workers``, which gets its next block as
+    soon as its previous text is back, so at most one block per worker is
+    in flight.  The parent receives the texts on its own thread: a helper
+    thread would unpickle them into a malloc arena of its own, which holds
+    on to its peak.  The workers are gone when the block exits, also when
+    the consumer raises.
+    """
+    if workers < 2:
+        yield lambda blocks: map(_format_block, blocks)
+        return
+    import multiprocessing   # only a multi-block ratio-scan pays for this import
+
+    conns, procs = [], []
+
+    def format_blocks(blocks):
+        pending = collections.deque()
+        for columns, conn in zip(blocks, itertools.cycle(conns)):
+            text = pending.popleft().recv() if len(pending) == workers else None
+            conn.send(columns)
+            pending.append(conn)
+            if text is not None:
+                yield _raised(text)
+        while pending:
+            yield _raised(pending.popleft().recv())
+
+    try:
+        for _ in range(workers):
+            conn, child_conn = multiprocessing.Pipe()
+            proc = multiprocessing.Process(
+                target=_format_worker, args=(child_conn,), daemon=True
+            )
+            proc.start()
+            child_conn.close()
+            conns.append(conn)
+            procs.append(proc)
+        yield format_blocks
+    finally:
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 def cmd_ratio_scan(cfg: RunConfig) -> int:
@@ -218,12 +307,13 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
         "sampled": scan.sampled,
         "backend": scan.backend,
     }
-    with _output(cfg.out_path) as fh:
+    workers = min(_usable_cpus(), -(-len(scan.i) // SCAN_BLOCK_ROWS))
+    with _output(cfg.out_path) as fh, _block_formatter(workers) as format_blocks:
         if scan.log_columns:
             fh.write("i,log_a,log_b,ratio,region\n")
         else:
             fh.write("i,a,b,ratio,region\n")
-        fh.writelines(_scan_csv_blocks(scan))
+        fh.writelines(format_blocks(_scan_blocks(scan)))
         fh.write(json.dumps(summary) + "\n")
     return EXIT_OK
 

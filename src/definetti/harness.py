@@ -225,7 +225,8 @@ def _scan_exact(N, k, alpha, idx, region):
 
 def _scan_log(N, k, alpha, idx, region, table):
     t = table or default_table()
-    t.ensure(N)
+    if k > _kernels.PRODUCT_SCAN_MAX_K:   # only the table form of log a_i reads delta
+        t.ensure(N)
     log_a, log_b = _kernels.scan_log_ab(t.delta, N, k, alpha, idx)
     r = replacement_correction_float(N, k)
     log_r = math.log(r)

@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from definetti import _kernels, harness, io
+from definetti import _kernels, cli, harness, io
 from definetti.cli import main
 from definetti.numerics import (
     conditional_prefix_prob,
@@ -279,6 +281,80 @@ def test_ratio_scan_csv_matches_row_writer(backend, N, stride, pattern, tmp_path
     out_file = tmp_path / "scan.csv"
     assert main(argv + ["--out", str(out_file)]) == 0
     assert out_file.read_bytes() == expected.encode()
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """997-row CSV blocks, so block edges fall inside regions."""
+    monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", 997)
+
+
+@pytest.fixture(params=sorted(multiprocessing.get_all_start_methods()))
+def start_method(request):
+    original = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    yield request.param
+    multiprocessing.set_start_method(original, force=True)
+
+
+def _record_workers(monkeypatch):
+    """Record the worker count of every ratio-scan block formatter."""
+    counts = []
+    formatter = cli._block_formatter
+
+    def recording(workers):
+        counts.append(workers)
+        return formatter(workers)
+
+    monkeypatch.setattr(cli, "_block_formatter", recording)
+    return counts
+
+
+@pytest.mark.parametrize("backend, N", [("log", 10**4), ("exact", 3000)])
+@pytest.mark.parametrize("cpus", ["one", "all"])
+def test_ratio_scan_csv_multi_block(backend, N, cpus, small_blocks, tmp_path, monkeypatch,
+                                    capsys):
+    # the real CPU count or 1, never more: a test starts no more processes
+    # than the machine has CPUs
+    usable = cli._usable_cpus() if cpus == "all" else 1
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: usable)
+    workers = _record_workers(monkeypatch)
+    expected = _reference_scan_csv(N, 4, 3, 1, backend)
+    argv = ["ratio-scan", "--backend", backend, "-N", str(N), "--pattern", "1,1,0,1"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == expected
+    out_file = tmp_path / "scan.csv"
+    assert main(argv + ["--out", str(out_file)]) == 0
+    assert out_file.read_bytes() == expected.encode()
+    assert workers == [min(usable, -(-(N + 1) // 997))] * 2
+    assert multiprocessing.active_children() == []
+
+
+def test_ratio_scan_csv_under_every_start_method(start_method, small_blocks, tmp_path):
+    expected = _reference_scan_csv(10**4, 3, 1, 1, "log")
+    out_file = tmp_path / "scan.csv"
+    argv = ["ratio-scan", "-N", "10000", "--pattern", "0,1,0", "--out", str(out_file)]
+    assert main(argv) == 0
+    assert out_file.read_bytes() == expected.encode()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_ratio_scan_failed_write_leaves_no_workers(small_blocks):
+    # /dev/full fails the first block write with ENOSPC
+    with pytest.raises(OSError):
+        main(["ratio-scan", "-N", "10000", "--pattern", "1,0", "--out", "/dev/full"])
+    assert multiprocessing.active_children() == []
+
+
+def test_block_formatter_relays_worker_errors():
+    # a malformed block makes _format_block raise inside a worker
+    bad_block = (True, None, None, None, None, None)
+    with cli._block_formatter(min(2, cli._usable_cpus())) as format_blocks:
+        with pytest.raises(AttributeError):
+            list(format_blocks([bad_block, bad_block, bad_block]))
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_large_n_log_backend_sound(three_atom_file, capsys):

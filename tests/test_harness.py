@@ -101,6 +101,18 @@ def test_scan_backend_agreement():
             assert abs(row_l.ratio - float(row_e.ratio)) < 1e-8
 
 
+def test_scan_grows_table_only_for_the_table_form():
+    # up to PRODUCT_SCAN_MAX_K the log scan is a falling product and never
+    # reads the log-factorial table
+    t = LogFactorialTable()
+    size = len(t.delta)
+    ratio_scan(10**5, 5, 2, table=t)
+    assert len(t.delta) == size
+    assert _kernels.PRODUCT_SCAN_MAX_K < 25
+    ratio_scan(10**5, 25, 2, stride=101, table=t)
+    assert len(t.delta) > size
+
+
 def test_scan_rejects_bad_inputs():
     with pytest.raises(ValueError):
         ratio_scan(7, 1, 1)
