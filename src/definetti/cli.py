@@ -4,10 +4,12 @@ Subcommands: prefix-prob, yn-law, verify, ratio-scan, recover, extend-check,
 oracle, tail-check.  All reports are JSON (exact values as "num/den"
 strings); ratio scans are CSV with a trailing summary JSON line.
 
-ratio-scan formats its CSV in SCAN_BLOCK_ROWS-row blocks on worker processes,
-one per usable CPU and never more than there are blocks (in-process when
-that is one), and writes the blocks in order: the bytes do not depend on the
-CPU count, and at most one block per worker is in flight.
+ratio-scan formats its CSV in SCAN_BLOCK_ROWS-row blocks and writes them in
+order.  Scans of at least SCAN_POOL_MIN_ROWS rows format them on worker
+processes, one per usable CPU, at most SCAN_MAX_WORKERS and never more than
+there are blocks; smaller scans, and one usable CPU, format in-process.  The
+bytes do not depend on the CPU count, and at most one block per worker is in
+flight.
 
 Exit codes: 0 success, 2 input/domain errors, 3 invariant violations
 (invalid input objects and failed internal guards), 4 extendability
@@ -37,6 +39,13 @@ EXIT_INVARIANT = 3
 EXIT_EXTENDABILITY = 4
 
 SCAN_BLOCK_ROWS = 65_536   # ratio-scan CSV rows formatted per write
+# Smaller scans format in-process: below about six blocks, starting spawn or
+# forkserver workers (an interpreter and a numpy import each) costs more
+# than it saves.
+SCAN_POOL_MIN_ROWS = 6 * SCAN_BLOCK_ROWS
+# Each worker adds 25-45 MB to the process tree; 4 bound that while keeping
+# the parent (about 7 ms of its own per 245 ms block) far from saturated.
+SCAN_MAX_WORKERS = 4
 
 
 @dataclass
@@ -218,16 +227,36 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _format_worker(conn) -> None:
+def _scan_workers(rows: int) -> int:
+    """Block workers for a ``rows``-row scan: 1 (in-process) below
+    SCAN_POOL_MIN_ROWS, else one per usable CPU, at most SCAN_MAX_WORKERS
+    and never more than there are blocks."""
+    if rows < SCAN_POOL_MIN_ROWS:
+        return 1
+    return min(_usable_cpus(), SCAN_MAX_WORKERS, -(-rows // SCAN_BLOCK_ROWS))
+
+
+def _format_worker(conn, parent_conns) -> None:
     """Worker process: format each block received on ``conn`` and send back
-    its text, or the exception that formatting raised."""
-    while True:
-        columns = conn.recv()
-        try:
-            text = _format_block(columns)
-        except Exception as exc:
-            text = exc
-        conn.send(text)
+    its text, or the exception that formatting raised.  Returns quietly when
+    the parent goes away or the user interrupts: the parent reports that.
+
+    A forked worker holds copies of the parent's ends of the pipes made so
+    far, its own among them; it closes them, or a killed parent would leave
+    it waiting on a pipe that never reaches EOF.
+    """
+    for parent_conn in parent_conns:
+        parent_conn.close()
+    try:
+        while True:
+            columns = conn.recv()
+            try:
+                text = _format_block(columns)
+            except Exception as exc:
+                text = exc
+            conn.send(text)
+    except (EOFError, BrokenPipeError, KeyboardInterrupt):
+        pass
 
 
 def _raised(text):
@@ -270,12 +299,12 @@ def _block_formatter(workers: int):
     try:
         for _ in range(workers):
             conn, child_conn = multiprocessing.Pipe()
+            conns.append(conn)
             proc = multiprocessing.Process(
-                target=_format_worker, args=(child_conn,), daemon=True
+                target=_format_worker, args=(child_conn, conns), daemon=True
             )
             proc.start()
             child_conn.close()
-            conns.append(conn)
             procs.append(proc)
         yield format_blocks
     finally:
@@ -307,7 +336,7 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
         "sampled": scan.sampled,
         "backend": scan.backend,
     }
-    workers = min(_usable_cpus(), -(-len(scan.i) // SCAN_BLOCK_ROWS))
+    workers = _scan_workers(len(scan.i))
     with _output(cfg.out_path) as fh, _block_formatter(workers) as format_blocks:
         if scan.log_columns:
             fh.write("i,log_a,log_b,ratio,region\n")

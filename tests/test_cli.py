@@ -2,8 +2,10 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -285,8 +287,10 @@ def test_ratio_scan_csv_matches_row_writer(backend, N, stride, pattern, tmp_path
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """997-row CSV blocks, so block edges fall inside regions."""
+    """997-row CSV blocks, so block edges fall inside regions, and workers
+    for scans of any size."""
     monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", 997)
+    monkeypatch.setattr(cli, "SCAN_POOL_MIN_ROWS", 0)
 
 
 @pytest.fixture(params=sorted(multiprocessing.get_all_start_methods()))
@@ -327,7 +331,33 @@ def test_ratio_scan_csv_multi_block(backend, N, cpus, small_blocks, tmp_path, mo
     out_file = tmp_path / "scan.csv"
     assert main(argv + ["--out", str(out_file)]) == 0
     assert out_file.read_bytes() == expected.encode()
-    assert workers == [min(usable, -(-(N + 1) // 997))] * 2
+    assert workers == [min(usable, cli.SCAN_MAX_WORKERS, -(-(N + 1) // 997))] * 2
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_workers_threshold_and_cap(monkeypatch):
+    # only counts: no process starts here, so the CPU count may exceed the machine's
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    below = cli.SCAN_POOL_MIN_ROWS - 1
+    assert cli._scan_workers(below) == 1
+    assert cli._scan_workers(cli.SCAN_POOL_MIN_ROWS) == min(
+        cli.SCAN_MAX_WORKERS, -(-cli.SCAN_POOL_MIN_ROWS // cli.SCAN_BLOCK_ROWS)
+    )
+    assert cli._scan_workers(10**8) == cli.SCAN_MAX_WORKERS
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert cli._scan_workers(10**8) == 1
+
+
+def test_ratio_scan_below_pool_threshold_starts_no_workers(tmp_path, monkeypatch):
+    # two blocks, but too few rows to repay starting workers
+    N = cli.SCAN_BLOCK_ROWS + 10
+    assert N + 1 < cli.SCAN_POOL_MIN_ROWS
+    workers = _record_workers(monkeypatch)
+    out_file = tmp_path / "scan.csv"
+    argv = ["ratio-scan", "-N", str(N), "--pattern", "1,0", "--out", str(out_file)]
+    assert main(argv) == 0
+    assert out_file.read_bytes() == _reference_scan_csv(N, 2, 1, 1, "log").encode()
+    assert workers == [1]
     assert multiprocessing.active_children() == []
 
 
@@ -348,6 +378,43 @@ def test_ratio_scan_failed_write_leaves_no_workers(small_blocks):
     assert multiprocessing.active_children() == []
 
 
+_EXIT_WITHOUT_STOPPING_WORKERS = """
+import multiprocessing, os, sys
+from definetti import cli
+with cli._block_formatter(2):
+    with open(sys.argv[1], "w") as fh:
+        fh.write(" ".join(str(p.pid) for p in multiprocessing.active_children()))
+    os._exit(0)
+"""
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+@pytest.mark.skipif(cli._usable_cpus() < 2, reason="needs 2 CPUs for 2 workers")
+def test_workers_exit_when_the_parent_dies(tmp_path):
+    # os._exit skips the formatter's cleanup, as SIGKILL or the OOM killer would
+    pid_file = tmp_path / "pids"
+    proc = subprocess.run([sys.executable, "-c", _EXIT_WITHOUT_STOPPING_WORKERS, str(pid_file)],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=60)
+    assert proc.returncode == 0
+    pids = [int(pid) for pid in pid_file.read_text().split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in pids if _running(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert survivors == []
+
+
 def test_block_formatter_relays_worker_errors():
     # a malformed block makes _format_block raise inside a worker
     bad_block = (True, None, None, None, None, None)
@@ -355,6 +422,20 @@ def test_block_formatter_relays_worker_errors():
         with pytest.raises(AttributeError):
             list(format_blocks([bad_block, bad_block, bad_block]))
     assert multiprocessing.active_children() == []
+
+
+class _ClosedConn:
+    def __init__(self, exc):
+        self.exc = exc
+
+    def recv(self):
+        raise self.exc
+
+
+@pytest.mark.parametrize("exc", [EOFError, KeyboardInterrupt])
+def test_format_worker_returns_quietly_when_parent_goes(exc):
+    # a closed pipe or Ctrl-C ends a worker without a traceback of its own
+    assert cli._format_worker(_ClosedConn(exc()), []) is None
 
 
 def test_verify_large_n_log_backend_sound(three_atom_file, capsys):
