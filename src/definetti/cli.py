@@ -13,7 +13,9 @@ flight.
 
 Exit codes: 0 success, 2 input/domain errors, 3 invariant violations
 (invalid input objects and failed internal guards), 4 extendability
-rejection.  Any other exception is a bug and propagates as a traceback.
+rejection.  A reader that closes stdout early cuts the output short without
+changing the exit code.  Any other exception is a bug and propagates as a
+traceback.
 """
 
 from __future__ import annotations
@@ -85,14 +87,46 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+class _ReaderGone(Exception):
+    """The reader of stdout closed its end of the pipe."""
+
+
+class _Stdout:
+    """sys.stdout, flushed after every write, so that a closed pipe shows up
+    here as ``_ReaderGone``: not at interpreter exit, and not as a
+    ``BrokenPipeError`` that a block worker's pipe could also raise."""
+
+    def write(self, text: str) -> None:
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            raise _ReaderGone from exc
+
+
 @contextlib.contextmanager
 def _output(out_path: str | None):
-    """The --out file opened for writing, or stdout."""
-    if out_path:
-        with open(out_path, "w") as fh:
-            yield fh
-    else:
-        yield sys.stdout
+    """The --out file opened for writing, or stdout.
+
+    A path that cannot be opened is an input error.  A reader that closes
+    stdout early ends the command quietly: the rest of its output is
+    dropped and the command goes on to its exit code.
+    """
+    if not out_path:
+        try:
+            yield _Stdout()
+        except _ReaderGone:
+            # what is left in stdout's buffer goes to devnull at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return
+    try:
+        fh = open(out_path, "w")
+    except OSError as exc:
+        raise io.InputFormatError(f"cannot write {out_path}: {exc}") from exc
+    with fh:
+        yield fh
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -342,7 +376,8 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
             fh.write("i,log_a,log_b,ratio,region\n")
         else:
             fh.write("i,a,b,ratio,region\n")
-        fh.writelines(format_blocks(_scan_blocks(scan)))
+        for text in format_blocks(_scan_blocks(scan)):
+            fh.write(text)
         fh.write(json.dumps(summary) + "\n")
     return EXIT_OK
 

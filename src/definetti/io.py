@@ -51,12 +51,18 @@ def _any_size(convert, x):
 
 
 def parse_value(x: Any) -> Value:
-    """A JSON scalar as an exact or float value: int and "num/den" stay exact."""
+    """A JSON scalar as an exact or float value: int and "num/den" stay exact.
+
+    ``json`` reads NaN and Infinity; they are rejected here, so no measure,
+    moment or law file can carry them into a report.
+    """
     if isinstance(x, bool):
         raise InputFormatError(f"expected a number, got {x!r}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise InputFormatError(f"expected a finite number, got {x!r}")
         return x
     if isinstance(x, str):
         try:

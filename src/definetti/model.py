@@ -9,9 +9,10 @@ double precision with compensated summation where cancellation bites.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -430,44 +431,73 @@ def prefix_prob_from_moments(c: MomentVector, e: PrefixEvent) -> Value:
     return math.fsum(terms)
 
 
+def _difference_rows(c: Sequence[Value]) -> tuple[int, Iterator[list[int]]]:
+    """(D, rows) for exact c_0..c_n: row m holds (-1)^m Delta^m c_j,
+    j = 0..n-m, as integer numerators over D, the lcm of the denominators of
+    c.  Rows come lazily, m = 0..n; no Fraction (and so no gcd) is built."""
+    exact = [_as_exact(v) for v in c]
+    D = math.lcm(*(v.denominator for v in exact))
+
+    def rows():
+        row = [v.numerator * (D // v.denominator) for v in exact]
+        while row:
+            yield row
+            row = list(map(operator.sub, row, row[1:]))
+
+    return D, rows()
+
+
 def mean_law_from_moments(c: MomentVector, n: int) -> SampleMeanLaw:
     """The unique level-n exchangeable count law with the given moments:
-    q_j = C(n, j) sum_t (-1)^t C(n-j, t) c_{j+t}.
+    q_j = C(n, j) sum_t (-1)^t C(n-j, t) c_{j+t} = C(n, j) (-1)^(n-j) Delta^(n-j) c_j.
+
+    The identity is the binomial expansion of (-1)^m Delta^m = (1 - E)^m,
+    with E the shift c_j -> c_{j+1} and m = n - j.
 
     Raises ExtendabilityError carrying the first negative weight when the
-    vector admits no such law.  The alternating sum is evaluated exactly for
-    rational input; the float path uses exactly-rounded summation and flags
-    the law when cancellation may exceed 1e-6 relative.
+    vector admits no such law.  Rational input is scaled once to integer
+    numerators over the lcm D of its denominators.  The inner sum for q_j is
+    then the last entry of row n - j of the integer alternating difference
+    table of c_0..c_n (``_difference_rows``, the table that
+    ``check_complete_monotonicity`` scans): O(n^2) integer subtractions and
+    no per-term binomials or gcds.  The law keeps those numerators over the
+    same D, so validating it sums integers.  The float path uses
+    exactly-rounded summation and flags the law when cancellation may exceed
+    1e-6 relative.
     """
     if n < 1:
         raise ValidationError("level must be positive")
     if c.order < n:
         raise ValidationError(f"need moments up to order {n}, have {c.order}")
-    exact = c.is_exact
+    if c.is_exact:
+        D, rows = _difference_rows(c.c[: n + 1])
+        last = [row[-1] for row in rows]   # last[m] = (-1)^m Delta^m c_(n-m)
+        nums = []
+        choose = 1  # C(n, j)
+        for j in range(n + 1):
+            q = choose * last[n - j]
+            if q < 0:
+                raise ExtendabilityError(level=n, index=j, value=Fraction(q, D))
+            nums.append(q)
+            choose = choose * (n - j) // (j + 1)
+        return SampleMeanLaw.from_integer_ratios(nums, D)
     weights: list[Value] = []
     flagged = False
     for j in range(n + 1):
         terms = [
             (-1) ** t * binomial(n - j, t) * c.c[j + t] for t in range(n - j + 1)
         ]
-        if exact:
-            q = binomial(n, j) * sum(terms, Fraction(0))
-            if q < 0:
-                raise ExtendabilityError(level=n, index=j, value=q)
-        else:
-            inner = math.fsum(terms)
-            gross = math.fsum(abs(t) for t in terms)
-            q = binomial(n, j) * inner
-            if gross > 0 and abs(inner) < CANCELLATION_TOL * gross:
-                flagged = True
-            if q < -FLOAT_SUM_TOL:
-                raise ExtendabilityError(level=n, index=j, value=q)
-            q = max(q, 0.0)
-        weights.append(q)
-    if not exact:
-        total = math.fsum(weights)
-        if abs(total - 1) > FLOAT_SUM_TOL:
-            raise ExtendabilityError(level=n, index=0, value=total - 1)
+        inner = math.fsum(terms)
+        gross = math.fsum(abs(t) for t in terms)
+        q = binomial(n, j) * inner
+        if gross > 0 and abs(inner) < CANCELLATION_TOL * gross:
+            flagged = True
+        if q < -FLOAT_SUM_TOL:
+            raise ExtendabilityError(level=n, index=j, value=q)
+        weights.append(max(q, 0.0))
+    total = math.fsum(weights)
+    if abs(total - 1) > FLOAT_SUM_TOL:
+        raise ExtendabilityError(level=n, index=0, value=total - 1)
     return SampleMeanLaw(N=n, weights=tuple(weights), cancellation_flagged=flagged)
 
 
@@ -475,15 +505,23 @@ def check_complete_monotonicity(c: MomentVector) -> MonotonicityCheck:
     """Alternating finite differences (-1)^m Delta^m c_j >= 0 for m + j <= n.
 
     Scans depth by depth and reports the first negative difference as the
-    certificate; floats get a 1e-12 slack.
+    certificate; rational input runs on the integer difference table of
+    ``_difference_rows``, floats get a 1e-12 slack.
     """
-    tol = 0 if c.is_exact else FLOAT_SUM_TOL
+    if c.is_exact:
+        D, rows = _difference_rows(c.c)
+        next(rows)   # row 0 is c itself
+        for m, row in enumerate(rows, start=1):
+            if min(row) < 0:
+                j = next(j for j, v in enumerate(row) if v < 0)
+                value = Fraction(row[j], D)
+                return MonotonicityCheck(ok=False, order=m, index=j, value=value)
+        return MonotonicityCheck(ok=True)
     row = list(c.c)
-    n = c.order
-    for m in range(1, n + 1):
+    for m in range(1, c.order + 1):
         row = [row[j] - row[j + 1] for j in range(len(row) - 1)]
         for j, v in enumerate(row):
-            if v < -tol:
+            if v < -FLOAT_SUM_TOL:
                 return MonotonicityCheck(ok=False, order=m, index=j, value=v)
     return MonotonicityCheck(ok=True)
 

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -781,3 +782,83 @@ def test_verify_has_no_stride_option(fair_file, capsys):
         main(["verify", "--measure", fair_file, "-N", "100", "--pattern", "1",
               "--stride", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["prefix-prob", "--measure", "{f}", "--pattern", "1"],
+         '{"atoms": [{"p": "1/2", "w": %s}]}'),
+        (["verify", "--measure", "{f}", "-N", "50", "--pattern", "1,0"],
+         '{"atoms": [{"p": %s, "w": 1}]}'),
+        (["yn-law", "--measure", "{f}", "-N", "4"], '{"atoms": [{"p": %s, "w": 1}]}'),
+        (["extend-check", "--moments", "{f}"], '{"c": [1, %s, %s]}'),
+        (["recover", "--moments", "{f}", "--level", "2"], '{"c": [1, 0.5, %s]}'),
+        (["prefix-prob", "--moments", "{f}", "--pattern", "1"], '{"c": [1, %s]}'),
+        (["verify", "--law", "{f}", "--pattern", "1"], '{"q": [0.5, %s]}'),
+        (["prefix-prob", "--law", "{f}", "--pattern", "1"], '{"q": ["1/2", %s]}'),
+    ],
+)
+def test_non_finite_input_exit2(argv, doc, token, tmp_path, capsys):
+    # json reads NaN, Infinity and overflowing literals as non-finite floats
+    path = tmp_path / "in.json"
+    path.write_text(doc.replace("%s", token))
+    code, out, err = run_cli([arg.format(f=path) for arg in argv], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "input"
+    assert "finite" in json.loads(err)["message"]
+
+
+def test_unopenable_out_path_exit2(fair_file, tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.json"
+    code, stdout, err = run_cli(
+        ["prefix-prob", "--measure", fair_file, "--pattern", "1", "--out", str(out)], capsys
+    )
+    assert (code, stdout) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "input"
+    assert doc["message"].startswith(f"cannot write {out}")
+    assert not out.exists()
+
+
+_SCAN_INTO_CLOSED_PIPE = """
+import multiprocessing, sys
+from definetti import cli
+if sys.argv[2] == "workers":
+    cli.SCAN_BLOCK_ROWS, cli.SCAN_POOL_MIN_ROWS = 997, 0
+code = cli.main(["ratio-scan", "-N", "100000", "--pattern", "1,0"])
+with open(sys.argv[1], "w") as fh:
+    fh.write(f"{code} {len(multiprocessing.active_children())}")
+"""
+
+
+@pytest.mark.parametrize("workers", ["in-process", "workers"])
+def test_closed_stdout_pipe_ends_quietly(workers, tmp_path):
+    # the reader takes the header line and closes the pipe, like `| head -1`;
+    # the 6 MB CSV cannot all fit in the pipe before that
+    result = tmp_path / "result"
+    with subprocess.Popen(
+        [sys.executable, "-c", _SCAN_INTO_CLOSED_PIPE, str(result), workers],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"i,log_a,log_b,ratio,region\n"
+        proc.stdout.close()
+        try:
+            code = proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+        err = proc.stderr.read()
+    assert (code, err) == (0, b"")
+    assert result.read_text() == "0 0"
+
+
+@pytest.mark.skipif(shutil.which("bash") is None or shutil.which("head") is None,
+                    reason="needs bash and head")
+def test_closed_stdout_pipe_through_the_module_entry_point():
+    cmd = f"{sys.executable} -m definetti ratio-scan -N 100000 --pattern 1,0 | head -1"
+    proc = subprocess.run(["bash", "-o", "pipefail", "-c", cmd], capture_output=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == b"i,log_a,log_b,ratio,region\n"
+    assert proc.stderr == b""
