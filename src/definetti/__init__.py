@@ -33,7 +33,6 @@ from .model import (
 )
 from .numerics import (
     DomainError,
-    LogFactorialTable,
     RatioFactors,
     RegionBounds,
     binomial,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError",
     "ExtendabilityError",
-    "LogFactorialTable",
     "MixingMeasure",
     "MomentVector",
     "PrefixEvent",

@@ -1,35 +1,56 @@
 """Hot numeric kernels for the log-space backend (numpy).
 
-Log-factorials are cached in Stirling-residual form: the table stores
-``delta[i] = log(i!) - ((i + 0.5) log i - i + 0.5 log 2pi)``, a value in
-(0, 0.0834], instead of ``log(i!)`` itself.  Storing the absolute prefix sums
-would pin the error to the float64 ulp of ``log(i!)`` (~2e-9 at i = 1e6),
-which is too coarse for the backend-agreement contracts; the residual form
-keeps the table exact to ~1e-12 at any index.
+Stirling residuals ``delta(x) = log(x!) - ((x + 0.5) log x - x + 0.5 log 2pi)``,
+values in (0, 0.0834], come from the fixed table ``RESIDUALS`` for
+x <= RESIDUAL_TABLE_MAX = 1024 (8 KB, built at import by a log1p cumulative
+sum, exact to ~1e-15) and from ``residual_series`` above it (error < 1e-21).
+No table grows with N.  The kernels take the table as their ``delta``
+argument and read its cap from its length.
 
 The count-conditional weight C(N-k, i-alpha) / C(N, i) is a k-term falling
-product, so ``scan_log_ab`` needs k vectorized logs per index and no table
-lookups for the pattern lengths that occur in practice.  The table serves the
-count law's ``log C(N, i)`` row and scans with long patterns.
+product, so ``scan_log_ab`` needs k vectorized logs per index and no
+residuals for the pattern lengths that occur in practice; longer patterns
+take ``log_binomial_array_np``.
 
-The count law is evaluated only on its float64 support.  For an atom at
-0 < p < 1 and 0 <= i <= N, the method of types gives
+The count law of an atom at 0 < p < 1 is evaluated in the saddle-point form
+of Loader, "Fast and Accurate Computation of Binomial Probabilities" (2000):
+for 0 < i < N,
+
+    log C(N, i) p^i (1-p)^(N-i) = delta(N) - delta(i) - delta(N - i)
+                                  + 0.5 log(N / (2 pi i (N - i))) - N D(i/N || p),
+
+with N D(i/N || p) = i log1p(d / Np) + (N - i) log1p(-d / (N (1 - p))) and
+d = i - Np, Np carried to about twice float64 precision.  No term is of the
+size of N, so the result keeps an absolute error near the ulp of |d|
+(1.6e-11 at N = 1e7 where log q_i >= -700), where log C(N, i) + i log p +
+(N - i) log(1 - p) added terms near 1e7 and lost ~1e-9.  i = 0 and i = N
+take the closed forms N log(1 - p) and N log p.
+
+The count law is evaluated only on its float64 support.  For 0 < p < 1 and
+0 <= i <= N, the method of types gives
 C(N, i) p^i (1-p)^(N-i) <= exp(-N D(i/N || p)): C(N, i) <= exp(N H(i/N)) and
-p^i (1-p)^(N-i) = exp(-N (H(i/N) + D(i/N || p))).  Pinsker's inequality
-D(x || p) >= 2 (x - p)^2 then bounds the term by exp(-2 (i - Np)^2 / N), which
-is below exp(-LOG_TERM_FLOOR) once |i - Np| > h = sqrt(LOG_TERM_FLOOR N / 2).
-A weight w <= 1 only lowers it, so outside every atom's window
-|i - Np| <= h the law is below exp(-LOG_TERM_FLOOR) = exp(-800), far under
-the smallest float64 subnormal 2^-1074 = exp(-744.44).  Every factor a_i, b_i
-the verifier multiplies q_i by is at most 1, so each product term
-exp(log x_i + log q_i) there already rounds to exactly 0.0, and so does an
-atom's term at an index inside another atom's window but outside its own:
-leaving it out changes log q_i by less than half an ulp unless
+p^i (1-p)^(N-i) = exp(-N (H(i/N) + D(i/N || p))).  So the term is below
+exp(-LOG_TERM_FLOOR) outside the set N D(i/N || p) <= LOG_TERM_FLOOR, which
+is an interval of indices because D(x || p) is convex in x with its minimum
+0 at x = p.  ``_atom_window`` finds its ends by bisection on the float N D
+from floor(Np), where N D is under 40 nats (its first term is at most 0, its
+second at most (x + 1) log(1 + 1/x) with x = N (1 - p) >= 2^-53), and pads
+them by 2; the rounding of the float N D (below 1e-8 nats at N = 1e7) is far
+under the 55-nat margin below.  A weight w <= 1 only lowers the term, so
+outside every atom's window the law is below exp(-LOG_TERM_FLOOR) =
+exp(-800), far under the smallest float64 subnormal 2^-1074 = exp(-744.44).
+Every factor a_i, b_i the verifier multiplies q_i by is at most 1, so each
+product term exp(log x_i + log q_i) there already rounds to exactly 0.0, and
+so does an atom's term at an index inside another atom's window but outside
+its own: leaving it out changes log q_i by less than half an ulp unless
 q_i < exp(-763), whose product terms round to 0.0 as well.  The rounding
 error of a computed log term is far under the 55-nat margin between
 exp(-800) and the subnormal floor.  So the kernels take the union of the
 atoms' windows (atoms at 0 and 1 give {0} and {N}) as the index set, and the
-sums over it equal the sums over 0..N up to the order of summation.
+sums over it equal the sums over 0..N up to the order of summation.  By
+Pinsker's inequality D(x || p) >= 2 (x - p)^2, no window is wider than
+|i - Np| <= sqrt(LOG_TERM_FLOOR N / 2) (plus the padding), and windows are
+narrower for p away from 1/2.
 
 Region sums add nonnegative terms with numpy's pairwise ``np.sum`` over
 contiguous slices.  numpy sums blocks of up to 128 terms in 8 interleaved
@@ -43,6 +64,7 @@ the error of the exponentiated log terms themselves.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,12 +77,19 @@ DELTA_ONE = 1.0 - HALF_LOG_2PI
 KERNEL_BACKEND = "numpy"
 
 # Longest pattern scanned as a falling product; longer ones use two
-# log-binomial table passes, whose cost does not grow with k.  One full scan
-# at N = 1e7, alpha = k // 2, best of 3 on a 2-core x86-64 VM (numpy 2.4):
-#   k        2     6     12    16    20    24    28
-#   product  0.28  0.58  1.03  1.23  1.64  1.71  2.42 s
-#   table    1.95  1.90  1.91  1.95  1.92  1.81  1.72 s
-PRODUCT_SCAN_MAX_K = 24
+# log-binomial passes (``log_binomial_array_np``, the series past the fixed
+# table), whose cost does not grow with k.  One full scan at N = 1e7,
+# alpha = k // 2, best of 5 on a 2-core x86-64 VM (numpy 2.4):
+#   k        2     6     12    24    32    36    40    44
+#   product  0.21  0.44  0.91  1.71  2.16  2.00  2.42  2.58 s
+#   table    2.19  2.58  2.44  2.11  2.52  2.54  2.45  2.64 s
+# In three such runs the product form won k = 36 every time and lost k = 40
+# and k = 44 twice.
+PRODUCT_SCAN_MAX_K = 36
+
+# Stirling residuals of 0..RESIDUAL_TABLE_MAX come from a table, larger ones
+# from the series
+RESIDUAL_TABLE_MAX = 1024
 
 # exp(-LOG_TERM_FLOOR) is under the smallest float64 subnormal, exp(-744.44);
 # count-law terms below it are left out (module docstring)
@@ -68,71 +97,67 @@ LOG_TERM_FLOOR = 800
 
 
 # ---------------------------------------------------------------------------
-# residual table construction
+# Stirling residuals
 # ---------------------------------------------------------------------------
 
-def residual_increments(lo: int, hi: int) -> np.ndarray:
-    """Increments delta[i] - delta[i-1] for i in [lo, hi], lo >= 2.
-
-    Analytically ``1 + (i - 0.5) log((i-1)/i)``, a value in (-0.04, 0);
-    evaluating it through log1p avoids the cancellation that a direct
-    difference of Stirling main terms would suffer.
-    """
-    i = np.arange(lo, hi + 1, dtype=np.float64)
-    return 1.0 + (i - 0.5) * np.log1p(-1.0 / i)
-
-
 def build_residual_table(n: int) -> np.ndarray:
-    """Stirling residuals delta[0..n]; delta[0] is a filler zero."""
-    n = max(int(n), 1)
-    delta = np.empty(n + 1, dtype=np.float64)
-    delta[0] = 0.0
+    """Stirling residuals delta[0..n]; delta[0] is a filler zero.
+
+    The increments delta[i] - delta[i-1] are ``1 + (i - 0.5) log1p(-1/i)``,
+    which avoids the cancellation of a difference of Stirling main terms.
+    """
+    delta = np.zeros(n + 1, dtype=np.float64)
     delta[1] = DELTA_ONE
-    if n >= 2:
-        delta[2:] = DELTA_ONE + np.cumsum(residual_increments(2, n))
+    i = np.arange(2, n + 1, dtype=np.float64)
+    delta[2:] = DELTA_ONE + np.cumsum(1.0 + (i - 0.5) * np.log1p(-1.0 / i))
     return delta
 
 
-def extend_residual_table(delta: np.ndarray, n: int) -> np.ndarray:
-    """Grow an existing residual table up to index n."""
-    old = delta.shape[0] - 1
-    if n <= old:
-        return delta
-    tail = delta[old] + np.cumsum(residual_increments(old + 1, n))
-    return np.concatenate([delta, tail])
-
-
-def residual_series(x):
+def residual_series(x, out=None, work=None):
     """Stirling-series residual for large x (absolute error < 1e-21 at x >= 1024).
 
-    Works on floats and on float arrays alike.
+    Works on floats and on float arrays alike.  For an array x, ``out`` and
+    ``work`` (float arrays shaped like x) take the result and 1 / x^2, so the
+    series is evaluated in place.
     """
-    x2 = 1.0 / (x * x)
-    return (
-        1.0 / 12.0
-        - (1.0 / 360.0 - (1.0 / 1260.0 - x2 / 1680.0) * x2) * x2
-    ) / x
+    x2 = np.divide(1.0, np.multiply(x, x, out=work), out=work)
+    acc = np.divide(x2, 1680.0, out=out)
+    acc = np.subtract(1.0 / 1260.0, acc, out=out)
+    acc = np.multiply(acc, x2, out=out)
+    acc = np.subtract(1.0 / 360.0, acc, out=out)
+    acc = np.multiply(acc, x2, out=out)
+    acc = np.subtract(1.0 / 12.0, acc, out=out)
+    return np.divide(acc, x, out=out)
+
+
+# The fixed residual table every caller passes as ``delta`` (8 KB, read-only)
+RESIDUALS = build_residual_table(RESIDUAL_TABLE_MAX)
+RESIDUALS.flags.writeable = False
+
+
+def _residuals(delta: np.ndarray, x: np.ndarray, out=None, work=None) -> np.ndarray:
+    """Stirling residuals at the integers ``x`` >= 0 (an int array or an
+    integer-valued float array): table entries up to its cap, the series
+    above (``out`` and ``work`` as for ``residual_series``)."""
+    out = residual_series(np.asarray(x, dtype=np.float64), out, work)
+    small = x <= delta.shape[0] - 1
+    if np.any(small):
+        out[small] = delta[x[small].astype(np.int64)]
+    return out
+
+
+def _residual(delta: np.ndarray, n: int) -> float:
+    return float(delta[n]) if n < delta.shape[0] else residual_series(float(n))
 
 
 # ---------------------------------------------------------------------------
 # array kernels
 # ---------------------------------------------------------------------------
 
-def _residual_lookup(delta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    cap = delta.shape[0] - 1
-    out = delta[np.minimum(x, cap)]
-    big = x > cap
-    if np.any(big):
-        out[big] = residual_series(x[big].astype(np.float64))
-    return out
-
-
 def log_binomial_array_np(delta: np.ndarray, n: int, r: np.ndarray) -> np.ndarray:
     """Vectorized log C(n, r_t); -inf outside [0, n].
 
-    Gathers two table entries per index; ``_log_binomial_row`` is the
-    gather-free form for a contiguous window of the row.  (The ``_np``
-    suffix is the name perfbench's span tracer wraps.)
+    (The ``_np`` suffix is the name perfbench's span tracer wraps.)
     """
     r = np.ascontiguousarray(r, dtype=np.int64)
     out = np.full(r.shape, NEG_INF, dtype=np.float64)
@@ -155,54 +180,9 @@ def log_binomial_array_np(delta: np.ndarray, n: int, r: np.ndarray) -> np.ndarra
         + mf * np.log1p(rf / mf)
         + 0.5 * np.log(nf / (2.0 * math.pi * rf * mf))
     )
-    dn = delta[n] if n <= delta.shape[0] - 1 else residual_series(n)
     out[inner] = (
-        main + dn - _residual_lookup(delta, ri) - _residual_lookup(delta, mi)
+        main + _residual(delta, n) - _residuals(delta, ri) - _residuals(delta, mi)
     )
-    return out
-
-
-def _residual_range(delta: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Stirling residuals of lo..hi: table entries up to the cap, the series
-    on float indices above it."""
-    cap = delta.shape[0] - 1
-    if hi <= cap:
-        return delta[lo:hi + 1]
-    tail = residual_series(np.arange(max(lo, cap + 1), hi + 1, dtype=np.float64))
-    return tail if lo > cap else np.concatenate([delta[lo:], tail])
-
-
-def _log_binomial_row(delta: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
-    """log C(n, i) for i = lo..hi, 0 <= lo <= hi <= n, bit-identical to
-    ``log_binomial_array_np`` on ``arange(lo, hi + 1)``.
-
-    The residuals of i and n - i are two contiguous table slices, the second
-    read backwards, and the same operations run in the same order, in place.
-    """
-    out = np.zeros(hi - lo + 1, dtype=np.float64)
-    first, last = max(lo, 1), min(hi, n - 1)   # 0 and n are log 1 = 0
-    if first > last:
-        return out
-    cap = delta.shape[0] - 1
-    rf = np.arange(first, last + 1, dtype=np.float64)
-    mf = np.subtract(float(n), rf)  # n - i, exact in float64
-    main = out[first - lo:last - lo + 1]
-    np.divide(mf, rf, out=main)
-    np.log1p(main, out=main)
-    main *= rf
-    tmp = rf / mf
-    np.log1p(tmp, out=tmp)
-    tmp *= mf
-    main += tmp
-    np.multiply(rf, 2.0 * math.pi, out=tmp)
-    tmp *= mf
-    np.divide(float(n), tmp, out=tmp)
-    np.log(tmp, out=tmp)
-    tmp *= 0.5
-    main += tmp
-    main += delta[n] if n <= cap else residual_series(n)
-    main -= _residual_range(delta, first, last)
-    main -= _residual_range(delta, n - last, n - first)[::-1]
     return out
 
 
@@ -261,18 +241,56 @@ def scan_log_ab(
     return log_a, log_i
 
 
+def _n_kl(N: int, p: float, i: int) -> float:
+    """N D(i/N || p) for one index, 0 < p < 1, 0 <= i <= N: the scalar form
+    the window bisection calls some 50 times per atom (``_n_kl_into`` is the
+    array form)."""
+    if i == 0:
+        return -N * math.log1p(-p)
+    if i == N:
+        return -N * math.log(p)
+    return i * math.log(i / (N * p)) + (N - i) * math.log((N - i) / (N * (1.0 - p)))
+
+
 def _atom_window(N: int, p: float) -> tuple[int, int]:
     """Indices [lo, hi] outside which an atom's binomial term is below
-    exp(-LOG_TERM_FLOOR) (bound in the module docstring)."""
+    exp(-LOG_TERM_FLOOR): the set N D(i/N || p) <= LOG_TERM_FLOOR, padded by 2
+    (module docstring)."""
     if p <= 0.0:
         return 0, 0
     if p >= 1.0:
         return N, N
-    # with s = sqrt(LOG_TERM_FLOOR N / 2), |i - Np| <= s implies
-    # |i - round(Np)| <= s + 1/2 < isqrt(LOG_TERM_FLOOR N / 2) + 3/2
-    h = math.isqrt(LOG_TERM_FLOOR * N // 2) + 1
-    c = round(N * p)
-    return max(0, c - h), min(N, c + h)
+
+    def edge(inside: int, outside: int) -> int:
+        # bisection on the convex N D: the last index inside toward ``outside``
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            if _n_kl(N, p, mid) <= LOG_TERM_FLOOR:
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    c = min(N, math.floor(N * p))   # inside: N D there is under 40 nats
+    return max(0, edge(c, -1) - 2), min(N, edge(c, N + 1) + 2)
+
+
+def _n_kl_into(out, N: int, p: float, i, r, w) -> None:
+    """out = N D(i/N || p) = i log1p(d / Np) + (N - i) log1p(-d / (N (1 - p)))
+    at the float indices 0 < i < N, with r = N - i and d = i - Np."""
+    # Np to about twice float64 precision: m + m_err, with m = fl(Np)
+    num, den = p.as_integer_ratio()
+    m = N * num / den
+    m_err = float(Fraction(N * num, den) - Fraction(m))
+    np.subtract(i, m, out=w)
+    w -= m_err
+    np.divide(w, m, out=out)
+    np.log1p(out, out=out)
+    out *= i
+    np.divide(w, (m - N) + m_err, out=w)
+    np.log1p(w, out=w)
+    w *= r
+    out += w
 
 
 def log_mean_law(
@@ -283,9 +301,10 @@ def log_mean_law(
     ``idx`` is the ascending union of the atoms' windows (``_atom_window``),
     merged into intervals; every index left out has q_i < exp(-LOG_TERM_FLOOR),
     an exact zero in float64.  Atoms at 0 and 1 are point masses at the ends.
-    On each interval, every atom whose window it holds adds
-    lw + log C(N, i) + i log p + (N - i) log(1 - p) by logaddexp, in input
-    order; the first term is copied in, as logaddexp(-inf, x) is exactly x.
+    On each interval, every atom whose window it holds adds lw plus its
+    binomial term (the saddle form, the closed form at 0 and N) over its own
+    window by logaddexp, in input order; the first term is written in
+    directly, the rest of the interval starting at -inf.
     """
     windows = [_atom_window(N, float(p)) for p in ps]
     intervals: list[list[int]] = []
@@ -294,26 +313,53 @@ def log_mean_law(
             intervals[-1][1] = max(intervals[-1][1], hi)
         else:
             intervals.append([lo, hi])
-    idx_parts, lq_parts = [], []
+    total = sum(hi - lo + 1 for lo, hi in intervals)
+    idx = np.arange(total, dtype=np.int64)
+    log_q = np.empty(total, dtype=np.float64)
+    # one allocation for the five work rows of every interval: numpy backs
+    # 4 MB and more with transparent huge pages, which fault in far fewer
+    # pages than five 1 MB buffers (half the time of a one-atom law at
+    # p = 1/2, N = 1e7: 3.9 against 7.8 ms)
+    work = np.empty((5, max(hi - lo + 1 for lo, hi in intervals)), dtype=np.float64)
+    start = 0
     for lo, hi in intervals:
-        log_choose = _log_binomial_row(delta, N, lo, hi)
-        i = np.arange(lo, hi + 1, dtype=np.float64)
-        buf = np.empty_like(i)
-        lq = None
-        for p, lw, (w_lo, _) in zip(ps, log_ws, windows):
-            if not lo <= w_lo <= hi:
-                continue
-            if p <= 0.0 or p >= 1.0:
-                term = np.full(i.shape, NEG_INF)
-                term[0 if p <= 0.0 else -1] = lw   # the index 0 or N
-            else:
-                term = np.add(log_choose, lw)
-                term += np.multiply(i, math.log(p), out=buf)
-                term += np.multiply(np.subtract(N, i, out=buf), math.log1p(-p), out=buf)
-            lq = term if lq is None else np.logaddexp(lq, term, out=lq)
-        idx_parts.append(np.arange(lo, hi + 1, dtype=np.int64))
-        lq_parts.append(lq)
-    return np.concatenate(idx_parts), np.concatenate(lq_parts)
+        n = hi - lo + 1
+        idx[start:start + n] += lo - start
+        lq = log_q[start:start + n]
+        i, r, row, w, v = work[:, :n]
+        i[:] = idx[start:start + n]
+        start += n
+        np.subtract(float(N), i, out=r)   # N - i, exact in float64
+        held = [(p, lw, w_lo, w_hi) for p, lw, (w_lo, w_hi)
+                in zip(ps.tolist(), log_ws.tolist(), windows) if lo <= w_lo <= hi]
+        lq.fill(NEG_INF)
+        # the saddle form divides by zero at i = 0 and N, which take closed forms
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the part every atom shares:
+            # delta(N) - delta(i) - delta(N - i) + 0.5 log(N / (2 pi i (N - i)))
+            np.multiply(i, r, out=row)
+            row *= 2.0 * math.pi
+            np.divide(float(N), row, out=row)
+            np.log(row, out=row)
+            row *= 0.5
+            row += _residual(delta, N)
+            row -= _residuals(delta, i, v, w)
+            row -= _residuals(delta, r, v, w)
+            for j, (p, lw, w_lo, w_hi) in enumerate(held):
+                s = slice(w_lo - lo, w_hi - lo + 1)   # the atom's own window
+                term = lq[s] if j == 0 else v[s]
+                if 0.0 < p < 1.0:
+                    _n_kl_into(term, N, p, i[s], r[s], w[s])
+                    np.subtract(row[s], term, out=term)
+                # the ends; the point masses at p = 0 and 1 are these alone
+                if w_lo == 0:
+                    term[0] = N * math.log1p(-p)
+                if w_hi == N:
+                    term[-1] = N * math.log(p)
+                term += lw
+                if j > 0:
+                    np.logaddexp(lq[s], term, out=lq[s])
+    return idx, log_q
 
 
 def pair_region_sums(

@@ -34,9 +34,7 @@ from .model import (
     _log_mean_law_array,
 )
 from .numerics import (
-    LogFactorialTable,
     RegionBounds,
-    default_table,
     iid_kernel,
     ratio_factors,
     region_bounds,
@@ -152,7 +150,6 @@ def ratio_scan(
     alpha: int,
     stride: int = 1,
     backend: str = "auto",
-    table: LogFactorialTable | None = None,
 ) -> RatioScan:
     """Per-index scan of the two kernels and their ratio over 0..N.
 
@@ -180,7 +177,7 @@ def ratio_scan(
     if backend == "exact":
         a, b, ratio, eps_mid, r = _scan_exact(N, k, alpha, idx, region)
     else:
-        a, b, ratio, eps_mid, r = _scan_log(N, k, alpha, idx, region, table)
+        a, b, ratio, eps_mid, r = _scan_log(N, k, alpha, idx, region)
     return RatioScan(
         N=N,
         k=k,
@@ -223,11 +220,8 @@ def _scan_exact(N, k, alpha, idx, region):
     return tuple(a_col), tuple(b_col), tuple(ratio_col), eps_mid, r
 
 
-def _scan_log(N, k, alpha, idx, region, table):
-    t = table or default_table()
-    if k > _kernels.PRODUCT_SCAN_MAX_K:   # only the table form of log a_i reads delta
-        t.ensure(N)
-    log_a, log_b = _kernels.scan_log_ab(t.delta, N, k, alpha, idx)
+def _scan_log(N, k, alpha, idx, region):
+    log_a, log_b = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)
     r = replacement_correction_float(N, k)
     log_r = math.log(r)
     a_zero = log_a == _kernels.NEG_INF
@@ -456,7 +450,6 @@ def verify_approximation(
     e: PrefixEvent,
     N: int | None = None,
     backend: str = "auto",
-    table: LogFactorialTable | None = None,
 ) -> VerificationReport:
     """Compute both sides of the approximation and a sound error budget.
 
@@ -494,7 +487,7 @@ def verify_approximation(
                 "exact backend requires rational input data (num/den strings)"
             )
         return _verify_exact(source, e, law_n, bounds)
-    return _verify_log(source, e, law_n, bounds, table)
+    return _verify_log(source, e, law_n, bounds)
 
 
 def _verify_exact(source, e, N, bounds) -> VerificationReport:
@@ -599,13 +592,11 @@ def _exact_fields(law, e, N, bounds):
     return parts, Fraction(below_num, rhs_den), Fraction(above_num, rhs_den)
 
 
-def _verify_log(source, e, N, bounds, table) -> VerificationReport:
+def _verify_log(source, e, N, bounds) -> VerificationReport:
     k, alpha = e.k, e.alpha
-    t = table or default_table()
-    t.ensure(N)
     # the law on its support: every index left out has q_i = 0 in float64
     if isinstance(source, MixingMeasure):
-        idx, log_q = _log_mean_law_array(source, N, t)
+        idx, log_q = _log_mean_law_array(source, N)
     else:
         # int / int rounds correctly, so it equals float() of the reduced Fraction
         form = source.integer_form()
@@ -613,7 +604,7 @@ def _verify_log(source, e, N, bounds, table) -> VerificationReport:
         weights = np.array([float(x) for x in values], dtype=np.float64)
         idx = np.flatnonzero(weights)
         log_q = np.log(weights[idx])
-    log_a, log_b = _kernels.scan_log_ab(t.delta, N, k, alpha, idx)
+    log_a, log_b = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)
     sums = _kernels.pair_region_sums(log_a, log_b, log_q, idx, bounds.M1, bounds.M2)
     lhs_lower, lhs_mid, lhs_upper, rhs_lower, rhs_mid, rhs_upper = map(float, sums)
     lhs = math.fsum((lhs_lower, lhs_mid, lhs_upper))

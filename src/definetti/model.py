@@ -17,12 +17,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .numerics import (
-    LogFactorialTable,
-    binomial,
-    conditional_prefix_prob,
-    default_table,
-)
+from .numerics import binomial, conditional_prefix_prob
 
 Value = Union[Fraction, int, float]
 
@@ -110,7 +105,7 @@ class MixingMeasure:
         for p, w in self.atoms:
             if not 0 <= p <= 1:
                 raise ValidationError(f"atom location {p} outside [0, 1]")
-            if w <= 0:
+            if not w > 0:   # also NaN; an infinite weight fails the sum check
                 raise ValidationError(f"atom weight {w} is not positive")
             if prev is not None and not p > prev:
                 raise ValidationError("atom locations must be strictly increasing")
@@ -183,8 +178,8 @@ class SampleMeanLaw:
                 f"expected {N + 1} weights for N={N}, got {len(weights)}"
             )
         for i, q in enumerate(weights):
-            if q < 0:
-                raise ValidationError(f"weight q_{i} = {q} is negative")
+            if not q >= 0:   # also NaN; an infinite weight fails the sum check
+                raise ValidationError(f"weight q_{i} = {q} is not a nonnegative number")
         total = sum(weights)
         if is_exact(weights):
             if total != 1:
@@ -265,6 +260,9 @@ class MomentVector:
     def __post_init__(self):
         if not self.c:
             raise ValidationError("moment vector must not be empty")
+        for j, v in enumerate(self.c):   # NaN would pass every comparison below
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValidationError(f"moment c_{j} = {v!r} is not finite")
         c0 = self.c[0]
         if is_exact([c0]):
             if c0 != 1:
@@ -340,9 +338,7 @@ def mixture_class_numerators(mu: MixingMeasure, N: int) -> tuple[list[int], int]
     return nums, den
 
 
-def sample_mean_law(
-    mu: MixingMeasure, N: int, table: LogFactorialTable | None = None
-) -> SampleMeanLaw:
+def sample_mean_law(mu: MixingMeasure, N: int) -> SampleMeanLaw:
     """Law of the sample mean of N coordinates under the mixture; exact for
     rational atoms, log-space double precision otherwise."""
     if N < 1:
@@ -355,26 +351,20 @@ def sample_mean_law(
             nums.append(choose * class_nums[i])
             choose = choose * (N - i) // (i + 1)
         return SampleMeanLaw.from_integer_ratios(nums, den, class_nums=class_nums)
-    idx, log_q = _log_mean_law_array(mu, N, table)
+    idx, log_q = _log_mean_law_array(mu, N)
     q = np.zeros(N + 1, dtype=np.float64)
     q[idx] = np.exp(log_q)
     return SampleMeanLaw(N=N, weights=tuple(q.tolist()))
 
 
-def _log_mean_law_array(
-    mu: MixingMeasure, N: int, table: LogFactorialTable | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _log_mean_law_array(mu: MixingMeasure, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(idx, log q_idx) of the float count law on its support (``_kernels``)."""
-    t = table or default_table()
-    t.ensure(N)
     ps = np.array([float(p) for p, _ in mu.atoms], dtype=np.float64)
     log_ws = np.log(np.array([float(w) for _, w in mu.atoms], dtype=np.float64))
-    return _kernels.log_mean_law(t.delta, N, ps, log_ws)
+    return _kernels.log_mean_law(_kernels.RESIDUALS, N, ps, log_ws)
 
 
-def prefix_prob_from_mean_law(
-    law: SampleMeanLaw, e: PrefixEvent, table: LogFactorialTable | None = None
-) -> Value:
+def prefix_prob_from_mean_law(law: SampleMeanLaw, e: PrefixEvent) -> Value:
     """P(prefix pattern) implied by a count law via the exchangeable
     conditional weights: sum_i P(prefix | count=i) q_i."""
     N, k, alpha = law.N, e.k, e.alpha
@@ -396,11 +386,9 @@ def prefix_prob_from_mean_law(
             for i, q in enumerate(law.weights)
             if q != 0
         )
-    t = table or default_table()
-    t.ensure(N)
     q = np.array([float(x) for x in law.weights], dtype=np.float64)
     idx = np.flatnonzero(q)
-    log_a, _ = _kernels.scan_log_ab(t.delta, N, k, alpha, idx)
+    log_a, _ = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)
     return math.fsum(np.exp(log_a) * q[idx])
 
 

@@ -1,12 +1,13 @@
-"""Exact combinatorial primitives and the log-factorial table.
+"""Exact combinatorial primitives.
 
 The quantities below are exact integers or ``fractions.Fraction`` (always
 reduced, positive denominator), the ground truth for every probability this
 package reports.  The log backend does not evaluate them index by index:
 ``_kernels.scan_log_ab`` computes the natural logs of the conditional weight
 and the iid kernel in float64 over a whole index set, with ``-inf`` as the
-exact-zero marker, and ``_kernels.log_mean_law`` reads the count law's
-``log C(N, i)`` from the ``LogFactorialTable`` kept here.
+exact-zero marker, and ``_kernels.log_mean_law`` evaluates the count law in
+Loader's saddle-point form, from a fixed 1025-entry Stirling-residual table
+and the Stirling series (no table grows with N).
 
 Core quantities, for a 0/1 prefix pattern of length k with alpha ones out of
 a sequence of length N:
@@ -25,17 +26,12 @@ a sequence of length N:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _kernels
-
-DEFAULT_TABLE_CAP = 10_000_000
-_MIN_TABLE_CAP = 1024
-
 
 class DomainError(ValueError):
     """Arguments outside the domain where a quantity is defined."""
@@ -86,48 +82,23 @@ class RatioFactors:
 # ---------------------------------------------------------------------------
 
 class LogFactorialTable:
-    """Cached log-factorials up to a cap, stored as Stirling residuals.
+    """The fixed Stirling-residual table ``_kernels.RESIDUALS`` (indices up to
+    ``cap`` = 1024); the kernels take the Stirling series above it.
 
-    The cache is grown lazily (powers of two) up to ``cap``; above the cap
-    the Stirling series takes over.  The environment variable
-    ``DEFINETTI_TABLE_CAP`` overrides the default cap of 1e7 entries.
-    The residual representation keeps every cached log(i!) good to ~1e-12
-    absolute, where a plain float64 prefix-sum table would already lose
-    ~2e-9 to the ulp of the stored value at i = 1e6.
-
-    Growth replaces the whole array atomically and existing entries never
-    change, so concurrent readers are safe; a racing ensure() at worst
-    duplicates work.
+    Kept only until ROADMAP item 1 drops the benchmark's calls to ``ensure``
+    and ``cap``; the package passes ``_kernels.RESIDUALS`` directly.
     """
 
-    def __init__(self, cap: int | None = None):
-        if cap is None:
-            cap = int(os.environ.get("DEFINETTI_TABLE_CAP", DEFAULT_TABLE_CAP))
-        self.cap = max(int(cap), _MIN_TABLE_CAP)
-        self._delta = _kernels.build_residual_table(_MIN_TABLE_CAP)
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self._delta
+    cap = _kernels.RESIDUAL_TABLE_MAX
+    delta = _kernels.RESIDUALS
 
     def ensure(self, n: int) -> np.ndarray:
-        """Grow the cache so indices up to min(n, cap) are table hits."""
-        want = min(int(n), self.cap)
-        have = self._delta.shape[0] - 1
-        if want > have:
-            target = min(self.cap, max(want, 2 * have))
-            self._delta = _kernels.extend_residual_table(self._delta, target)
-        return self._delta
-
-
-_default_table: LogFactorialTable | None = None
+        """Return the fixed table, whatever n: no table grows with N."""
+        return self.delta
 
 
 def default_table() -> LogFactorialTable:
-    global _default_table
-    if _default_table is None:
-        _default_table = LogFactorialTable()
-    return _default_table
+    return LogFactorialTable()
 
 
 # ---------------------------------------------------------------------------

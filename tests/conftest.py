@@ -44,19 +44,38 @@ def random_rational_measure(rng: random.Random, max_atoms: int = 4,
     return d.MixingMeasure(tuple((p, w / total) for p, w in zip(locs, raw)))
 
 
-def dense_log_mean_law(delta, N, ps, log_ws):
-    """Reference count law on every index 0..N: each atom's term over the
-    whole row (the gather-form log C(N, i)), combined by logaddexp in order."""
-    i = np.arange(N + 1, dtype=np.float64)
-    log_choose = _kernels.log_binomial_array_np(delta, N, np.arange(N + 1))
-    lq = np.full(N + 1, _kernels.NEG_INF)
-    for p, lw in zip(ps, log_ws):
-        term = np.full(N + 1, _kernels.NEG_INF)
-        if p <= 0.0:
-            term[0] = lw
-        elif p >= 1.0:
-            term[N] = lw
-        else:
-            term = log_choose + lw + i * math.log(p) + (N - i) * math.log1p(-p)
-        lq = np.logaddexp(lq, term)
-    return lq
+def dense_log_mean_law(N, ps, log_ws):
+    """Reference count law on every index 0..N at 40 digits (mpmath), rounded
+    once to float64: each atom's binomial terms run from its mode outward by
+    q_{i+1} / q_i = (N - i) p / ((i + 1) (1 - p)) until they fall below
+    1e-400, far under float64's smallest subnormal; the float atoms and log
+    weights are taken at their exact values."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        tiny = mpmath.mpf("1e-400")
+        q = [mpmath.mpf(0)] * (N + 1)
+        for p, lw in zip(np.asarray(ps).tolist(), np.asarray(log_ws).tolist()):
+            w = mpmath.exp(mpmath.mpf(lw))
+            if p <= 0.0 or p >= 1.0:
+                q[0 if p <= 0.0 else N] += w
+                continue
+            pm = mpmath.mpf(p)
+            odds = pm / (1 - pm)
+            mode = min(N, math.floor(N * p))
+            head = w * mpmath.exp(
+                mpmath.loggamma(N + 1) - mpmath.loggamma(mode + 1)
+                - mpmath.loggamma(N - mode + 1)
+                + mode * mpmath.log(pm) + (N - mode) * mpmath.log1p(-pm)
+            )
+            q[mode] += head
+            t, i = head, mode
+            while i < N and t >= tiny:
+                t = t * (N - i) * odds / (i + 1)
+                i += 1
+                q[i] += t
+            t, i = head, mode
+            while i > 0 and t >= tiny:
+                t = t * i / ((N - i + 1) * odds)
+                i -= 1
+                q[i] += t
+        return np.array([float(mpmath.log(x)) if x > 0 else _kernels.NEG_INF for x in q])

@@ -16,7 +16,6 @@ from definetti import _kernels, cli, harness, io
 from definetti.cli import main
 from definetti.numerics import (
     conditional_prefix_prob,
-    default_table,
     iid_kernel,
     region_bounds,
     replacement_correction,
@@ -128,6 +127,16 @@ def test_yn_law_exact_strings(fair_file, capsys):
     assert json.loads(out) == {"N": 2, "q": ["1/4", "1/2", "1/4"]}
 
 
+def test_yn_law_float_large_n_passes_its_own_sum_check(tmp_path, capsys):
+    # the float law wraps in SampleMeanLaw, which requires |sum q - 1| <= 1e-12;
+    # the law must not drift past that with N
+    mu = write_json(tmp_path, "mu.json", {"atoms": [{"p": 0.1, "w": 0.5}, {"p": 0.9, "w": 0.5}]})
+    code, out, err = run_cli(["yn-law", "--measure", mu, "-N", "100000"], capsys)
+    assert (code, err) == (0, "")
+    q = json.loads(out)["q"]
+    assert len(q) == 100001 and abs(math.fsum(q) - 1.0) <= 1e-13
+
+
 def test_verify_k1_zero_diff(fair_file, capsys):
     code, out, _ = run_cli(
         ["verify", "--measure", fair_file, "-N", "100", "--pattern", "1"], capsys
@@ -236,9 +245,7 @@ def _reference_scan_csv(N, k, alpha, stride, backend):
     idx = np.unique(np.concatenate([np.arange(0, N + 1, stride), forced]))
     fmt = io.format_value
     if backend == "log":
-        table = default_table()
-        table.ensure(N)
-        log_a, log_b = _kernels.scan_log_ab(table.delta, N, k, alpha, idx)
+        log_a, log_b = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)
         r, eps = replacement_correction_float(N, k), 0.0
         lines = ["i,log_a,log_b,ratio,region"]
     else:

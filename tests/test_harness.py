@@ -29,7 +29,6 @@ from definetti.model import (
     sample_mean_law,
 )
 from definetti.numerics import (
-    LogFactorialTable,
     conditional_prefix_prob,
     iid_kernel,
     region_bounds,
@@ -99,18 +98,6 @@ def test_scan_backend_agreement():
         assert (row_e.ratio is None) == (row_l.ratio is None)
         if row_e.ratio is not None:
             assert abs(row_l.ratio - float(row_e.ratio)) < 1e-8
-
-
-def test_scan_grows_table_only_for_the_table_form():
-    # up to PRODUCT_SCAN_MAX_K the log scan is a falling product and never
-    # reads the log-factorial table
-    t = LogFactorialTable()
-    size = len(t.delta)
-    ratio_scan(10**5, 5, 2, table=t)
-    assert len(t.delta) == size
-    assert _kernels.PRODUCT_SCAN_MAX_K < 25
-    ratio_scan(10**5, 25, 2, stride=101, table=t)
-    assert len(t.delta) > size
 
 
 def test_scan_rejects_bad_inputs():
@@ -396,12 +383,12 @@ def test_verify_log_eps_mid_closed_form_at_1e7():
     assert rep.eps_mid == 1 / (N - 1)
 
 
-def _dense_log_verify(log_q, N, e, table):
+def _dense_log_verify(log_q, N, e):
     """Log-verify sums over every index 0..N (the dense-row reference)."""
     k, alpha = e.k, e.alpha
     b = region_bounds(N)
     idx = np.arange(N + 1)
-    log_a, log_b = _kernels.scan_log_ab(table.delta, N, k, alpha, idx)
+    log_a, log_b = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)
     sums = _kernels.pair_region_sums(log_a, log_b, log_q, idx, b.M1, b.M2)
     fields = dict(zip(
         ("lhs_lower", "lhs_mid", "lhs_upper", "rhs_lower", "rhs_mid", "rhs_upper"),
@@ -448,12 +435,10 @@ def _assert_matches_dense(rep, want, N):
 def test_verify_log_on_support_matches_dense_row(atoms, N, pattern):
     mu = MixingMeasure(atoms)
     e = PrefixEvent(pattern)
-    table = LogFactorialTable()
-    table.ensure(N)
     ps = np.array([p for p, _ in atoms])
     lws = np.log(np.array([w for _, w in atoms]))
-    want = _dense_log_verify(dense_log_mean_law(table.delta, N, ps, lws), N, e, table)
-    rep = verify_approximation(mu, e, N=N, backend="log", table=table)
+    want = _dense_log_verify(dense_log_mean_law(N, ps, lws), N, e)
+    rep = verify_approximation(mu, e, N=N, backend="log")
     _assert_matches_dense(vars(rep), want, N)
 
 
@@ -469,12 +454,10 @@ def test_verify_log_float_law_with_zeros_matches_dense_row(pattern):
     q /= math.fsum(q)
     law = SampleMeanLaw(N=N, weights=tuple(q.tolist()))
     e = PrefixEvent(pattern)
-    table = LogFactorialTable()
-    table.ensure(N)
     with np.errstate(divide="ignore"):
-        want = _dense_log_verify(np.log(q), N, e, table)
+        want = _dense_log_verify(np.log(q), N, e)
     assert want["rhs_below_alpha"] > 0 or want["rhs_above_support"] > 0
-    rep = verify_approximation(law, e, backend="log", table=table)
+    rep = verify_approximation(law, e, backend="log")
     _assert_matches_dense(vars(rep), want, N)
 
 
@@ -488,11 +471,9 @@ def test_cli_log_backend_small_n_matches_dense_row(N, three_atom_mu, tmp_path, c
     assert main(["verify", "--measure", str(path), "-N", str(N), "--pattern", "1,0,1",
                  "--backend", "log"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    table = LogFactorialTable()
-    table.ensure(N)
     ps = np.array([float(p) for p, _ in three_atom_mu.atoms])
     lws = np.log(np.array([float(w) for _, w in three_atom_mu.atoms]))
-    want = _dense_log_verify(dense_log_mean_law(table.delta, N, ps, lws), N, e, table)
+    want = _dense_log_verify(dense_log_mean_law(N, ps, lws), N, e)
     _assert_matches_dense(rep, want, N)
 
 

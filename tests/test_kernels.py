@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,28 +7,19 @@ import pytest
 from definetti import _kernels as K
 from definetti.model import MixingMeasure, PrefixEvent, SampleMeanLaw
 from definetti.model import prefix_prob_from_mean_law, sample_mean_law
-from definetti.numerics import LogFactorialTable
+from definetti.numerics import LogFactorialTable, default_table
 
 from conftest import dense_log_mean_law
 
 
-def test_table_cap_env_override():
-    code = (
-        "from definetti.numerics import default_table; "
-        "print(default_table().cap)"
-    )
-    env = dict(os.environ, DEFINETTI_TABLE_CAP="55555")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == "55555"
-
-
-def test_residual_table_extension_matches_rebuild():
-    base = K.build_residual_table(500)
-    grown = K.extend_residual_table(K.build_residual_table(100), 500)
-    assert np.allclose(base, grown, rtol=0, atol=1e-15)
-    assert np.array_equal(base[:101], K.build_residual_table(100))
+def test_table_is_fixed():
+    # the benchmark-facing table object hands out the fixed 1025-entry
+    # table whatever N it is asked for
+    table = default_table()
+    assert table.cap == LogFactorialTable().cap == K.RESIDUAL_TABLE_MAX == 1024
+    assert table.ensure(10**7) is K.RESIDUALS
+    assert K.RESIDUALS.shape == (1025,) and not K.RESIDUALS.flags.writeable
+    assert np.array_equal(K.RESIDUALS, K.build_residual_table(1024))
 
 
 def test_residual_series_agrees_with_table():
@@ -41,10 +29,9 @@ def test_residual_series_agrees_with_table():
 
 
 def test_log_binomial_row_vs_exact():
-    delta = K.build_residual_table(2048)
     worst = 0.0
     for n in (2, 17, 300, 1999):
-        row = K._log_binomial_row(delta, n, 0, n)
+        row = K.log_binomial_array_np(K.RESIDUALS, n, np.arange(n + 1))
         for r in range(n + 1):
             worst = max(worst, abs(math.expm1(row[r] - math.log(math.comb(n, r)))))
     assert worst < 1e-12
@@ -75,12 +62,10 @@ def _edge_and_random_indices(N, seed):
 
 
 def _check_scan(N, ks, tol):
-    table = LogFactorialTable()
-    table.ensure(N)
     idx = _edge_and_random_indices(N, seed=N)
     for k in ks:
         for alpha in range(k + 1):
-            log_a, log_b = K.scan_log_ab(table.delta, N, k, alpha, idx)
+            log_a, log_b = K.scan_log_ab(K.RESIDUALS, N, k, alpha, idx)
             for got_a, got_b, i in zip(log_a, log_b, idx.tolist()):
                 for got, want in (
                     (got_a, _exact_log_a(N, k, alpha, i)),
@@ -106,7 +91,7 @@ def test_scan_product_form_matches_exact_logs(N):
 
 @pytest.mark.parametrize("N", [10**3, 10**4])
 def test_scan_table_form_matches_exact_logs(N):
-    # patterns longer than the crossover use the log-binomial table
+    # patterns longer than the crossover use the log-binomial form
     _check_scan(N, (K.PRODUCT_SCAN_MAX_K + 1, K.PRODUCT_SCAN_MAX_K + 3), lambda k: 1e-10)
 
 
@@ -116,14 +101,13 @@ def _mpmath_log_binomial(mpmath, n, r):
 
 @pytest.mark.parametrize("N, cap", [
     *(pytest.param(N, None, id=str(N)) for N in (2, 17, 300, 2000, 10**6)),
-    # a table capped at 2048 leaves most of the row to the Stirling series
+    # a table passed with 2049 entries: the series past index 2048
     *(pytest.param(N, 2048, id=f"{N}-cap2048") for N in (10_000, 99_991)),
 ])
 def test_log_binomial_row_matches_mpmath(N, cap):
     mpmath = pytest.importorskip("mpmath")
-    table = LogFactorialTable(cap=cap)
-    table.ensure(N)
-    row = K._log_binomial_row(table.delta, N, 0, N)
+    delta = K.RESIDUALS if cap is None else K.build_residual_table(cap)
+    row = K.log_binomial_array_np(delta, N, np.arange(N + 1))
     assert row.shape == (N + 1,)
     step = max(1, N // 5000)
     with mpmath.workdps(30):
@@ -135,66 +119,70 @@ def test_log_binomial_row_matches_mpmath(N, cap):
             assert abs(row[r] - want) <= tol, (N, r)
 
 
+def _exact_log_binomial_row(n):
+    """log C(n, r) for r = 0..n from the exact integers (multiplicative
+    recurrence)."""
+    out, c = [], 1
+    for r in range(n + 1):
+        out.append(math.log(c))
+        c = c * (n - r) // (r + 1)
+    return np.array(out)
+
+
 def test_log_binomial_row_above_table_cap():
-    # indices past the cap take the Stirling series, as in the gather form
-    delta = K.build_residual_table(1024)
+    # indices past the fixed table take the Stirling series; against the
+    # exact integers, relative to log C as in the rows above
     N = 5000
-    row = K._log_binomial_row(delta, N, 0, N)
-    gathered = K.log_binomial_array_np(delta, N, np.arange(N + 1))
-    assert np.array_equal(row, gathered)
+    row = K.log_binomial_array_np(K.RESIDUALS, N, np.arange(N + 1))
+    want = _exact_log_binomial_row(N)
+    assert np.all(np.abs(row - want) <= 1e-12 * np.maximum(1.0, want))
 
 
 @pytest.mark.parametrize("cap", [None, 1024, 3000])
 def test_log_binomial_row_window_is_a_bitwise_slice(cap):
-    # cap None: every residual from the table; 1024: every index past the
-    # cap takes the series; 3000: windows straddle the cap
+    # the gathered form is elementwise: a window of the row is the full
+    # row's slice bit for bit.  cap None: every residual from a table of N
+    # entries; 1024: every index past 1024 takes the series; 3000: windows
+    # straddle the table's end
     N = 5000
     delta = K.build_residual_table(cap or N)
-    full = K._log_binomial_row(delta, N, 0, N)
-    assert np.array_equal(full, K.log_binomial_array_np(delta, N, np.arange(N + 1)))
+    full = K.log_binomial_array_np(delta, N, np.arange(N + 1))
     for lo, hi in ((0, 0), (N, N), (0, 1), (N - 1, N), (0, 17), (N - 17, N),
                    (1, N - 1), (999, 1100), (2990, 3010), (1980, 2030), (4000, 4999)):
-        got = K._log_binomial_row(delta, N, lo, hi)
+        got = K.log_binomial_array_np(delta, N, np.arange(lo, hi + 1))
         assert got.shape == (hi - lo + 1,)
         assert np.array_equal(got, full[lo:hi + 1]), (lo, hi)
-        gathered = K.log_binomial_array_np(delta, N, np.arange(lo, hi + 1))
-        assert np.array_equal(got, gathered), (lo, hi)
+    assert np.allclose(full, _exact_log_binomial_row(N), rtol=1e-12, atol=1e-12)
 
 
 def test_mean_law_windows_at_1e5():
     # atoms at 0.1 and 0.9 have disjoint windows; everything between them
     # and past them is left out.  Np = 50000.45 and 69999.55 put the two
-    # other windows' upper and lower edges at the Pinsker bound.
+    # other windows' edges off the integers.
     mpmath = pytest.importorskip("mpmath")
     N = 10**5
-    table = LogFactorialTable()
-    table.ensure(N)
     ps = np.array([0.1, 0.5000045, 0.6999955, 0.9])
     lws = np.log(np.array([0.1, 0.2, 0.3, 0.4]))
-    idx, lq = K.log_mean_law(table.delta, N, ps, lws)
+    idx, lq = K.log_mean_law(K.RESIDUALS, N, ps, lws)
     assert np.all(np.diff(idx) > 0) and idx.shape == lq.shape
     gaps = np.flatnonzero(np.diff(idx) > 1)
     assert gaps.size == 3 and idx[0] > 0 and idx[-1] < N
-    # the windows hold every index the Pinsker bound leaves above
-    # exp(-LOG_TERM_FLOOR): 2 (i - Np)^2 / N <= LOG_TERM_FLOOR
+    # each window is the method-of-types set N D(i/N || p) <= LOG_TERM_FLOOR
+    # padded by 2: by convexity it suffices that the set's edges, at 40
+    # digits with the float atom's exact value, are 2 inside the window
     kept = set(idx.tolist())
-    for p in ps.tolist():
-        num, den = p.as_integer_ratio()
-        near = [i for i in range(N + 1)
-                if 2 * (i * den - num * N) ** 2 <= K.LOG_TERM_FLOOR * N * den**2]
-        assert set(near) <= kept, p
-    # against the binomial mixture at 40 digits, with the float atoms' exact
-    # values; the tolerance is relative to the largest summand, log C(N, i),
-    # as for the row itself (the log law carries the row's rounding)
     with mpmath.workdps(40):
-        logs = [(mpmath.log(mpmath.mpf(p)), mpmath.log1p(-mpmath.mpf(p)), mpmath.mpf(lw))
-                for p, lw in zip(ps.tolist(), lws.tolist())]
-        for i, got in zip(idx[::7].tolist(), lq[::7].tolist()):
-            log_c = mpmath.loggamma(N + 1) - mpmath.loggamma(i + 1) - mpmath.loggamma(N - i + 1)
-            want = log_c + mpmath.log(
-                sum(mpmath.exp(lw + i * a + (N - i) * b) for a, b, lw in logs)
-            )
-            assert abs(got - float(want)) <= 1e-12 * max(1.0, float(log_c)), i
+        for p in ps.tolist():
+            pm = mpmath.mpf(p)
+
+            def n_kl(i):
+                return (i * mpmath.log(i / (N * pm))
+                        + (N - i) * mpmath.log((N - i) / (N * (1 - pm))))
+
+            lo, hi = K._atom_window(N, p)
+            assert set(range(lo, hi + 1)) <= kept, p
+            assert n_kl(lo + 2) <= K.LOG_TERM_FLOOR < n_kl(lo + 1), p
+            assert n_kl(hi - 2) <= K.LOG_TERM_FLOOR < n_kl(hi - 1), p
     # every index left out has every atom term below -LOG_TERM_FLOOR, with
     # log C(N, i) the log of the exact integer (multiplicative recurrence
     # over half the row, mirrored)
@@ -207,46 +195,100 @@ def test_mean_law_windows_at_1e5():
     assert left_out.size + idx.size == N + 1
     for i in left_out.tolist():
         for p, lw in zip(ps.tolist(), lws.tolist()):
-            term = log_choose[i] + i * math.log(p) + (N - i) * math.log1p(-p) + lw
-            assert term < -K.LOG_TERM_FLOOR, (i, p)
-    # where q_i is representable, the windowed law is the dense row's value
-    dense = dense_log_mean_law(table.delta, N, ps, lws)
-    normal = lq > -745.0
-    assert np.array_equal(lq[normal], dense[idx[normal]])
+            term = log_choose[i] + i * math.log(p) + (N - i) * math.log1p(-p)
+            assert term + lw < -K.LOG_TERM_FLOOR, (i, p)
+    # against the binomial mixture at 40 digits wherever q_i is normal: the
+    # saddle form keeps an absolute error far under the 1e-12 * log C(N, i)
+    # (up to 6e-8 here) that log C + i log p + (N - i) log(1 - p) allowed
+    dense = dense_log_mean_law(N, ps, lws)
+    normal = lq > -708.0
+    assert np.max(np.abs(lq[normal] - dense[idx[normal]])) <= 5e-12
+
+
+def test_mean_law_saddle_form_at_1e7():
+    # 50 digits against the float atom's exact value, on 401 indices of the
+    # window and its first and last 5 with log q_i >= -700
+    mpmath = pytest.importorskip("mpmath")
+    N = 10**7
+    with mpmath.workdps(50):
+        log_n_fact = mpmath.loggamma(N + 1)
+        for p in (0.05, 0.1, 0.37, 0.5, 0.93):
+            idx, lq = K.log_mean_law(K.RESIDUALS, N, np.array([p]), np.zeros(1))
+            sel = np.flatnonzero(lq >= -700.0)
+            pick = np.unique(np.concatenate([
+                sel[np.linspace(0, sel.size - 1, 401).astype(np.int64)], sel[:5], sel[-5:],
+            ]))
+            log_p, log_1mp = mpmath.log(mpmath.mpf(p)), mpmath.log1p(-mpmath.mpf(p))
+            worst = 0.0
+            for i, got in zip(idx[pick].tolist(), lq[pick].tolist()):
+                want = (log_n_fact - mpmath.loggamma(i + 1) - mpmath.loggamma(N - i + 1)
+                        + i * log_p + (N - i) * log_1mp)
+                worst = max(worst, abs(got - float(want)))
+            assert worst <= 5e-11, (p, worst)
+
+
+@pytest.mark.parametrize("N", [10**5, 10**6, 10**7])
+def test_mean_law_sums_to_one(N):
+    for atoms in (((0.1, 0.5), (0.9, 0.5)), ((0.2, 0.3), (0.5, 0.4), (0.9, 0.3))):
+        ps = np.array([p for p, _ in atoms])
+        lws = np.log(np.array([w for _, w in atoms]))
+        _, lq = K.log_mean_law(K.RESIDUALS, N, ps, lws)
+        assert abs(math.fsum(np.exp(lq).tolist()) - 1.0) <= 1e-13, atoms
+
+
+@pytest.mark.parametrize("p", [0.001, 0.999])
+def test_mean_law_window_reaching_an_end_matches_exact(p):
+    # Np = 30 and 29970: the window runs into index 0 or N, which take the
+    # closed forms N log(1 - p) and N log p
+    N = 30_000
+    idx, lq = K.log_mean_law(K.RESIDUALS, N, np.array([p]), np.zeros(1))
+    assert (idx[0] == 0) if p < 0.5 else (idx[-1] == N)
+    assert np.all(np.isfinite(lq))
+    num, den = p.as_integer_ratio()   # the float atom's exact value, den = 2^e
+    e = den.bit_length() - 1
+    # q_i = C(N, i) num^i (den - num)^(N - i) / 2^(e N) along the window, the
+    # numerator exact, its log from the top 60 bits and an exact power of 2
+    i0 = int(idx[0])
+    t = math.comb(N, i0) * num**i0 * (den - num) ** (N - i0)
+    for i, got in zip(idx.tolist(), lq.tolist()):
+        shift = t.bit_length() - 60
+        want = math.log(t >> shift) + (shift - e * N) * math.log(2)
+        assert abs(got - want) <= 1e-12, i
+        t = t * (N - i) * num // ((i + 1) * (den - num))
 
 
 def test_float_count_law_callers_match_dense_row():
     # sample_mean_law scatters the support into zeros, and the float
     # prefix probability sums over nonzero weights only: both equal the
-    # dense-row results bit for bit
-    table = LogFactorialTable()
+    # results over the scattered law bit for bit, and the law is the
+    # 40-digit mixture to float accuracy
     N = 20_000
-    table.ensure(N)
     atoms = ((0.0, 0.1), (0.004, 0.2), (0.5, 0.3), (0.93, 0.2), (1.0, 0.2))
     mu = MixingMeasure(atoms)
     ps = np.array([p for p, _ in atoms])
     lws = np.log(np.array([w for _, w in atoms]))
-    dense = np.exp(dense_log_mean_law(table.delta, N, ps, lws))
-    law = sample_mean_law(mu, N, table)
-    assert law.weights == tuple(dense.tolist())
-    idx = np.arange(N + 1)
+    idx, lq = K.log_mean_law(K.RESIDUALS, N, ps, lws)
+    scattered = np.zeros(N + 1)
+    scattered[idx] = np.exp(lq)
+    law = sample_mean_law(mu, N)
+    assert law.weights == tuple(scattered.tolist())
+    dense = np.exp(dense_log_mean_law(N, ps, lws))
+    assert np.allclose(scattered, dense, rtol=1e-11, atol=0)
+    all_idx = np.arange(N + 1)
     for pattern in ((1,), (0, 0), (1, 0, 1), (0, 0, 1, 1)):
         e = PrefixEvent(pattern)
-        log_a, _ = K.scan_log_ab(table.delta, N, e.k, e.alpha, idx)
-        want = math.fsum(np.exp(log_a) * dense)
-        assert prefix_prob_from_mean_law(law, e, table) == want
+        log_a, _ = K.scan_log_ab(K.RESIDUALS, N, e.k, e.alpha, all_idx)
+        assert prefix_prob_from_mean_law(law, e) == math.fsum(np.exp(log_a) * scattered)
     sparse = SampleMeanLaw(N=4, weights=(0.25, 0.0, 0.5, 0.0, 0.25))
-    assert prefix_prob_from_mean_law(sparse, PrefixEvent((0,)), table) == 0.5
+    assert prefix_prob_from_mean_law(sparse, PrefixEvent((0,))) == 0.5
 
 
 def test_mean_law_matches_exact_binomial_mixture():
-    table = LogFactorialTable()
     N = 300
-    table.ensure(N)
     atoms = ((0.0, 0.1), (0.2, 0.2), (0.5, 0.3), (0.9, 0.2), (1.0, 0.2))
     ps = np.array([p for p, _ in atoms])
     lws = np.log(np.array([w for _, w in atoms]))
-    idx, lq = K.log_mean_law(table.delta, N, ps, lws)
+    idx, lq = K.log_mean_law(K.RESIDUALS, N, ps, lws)
     # every atom's concentration window covers 0..N at this size
     assert np.array_equal(idx, np.arange(N + 1))
     exact = [
@@ -283,11 +325,9 @@ def test_region_sums_match_fsum_within_pairwise_bound():
 
 
 def test_max_ratio_dev_reads_only_the_mask():
-    table = LogFactorialTable()
     N = 4000
-    table.ensure(N)
     idx = np.arange(N + 1, dtype=np.int64)
-    log_a, log_b = K.scan_log_ab(table.delta, N, 4, 2, idx)
+    log_a, log_b = K.scan_log_ab(K.RESIDUALS, N, 4, 2, idx)
     mask = (idx > 15) & (idx <= N - 70)
     want = np.abs(np.expm1(log_a[mask] - log_b[mask])).max()
     assert K.max_ratio_dev(log_a, log_b, mask) == want
@@ -297,11 +337,9 @@ def test_max_ratio_dev_reads_only_the_mask():
 
 def test_array_log_binomial_matches_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    table = LogFactorialTable()
     n = 10**6
-    table.ensure(n)
     r = np.array([-1, 0, 1, 17, 10**5, 5 * 10**5, n - 1, n, n + 1], dtype=np.int64)
-    arr = K.log_binomial_array_np(table.delta, n, r)
+    arr = K.log_binomial_array_np(K.RESIDUALS, n, r)
     with mpmath.workdps(30):
         for rv, got in zip(r.tolist(), arr.tolist()):
             if not 0 <= rv <= n:

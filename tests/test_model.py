@@ -104,6 +104,30 @@ def test_moment_vector_validation():
     MomentVector((F(1), F(1, 2), F(0), F(0)))        # necessary condition ok
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("c", [(1.0, NAN, NAN), (NAN, 0.5), (1.0, 0.5, INF), (1.0, 0.5, -INF)])
+def test_moment_vector_rejects_non_finite(c):
+    # NaN fails every comparison, so a comparison-only check let (1, nan, nan)
+    # through to a completely monotone verdict
+    with pytest.raises(ValidationError, match="not finite"):
+        MomentVector(c)
+
+
+@pytest.mark.parametrize("atoms", [((0.5, NAN),), ((0.2, 0.5), (0.7, NAN)),
+                                   ((NAN, 1.0),), ((0.5, INF),)])
+def test_measure_rejects_non_finite(atoms):
+    with pytest.raises(ValidationError):
+        MixingMeasure(atoms)
+
+
+@pytest.mark.parametrize("weights", [(NAN, NAN), (0.5, NAN), (INF, 0.0), (1.0, -INF)])
+def test_count_law_rejects_non_finite(weights):
+    with pytest.raises(ValidationError):
+        SampleMeanLaw(N=1, weights=weights)
+
+
 # ---------------------------------------------------------------------------
 # mixture prefix probabilities
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 from definetti import _kernels as K
 from definetti import numerics as nx
 from definetti.numerics import (
-    LogFactorialTable,
     binomial,
     conditional_prefix_prob,
     iid_kernel,
@@ -56,24 +55,22 @@ def test_binomial_small_and_out_of_range():
 # log binomial
 # ---------------------------------------------------------------------------
 
-def _log_binomial(table, n, r):
-    return float(K.log_binomial_array_np(table.delta, n, np.array([r]))[0])
+def _log_binomial(n, r):
+    return float(K.log_binomial_array_np(K.RESIDUALS, n, np.array([r]))[0])
 
 
 def test_log_binomial_small_cross_check():
-    table = LogFactorialTable()
-    assert abs(_log_binomial(table, 5, 2) - math.log(10)) < 1e-12
-    assert _log_binomial(table, 3, 4) == K.NEG_INF
-    assert _log_binomial(table, 7, -1) == K.NEG_INF
-    assert _log_binomial(table, 9, 0) == 0.0
-    assert _log_binomial(table, 9, 9) == 0.0
+    assert abs(_log_binomial(5, 2) - math.log(10)) < 1e-12
+    assert _log_binomial(3, 4) == K.NEG_INF
+    assert _log_binomial(7, -1) == K.NEG_INF
+    assert _log_binomial(9, 0) == 0.0
+    assert _log_binomial(9, 9) == 0.0
 
 
 def test_log_binomial_exact_cross_check_moderate():
-    table = LogFactorialTable()
     worst = 0.0
     for n in range(1, 400):
-        got = K.log_binomial_array_np(table.delta, n, np.arange(1, n))
+        got = K.log_binomial_array_np(K.RESIDUALS, n, np.arange(1, n))
         for r, g in zip(range(1, n), got.tolist()):
             worst = max(worst, abs(g - math.log(math.comb(n, r))))
     assert worst < 1e-12
@@ -82,25 +79,14 @@ def test_log_binomial_exact_cross_check_moderate():
 def test_log_binomial_large_against_independent_stirling():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
-    table = LogFactorialTable()
-    table.ensure(10**6)
 
     def reference(n, r):
         return mpmath.loggamma(n + 1) - mpmath.loggamma(r + 1) - mpmath.loggamma(n - r + 1)
 
     for n, r in [(10**6, 5 * 10**5), (10**6, 17), (10**6, 999_983), (123_457, 3571)]:
-        got = _log_binomial(table, n, r)
+        got = _log_binomial(n, r)
         rel = abs(float(mpmath.expm1(got - reference(n, r))))
         assert rel < 1e-9, (n, r, rel)
-
-
-def test_table_grows_lazily_and_respects_cap():
-    t = LogFactorialTable(cap=4096)
-    assert t.delta.shape[0] - 1 == 1024   # construction floor
-    t.ensure(3000)
-    assert t.delta.shape[0] - 1 >= 3000
-    t.ensure(10**6)
-    assert t.delta.shape[0] - 1 == 4096   # never beyond the cap
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +318,6 @@ def test_region_bounds_integer_exact_everywhere():
 @pytest.mark.parametrize("N", [8, 199, 512, 2000])
 def test_backend_agreement(N):
     # the exact backend's Fractions against the log backend's scan kernel
-    table = LogFactorialTable()
-    table.ensure(N)
     idx = np.arange(0, N + 1, max(1, N // 97))
     for k in (1, 2, 5, 6):
         if k > N:
@@ -341,7 +325,7 @@ def test_backend_agreement(N):
         r_exact = replacement_correction(N, k)
         assert abs(replacement_correction_float(N, k) / float(r_exact) - 1) < 1e-8
         for alpha in range(k + 1):
-            log_a, log_b = K.scan_log_ab(table.delta, N, k, alpha, idx)
+            log_a, log_b = K.scan_log_ab(K.RESIDUALS, N, k, alpha, idx)
             for i, la, lb in zip(idx.tolist(), log_a.tolist(), log_b.tolist()):
                 for exact, got in (
                     (conditional_prefix_prob(N, k, alpha, i), la),
