@@ -208,7 +208,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise io.InputFormatError("--pattern is required")
     if cfg.law_path:
         source = io.load_law(cfg.law_path)
-        rep = harness.verify_approximation(source, cfg.pattern, backend=cfg.backend)
+        rep = harness.verify_approximation(
+            source, cfg.pattern, N=cfg.N, backend=cfg.backend
+        )
     elif cfg.measure_path:
         if cfg.N is None:
             raise io.InputFormatError("-N is required with --measure")

@@ -538,20 +538,6 @@ def _verify_exact(source, e, N, bounds) -> VerificationReport:
     )
 
 
-def _integer_weights(law: SampleMeanLaw) -> tuple[Sequence[int], int]:
-    """The law as integer numerators over one common denominator.
-
-    Laws built from a measure carry this form; for any other exact law the
-    denominator is the lcm of the weights' denominators.
-    """
-    form = law.integer_form()
-    if form is not None:
-        return form
-    q = [Fraction(x) for x in law.weights]
-    den = math.lcm(*(x.denominator for x in q))
-    return [x.numerator * (den // x.denominator) for x in q], den
-
-
 def _exact_fields(law, e, N, bounds):
     """Exact region sums of both sides, accumulated as integers.
 
@@ -564,7 +550,7 @@ def _exact_fields(law, e, N, bounds):
     with no bignum binomials and no per-term gcd.
     """
     k, alpha = e.k, e.alpha
-    nums, den = _integer_weights(law)
+    nums, den = law.integer_form()
     m1, m2 = bounds.M1, bounds.M2
     hi = N - k + alpha  # conditional prefix probability vanishes above
 
@@ -601,7 +587,7 @@ def _verify_log(source, e, N, bounds) -> VerificationReport:
         # int / int rounds correctly, so it equals float() of the reduced Fraction
         form = source.integer_form()
         values = [n / form[1] for n in form[0]] if form else source.weights
-        weights = np.array([float(x) for x in values], dtype=np.float64)
+        weights = np.array(values, dtype=np.float64)
         idx = np.flatnonzero(weights)
         log_q = np.log(weights[idx])
     log_a, log_b = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)

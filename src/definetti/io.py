@@ -22,6 +22,7 @@ from .model import (
     MomentVector,
     SampleMeanLaw,
     Value,
+    integer_ratios,
 )
 
 
@@ -136,8 +137,9 @@ def _law_entry(x: Any) -> tuple[int, int] | float:
 
 
 def load_law(path: str) -> SampleMeanLaw:
-    """A count law; all-exact weights become integer numerators over the lcm
-    of their denominators, so validation sums integers."""
+    """A count law.  All-exact weights become integer numerators over the
+    lcm of their denominators, so validation sums integers; any float among
+    them makes a float law."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or "q" not in doc or not isinstance(doc["q"], list):
         raise InputFormatError(f"{path}: expected an object with a 'q' list")
@@ -147,8 +149,7 @@ def load_law(path: str) -> SampleMeanLaw:
     if any(isinstance(v, float) for v in q):
         weights = (v if isinstance(v, float) else Fraction(*v) for v in q)
         return SampleMeanLaw(N=len(q) - 1, weights=tuple(weights))
-    den = math.lcm(*{d for _, d in q})
-    return SampleMeanLaw.from_integer_ratios([n * (den // d) for n, d in q], den)
+    return SampleMeanLaw.from_integer_ratios(*integer_ratios(q))
 
 
 def measure_to_doc(mu: MixingMeasure, level: int | None = None) -> dict:

@@ -3,7 +3,9 @@
 All types are immutable and every operation is a pure function, so any of
 them can be shared across threads.  Arithmetic follows the inputs: rational
 atoms/weights (Fraction or int) run exactly end to end, floats run in
-double precision with compensated summation where cancellation bites.
+double precision with compensated summation where cancellation bites.  An
+exact count law is always integer numerators over one denominator, a float
+one float64 weights (``SampleMeanLaw``).
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from . import _kernels
-from .numerics import binomial, conditional_prefix_prob
+from .numerics import binomial
 
 Value = Union[Fraction, int, float]
 
@@ -51,8 +53,12 @@ def is_exact(values: Sequence[Value]) -> bool:
     return all(isinstance(v, (Fraction, int)) and not isinstance(v, bool) for v in values)
 
 
-def _as_exact(v: Value) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+def integer_ratios(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Fractions n/d, given as unreduced (n, d) pairs with d > 0, as integer
+    numerators over one denominator: the lcm of the d."""
+    pairs = list(pairs)
+    den = math.lcm(*{d for _, d in pairs})
+    return [n * (den // d) for n, d in pairs], den
 
 
 # ---------------------------------------------------------------------------
@@ -138,69 +144,51 @@ class MixingMeasure:
 class SampleMeanLaw:
     """Distribution of the sample mean over {0, 1/N, ..., 1} as weights q_0..q_N.
 
-    Exact laws built by this package carry their weights internally as
-    integer numerators over one common denominator; the public ``weights``
-    tuple of Fractions materializes lazily.  This keeps N ~ 1e4 exact
-    pipelines free of per-entry gcd reductions, which would otherwise
-    dominate the runtime.  ``class_numerators`` additionally holds the
-    per-count-class word weight (q_i / C(N, i)) when the law came from a
-    mixture, which is what the verifier's left-hand sums want.
+    A law is held in one of two forms.  An exact law keeps integer
+    numerators over one common denominator (``integer_form``): exact
+    weights given to the constructor are converted once, over the lcm of
+    their denominators, and the public ``weights`` tuple of Fractions
+    materializes lazily.  This keeps N ~ 1e4 exact pipelines free of
+    per-entry gcd reductions, which would otherwise dominate the runtime.
+    A float law keeps float64 weights; any float among the weights makes
+    the law a float law.
     """
 
-    __slots__ = (
-        "N",
-        "cancellation_flagged",
-        "_weights",
-        "_nums",
-        "_den",
-        "_class_nums",
-    )
+    __slots__ = ("N", "cancellation_flagged", "_weights", "_nums", "_den")
 
     def __init__(
         self,
         N: int,
-        weights: Sequence[Value] | None = None,
+        weights: Sequence[Value],
         cancellation_flagged: bool = False,
     ):
         if N < 1:
             raise ValidationError("N must be positive")
-        self.N = N
-        self.cancellation_flagged = cancellation_flagged
-        self._nums = None
-        self._den = None
-        self._class_nums = None
-        if weights is None:
-            self._weights = None
-            return
         weights = tuple(weights)
         if len(weights) != N + 1:
             raise ValidationError(
                 f"expected {N + 1} weights for N={N}, got {len(weights)}"
             )
+        self.N = N
+        self.cancellation_flagged = cancellation_flagged
+        if is_exact(weights):
+            pairs = ((q.numerator, q.denominator) for q in weights)
+            self._set_integer_form(*integer_ratios(pairs))
+            return
         for i, q in enumerate(weights):
             if not q >= 0:   # also NaN; an infinite weight fails the sum check
                 raise ValidationError(f"weight q_{i} = {q} is not a nonnegative number")
+        weights = tuple(map(float, weights))
         total = sum(weights)
-        if is_exact(weights):
-            if total != 1:
-                raise ValidationError(f"weights sum to {total}, expected 1")
-        elif abs(total - 1) > FLOAT_SUM_TOL:
+        if abs(total - 1) > FLOAT_SUM_TOL:
             raise ValidationError(f"weights sum to {total!r}, expected 1 within 1e-12")
         self._weights = weights
+        self._nums = self._den = None
 
-    @classmethod
-    def from_integer_ratios(
-        cls,
-        nums: Sequence[int],
-        den: int,
-        class_nums: Sequence[int] | None = None,
-        cancellation_flagged: bool = False,
-    ) -> "SampleMeanLaw":
-        """Exact law q_i = nums[i] / den, validated without any reduction."""
+    def _set_integer_form(self, nums: Sequence[int], den: int) -> None:
+        """Validate q_i = nums[i] / den and keep it, without any reduction."""
         if den <= 0:
             raise ValidationError("denominator must be positive")
-        if len(nums) < 2:
-            raise ValidationError("count law needs at least two entries (N >= 1)")
         for i, v in enumerate(nums):
             if v < 0:
                 raise ValidationError(f"weight q_{i} = {Fraction(v, den)} is negative")
@@ -208,10 +196,19 @@ class SampleMeanLaw:
             raise ValidationError(
                 f"weights sum to {Fraction(sum(nums), den)}, expected 1"
             )
-        law = cls(N=len(nums) - 1, cancellation_flagged=cancellation_flagged)
-        law._nums = tuple(nums)
-        law._den = den
-        law._class_nums = tuple(class_nums) if class_nums is not None else None
+        self._nums = tuple(nums)
+        self._den = den
+        self._weights = None
+
+    @classmethod
+    def from_integer_ratios(cls, nums: Sequence[int], den: int) -> "SampleMeanLaw":
+        """Exact law q_i = nums[i] / den, validated without any reduction."""
+        if len(nums) < 2:
+            raise ValidationError("count law needs at least two entries (N >= 1)")
+        law = cls.__new__(cls)
+        law.N = len(nums) - 1
+        law.cancellation_flagged = False
+        law._set_integer_form(nums, den)
         return law
 
     @property
@@ -222,19 +219,13 @@ class SampleMeanLaw:
 
     @property
     def is_exact(self) -> bool:
-        return self._nums is not None or is_exact(self.weights)
+        return self._nums is not None
 
     def integer_form(self) -> tuple[tuple[int, ...], int] | None:
-        """(numerators, denominator) when the law carries them, else None."""
+        """(numerators, denominator) of an exact law; None for a float law."""
         if self._nums is None:
             return None
         return self._nums, self._den
-
-    def class_numerators(self) -> tuple[tuple[int, ...], int] | None:
-        """(per-count-class word weights, denominator) for mixture-built laws."""
-        if self._class_nums is None:
-            return None
-        return self._class_nums, self._den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampleMeanLaw):
@@ -307,54 +298,37 @@ def mixture_prefix_prob(mu: MixingMeasure, e: PrefixEvent) -> Value:
     return sum(w * p**alpha * (1 - p) ** (k - alpha) for p, w in mu.atoms)
 
 
-def mixture_class_numerators(mu: MixingMeasure, N: int) -> tuple[list[int], int]:
-    """Integer numerators m_0..m_N over one denominator D with
-    m_i / D = sum_w w p^i (1-p)^(N-i), the common weight of every length-N
-    word with i ones.  Built by multiplicative recurrences: no reductions,
-    no per-entry gcds."""
-    atom_dens = []
-    for p, w in mu.atoms:
-        p, w = _as_exact(p), _as_exact(w)
-        atom_dens.append(w.denominator * p.denominator**N)
-    den = atom_dens[0]
-    for d in atom_dens[1:]:
-        den = den * d // math.gcd(den, d)
-    nums = [0] * (N + 1)
-    for (p, w), d in zip(mu.atoms, atom_dens):
-        p, w = _as_exact(p), _as_exact(w)
-        scale = w.numerator * (den // d)
-        pn, pd = p.numerator, p.denominator
-        qn = pd - pn
-        if pn == 0:
-            nums[0] += scale * pd**N
-        elif qn == 0:
-            nums[N] += scale * pd**N
-        else:
-            t = scale * qn**N
-            nums[0] += t
-            for i in range(1, N + 1):
-                t = t // qn * pn
-                nums[i] += t
-    return nums, den
-
-
 def sample_mean_law(mu: MixingMeasure, N: int) -> SampleMeanLaw:
     """Law of the sample mean of N coordinates under the mixture; exact for
-    rational atoms, log-space double precision otherwise."""
+    rational atoms, log-space double precision otherwise.
+
+    An atom p = a/d with weight w = u/v adds u C(N, i) a^i (d-a)^(N-i) / (v d^N)
+    to q_i.  Over the lcm D of the atoms' v d^N these are integers, built
+    by one multiplicative recurrence per atom, whose exact floor divisions
+    carry the binomial along: no Fractions, no gcds.
+    """
     if N < 1:
         raise ValidationError("N must be positive")
-    if mu.is_exact:
-        class_nums, den = mixture_class_numerators(mu, N)
-        nums = []
-        choose = 1
-        for i in range(N + 1):
-            nums.append(choose * class_nums[i])
-            choose = choose * (N - i) // (i + 1)
-        return SampleMeanLaw.from_integer_ratios(nums, den, class_nums=class_nums)
-    idx, log_q = _log_mean_law_array(mu, N)
-    q = np.zeros(N + 1, dtype=np.float64)
-    q[idx] = np.exp(log_q)
-    return SampleMeanLaw(N=N, weights=tuple(q.tolist()))
+    if not mu.is_exact:
+        idx, log_q = _log_mean_law_array(mu, N)
+        q = np.zeros(N + 1, dtype=np.float64)
+        q[idx] = np.exp(log_q)
+        return SampleMeanLaw(N=N, weights=tuple(q.tolist()))
+    atom_dens = [w.denominator * p.denominator**N for p, w in mu.atoms]
+    den = math.lcm(*atom_dens)
+    nums = [0] * (N + 1)
+    for (p, w), d in zip(mu.atoms, atom_dens):
+        scale = w.numerator * (den // d)
+        a, b = p.numerator, p.denominator - p.numerator
+        if b == 0:   # p = 1
+            nums[N] += scale * a**N
+            continue
+        t = scale * b**N   # i = 0
+        nums[0] += t
+        for i in range(N if a else 0):
+            t = t * ((N - i) * a) // ((i + 1) * b)
+            nums[i + 1] += t
+    return SampleMeanLaw.from_integer_ratios(nums, den)
 
 
 def _log_mean_law_array(mu: MixingMeasure, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -366,27 +340,23 @@ def _log_mean_law_array(mu: MixingMeasure, N: int) -> tuple[np.ndarray, np.ndarr
 
 def prefix_prob_from_mean_law(law: SampleMeanLaw, e: PrefixEvent) -> Value:
     """P(prefix pattern) implied by a count law via the exchangeable
-    conditional weights: sum_i P(prefix | count=i) q_i."""
+    conditional weights: sum_i P(prefix | count=i) q_i.
+
+    With falling factorials x^(m), P(prefix | count=i) = i^(alpha)
+    (N-i)^(k-alpha) / N^(k), so an exact law's value is one integer sum
+    over den * N^(k)."""
     N, k, alpha = law.N, e.k, e.alpha
     if k > N:
         raise ValidationError(f"pattern length {k} exceeds N={N}")
     if law.is_exact:
-        cls = law.class_numerators()
-        if cls is not None:
-            # P(prefix | count=i) q_i telescopes to C(N-k, i-alpha) m_i / D
-            class_nums, den = cls
-            acc = 0
-            choose = 1  # C(N-k, i-alpha) along i = alpha .. N-k+alpha
-            for j, i in enumerate(range(alpha, N - k + alpha + 1)):
-                acc += choose * class_nums[i]
-                choose = choose * (N - k - j) // (j + 1)
-            return Fraction(acc, den)
-        return sum(
-            conditional_prefix_prob(N, k, alpha, i) * q
-            for i, q in enumerate(law.weights)
-            if q != 0
+        nums, den = law.integer_form()
+        acc = sum(
+            math.perm(i, alpha) * math.perm(N - i, k - alpha) * num
+            for i, num in enumerate(nums)
+            if num
         )
-    q = np.array([float(x) for x in law.weights], dtype=np.float64)
+        return Fraction(acc, den * math.perm(N, k))
+    q = np.array(law.weights, dtype=np.float64)
     idx = np.flatnonzero(q)
     log_a, _ = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)
     return math.fsum(np.exp(log_a) * q[idx])
@@ -423,11 +393,10 @@ def _difference_rows(c: Sequence[Value]) -> tuple[int, Iterator[list[int]]]:
     """(D, rows) for exact c_0..c_n: row m holds (-1)^m Delta^m c_j,
     j = 0..n-m, as integer numerators over D, the lcm of the denominators of
     c.  Rows come lazily, m = 0..n; no Fraction (and so no gcd) is built."""
-    exact = [_as_exact(v) for v in c]
-    D = math.lcm(*(v.denominator for v in exact))
+    first, D = integer_ratios((v.numerator, v.denominator) for v in c)
 
     def rows():
-        row = [v.numerator * (D // v.denominator) for v in exact]
+        row = first
         while row:
             yield row
             row = list(map(operator.sub, row, row[1:]))

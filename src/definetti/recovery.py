@@ -79,8 +79,8 @@ def recover_from_mean_law(law: SampleMeanLaw) -> RecoveredMeasure:
 
 def _expect_kernel_law(law: SampleMeanLaw, a: int, k: int) -> Value:
     """E[(i/n)^a (1 - i/n)^(k-a)] under the count law; a monomial p^m is the
-    a = k = m case.  Exact laws with an integer form are summed over their
-    common denominator with one reduction at the end."""
+    a = k = m case.  Exact laws are summed over their common denominator
+    with one reduction at the end."""
     n = law.N
     form = law.integer_form()
     if form is not None:
@@ -90,12 +90,6 @@ def _expect_kernel_law(law: SampleMeanLaw, a: int, k: int) -> Value:
             if q_num:
                 acc += i**a * (n - i) ** (k - a) * q_num
         return Fraction(acc, den * n**k)
-    if law.is_exact:
-        return sum(
-            Fraction(i, n) ** a * Fraction(n - i, n) ** (k - a) * q
-            for i, q in enumerate(law.weights)
-            if q != 0
-        )
     return math.fsum(
         (i / n) ** a * (1 - i / n) ** (k - a) * q
         for i, q in enumerate(law.weights)

@@ -619,6 +619,20 @@ def test_exact_law_file_verifies_byte_identical_to_measure(three_atom_file, tmp_
     assert out_law == out_mu
 
 
+@pytest.mark.parametrize("n_arg, code", [([], 0), (["-N", "10"], 0), (["-N", "500"], 3)])
+def test_verify_law_checks_n_against_the_law(n_arg, code, tmp_path, capsys):
+    # -N is optional with --law; when given it must match the law's N
+    path = write_json(tmp_path, "law.json", {"q": ["1/11"] * 11})
+    argv = ["verify", "--law", path, "--pattern", "1,0"] + n_arg
+    got, out, err = run_cli(argv, capsys)
+    assert got == code
+    if code == 0:
+        assert (json.loads(out)["N"], err) == (10, "")
+    else:
+        assert out == ""
+        assert json.loads(err) == {"error": "invariant", "message": "law has N=10, got N=500"}
+
+
 @pytest.mark.parametrize(
     "q, code, value",
     [

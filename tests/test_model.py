@@ -18,7 +18,6 @@ from definetti.model import (
     exchangeable_law_from_counts,
     mean_law_from_moments,
     mixture_prefix_prob,
-    mixture_class_numerators,
     moments_from_measure,
     prefix_prob_from_mean_law,
     prefix_prob_from_moments,
@@ -183,19 +182,6 @@ def test_sample_mean_law_float_matches_exact(three_atom_mu):
         assert abs(q_fl - float(q_ex)) <= 1e-12
 
 
-def test_mixture_class_numerators_match_direct():
-    rng = random.Random(9)
-    for _ in range(5):
-        mu = random_rational_measure(rng)
-        N = rng.randint(1, 40)
-        nums, den = mixture_class_numerators(mu, N)
-        for i in (0, N // 2, N):
-            direct = sum(
-                F(w) * F(p) ** i * (1 - F(p)) ** (N - i) for p, w in mu.atoms
-            )
-            assert F(nums[i], den) == direct
-
-
 def test_lazy_weights_and_integer_form(three_atom_mu):
     law = sample_mean_law(three_atom_mu, 30)
     nums, den = law.integer_form()
@@ -231,10 +217,8 @@ def test_mixture_law_prefix_identity(mu, N):
 
 
 def test_prefix_prob_from_plain_weights_law(fair_coin):
-    # laws without the internal integer form take the per-term path
     law = sample_mean_law(fair_coin, 6)
     plain = SampleMeanLaw(N=6, weights=law.weights)
-    assert plain.class_numerators() is None
     e = PrefixEvent((1, 0))
     assert prefix_prob_from_mean_law(plain, e) == prefix_prob_from_mean_law(law, e)
 
