@@ -11,11 +11,16 @@ there are blocks; smaller scans, and one usable CPU, format in-process.  The
 bytes do not depend on the CPU count, and at most one block per worker is in
 flight.
 
+Each subcommand declares only the options it reads (COMMANDS), so an
+option it would ignore is refused.
+
 Exit codes: 0 success, 2 input/domain errors, 3 invariant violations
 (invalid input objects and failed internal guards), 4 extendability
-rejection.  A reader that closes stdout early cuts the output short without
-changing the exit code.  Any other exception is a bug and propagates as a
-traceback.
+rejection, each with one JSON line on stderr.  A command line that does not
+parse exits 2 through argparse, with argparse's usage text instead of the
+JSON line: that text lists the options the subcommand takes.  A reader that
+closes stdout early cuts the output short without changing the exit code.
+Any other exception is a bug and propagates as a traceback.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import harness, io, model, oracle, recovery
@@ -39,6 +43,14 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 EXIT_EXTENDABILITY = 4
+# the errors main reports as one JSON line on stderr: (kind, exit code)
+ERRORS = {
+    ExtendabilityError: ("extendability", EXIT_EXTENDABILITY),
+    io.InputFormatError: ("input", EXIT_INPUT),
+    ValidationError: ("invariant", EXIT_INVARIANT),
+    AssertionError: ("invariant", EXIT_INVARIANT),
+    DomainError: ("domain", EXIT_INPUT),
+}
 
 SCAN_BLOCK_ROWS = 65_536   # ratio-scan CSV rows formatted per write
 # Smaller scans format in-process: below about six blocks, starting spawn or
@@ -50,41 +62,14 @@ SCAN_POOL_MIN_ROWS = 6 * SCAN_BLOCK_ROWS
 SCAN_MAX_WORKERS = 4
 
 
-@dataclass
-class RunConfig:
-    backend: str = "auto"
-    N: int | None = None
-    k: int | None = None
-    pattern: PrefixEvent | None = None
-    stride: int = 1
-    measure_path: str | None = None
-    moments_path: str | None = None
-    law_path: str | None = None
-    out_path: str | None = None
-    level: int | None = None
-    seed: int = 0
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        backend=getattr(args, "backend", "auto"),
-        N=getattr(args, "N", None),
-        stride=getattr(args, "stride", 1),
-        measure_path=getattr(args, "measure", None),
-        moments_path=getattr(args, "moments", None),
-        law_path=getattr(args, "law", None),
-        out_path=getattr(args, "out", None),
-        level=getattr(args, "level", None),
-        seed=getattr(args, "seed", 0),
-    )
-    raw = getattr(args, "pattern", None)
-    if raw is not None:
-        try:
-            cfg.pattern = PrefixEvent.from_string(raw)
-        except ValidationError as exc:
-            raise io.InputFormatError(str(exc)) from exc
-        cfg.k = cfg.pattern.k
-    return cfg
+def _pattern(text: str | None) -> PrefixEvent | None:
+    """The --pattern option as a PrefixEvent; a malformed one is an input error."""
+    if text is None:
+        return None
+    try:
+        return PrefixEvent.from_string(text)
+    except ValidationError as exc:
+        raise io.InputFormatError(str(exc)) from exc
 
 
 class _ReaderGone(Exception):
@@ -129,13 +114,9 @@ def _output(out_path: str | None):
         yield fh
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    with _output(out_path) as fh:
-        fh.write(text)
-
-
 def _emit_json(doc, out_path: str | None) -> None:
-    _emit(json.dumps(doc) + "\n", out_path)
+    with _output(out_path) as fh:
+        fh.write(json.dumps(doc) + "\n")
 
 
 def _report_doc(rep: harness.VerificationReport) -> dict:
@@ -172,55 +153,52 @@ def _report_doc(rep: harness.VerificationReport) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_prefix_prob(cfg: RunConfig) -> int:
-    if cfg.pattern is None:
+def cmd_prefix_prob(args: argparse.Namespace) -> int:
+    pattern = _pattern(args.pattern)
+    if pattern is None:
         raise io.InputFormatError("--pattern is required")
-    if cfg.measure_path:
-        mu = io.load_measure(cfg.measure_path)
-        value = model.mixture_prefix_prob(mu, cfg.pattern)
-    elif cfg.moments_path:
-        c = io.load_moments(cfg.moments_path)
-        value = model.prefix_prob_from_moments(c, cfg.pattern)
-    elif cfg.law_path:
-        law = io.load_law(cfg.law_path)
-        value = model.prefix_prob_from_mean_law(law, cfg.pattern)
+    if args.measure:
+        mu = io.load_measure(args.measure)
+        value = model.mixture_prefix_prob(mu, pattern)
+    elif args.moments:
+        c = io.load_moments(args.moments)
+        value = model.prefix_prob_from_moments(c, pattern)
+    elif args.law:
+        law = io.load_law(args.law)
+        value = model.prefix_prob_from_mean_law(law, pattern)
     else:
         raise io.InputFormatError("one of --measure, --moments, --law is required")
-    _emit_json({"value": io.format_value(value)}, cfg.out_path)
+    _emit_json({"value": io.format_value(value)}, args.out)
     return EXIT_OK
 
 
-def cmd_yn_law(cfg: RunConfig) -> int:
-    if cfg.measure_path is None:
+def cmd_yn_law(args: argparse.Namespace) -> int:
+    if args.measure is None:
         raise io.InputFormatError("--measure is required")
-    if cfg.N is None:
+    if args.N is None:
         raise io.InputFormatError("-N is required")
-    mu = io.load_measure(cfg.measure_path)
-    law = model.sample_mean_law(mu, cfg.N)
+    mu = io.load_measure(args.measure)
+    law = model.sample_mean_law(mu, args.N)
     _emit_json(
-        {"N": law.N, "q": [io.format_value(q) for q in law.weights]}, cfg.out_path
+        {"N": law.N, "q": [io.format_value(q) for q in law.weights]}, args.out
     )
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.pattern is None:
+def cmd_verify(args: argparse.Namespace) -> int:
+    pattern = _pattern(args.pattern)
+    if pattern is None:
         raise io.InputFormatError("--pattern is required")
-    if cfg.law_path:
-        source = io.load_law(cfg.law_path)
-        rep = harness.verify_approximation(
-            source, cfg.pattern, N=cfg.N, backend=cfg.backend
-        )
-    elif cfg.measure_path:
-        if cfg.N is None:
+    if args.law:
+        source = io.load_law(args.law)
+    elif args.measure:
+        if args.N is None:
             raise io.InputFormatError("-N is required with --measure")
-        source = io.load_measure(cfg.measure_path)
-        rep = harness.verify_approximation(
-            source, cfg.pattern, N=cfg.N, backend=cfg.backend
-        )
+        source = io.load_measure(args.measure)
     else:
         raise io.InputFormatError("one of --measure, --law is required")
-    _emit_json(_report_doc(rep), cfg.out_path)
+    rep = harness.verify_approximation(source, pattern, N=args.N, backend=args.backend)
+    _emit_json(_report_doc(rep), args.out)
     return EXIT_OK
 
 
@@ -351,17 +329,14 @@ def _block_formatter(workers: int):
             conn.close()
 
 
-def cmd_ratio_scan(cfg: RunConfig) -> int:
-    if cfg.pattern is None:
+def cmd_ratio_scan(args: argparse.Namespace) -> int:
+    pattern = _pattern(args.pattern)
+    if pattern is None:
         raise io.InputFormatError("--pattern is required (supplies k and alpha)")
-    if cfg.N is None:
+    if args.N is None:
         raise io.InputFormatError("-N is required")
     scan = harness.ratio_scan(
-        cfg.N,
-        cfg.pattern.k,
-        cfg.pattern.alpha,
-        stride=cfg.stride,
-        backend=cfg.backend,
+        args.N, pattern.k, pattern.alpha, stride=args.stride, backend=args.backend
     )
     summary = {
         "eps_mid": io.format_value(scan.eps_mid),
@@ -373,7 +348,7 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
         "backend": scan.backend,
     }
     workers = _scan_workers(len(scan.i))
-    with _output(cfg.out_path) as fh, _block_formatter(workers) as format_blocks:
+    with _output(args.out) as fh, _block_formatter(workers) as format_blocks:
         if scan.log_columns:
             fh.write("i,log_a,log_b,ratio,region\n")
         else:
@@ -384,24 +359,24 @@ def cmd_ratio_scan(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_recover(cfg: RunConfig) -> int:
-    if cfg.moments_path is None:
+def cmd_recover(args: argparse.Namespace) -> int:
+    if args.moments is None:
         raise io.InputFormatError("--moments is required")
-    if cfg.level is None:
+    if args.level is None:
         raise io.InputFormatError("--level is required")
-    c = io.load_moments(cfg.moments_path)
-    rec = recovery.recover_from_moments(c, cfg.level)
-    _emit_json(io.measure_to_doc(rec.measure, level=rec.level), cfg.out_path)
+    c = io.load_moments(args.moments)
+    rec = recovery.recover_from_moments(c, args.level)
+    _emit_json(io.measure_to_doc(rec.measure, level=rec.level), args.out)
     return EXIT_OK
 
 
-def cmd_extend_check(cfg: RunConfig) -> int:
-    if cfg.moments_path is None:
+def cmd_extend_check(args: argparse.Namespace) -> int:
+    if args.moments is None:
         raise io.InputFormatError("--moments is required")
-    c = io.load_moments(cfg.moments_path)
+    c = io.load_moments(args.moments)
     check = model.check_complete_monotonicity(c)
     if check.ok:
-        _emit_json({"result": "accept", "order": c.order}, cfg.out_path)
+        _emit_json({"result": "accept", "order": c.order}, args.out)
         return EXIT_OK
     _emit_json(
         {
@@ -410,7 +385,7 @@ def cmd_extend_check(cfg: RunConfig) -> int:
             "difference_order": check.order,
             "index": check.index,
         },
-        cfg.out_path,
+        args.out,
     )
     return EXIT_EXTENDABILITY
 
@@ -427,13 +402,13 @@ def _random_rational_measure(rng: random.Random) -> model.MixingMeasure:
     return model.MixingMeasure(tuple((p, w / total) for p, w in zip(locs, raw)))
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    N = cfg.N if cfg.N is not None else 6
+def cmd_oracle(args: argparse.Namespace) -> int:
+    N = args.N if args.N is not None else 6
     if N > 10:
         raise DomainError(f"exhaustive oracle sweep capped at N = 10, got {N}")
     if N < 1:
         raise DomainError("N must be positive")
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     trials = 5
     max_gap = Fraction(0)
     for _ in range(trials):
@@ -453,21 +428,22 @@ def cmd_oracle(cfg: RunConfig) -> int:
     _emit_json(
         {
             "N": N,
-            "seed": cfg.seed,
+            "seed": args.seed,
             "trials": trials,
             "max_abs_gap": io.format_value(max_gap),
         },
-        cfg.out_path,
+        args.out,
     )
     return EXIT_OK if max_gap == 0 else EXIT_INVARIANT
 
 
-def cmd_tail_check(cfg: RunConfig) -> int:
-    if cfg.pattern is None:
+def cmd_tail_check(args: argparse.Namespace) -> int:
+    pattern = _pattern(args.pattern)
+    if pattern is None:
         raise io.InputFormatError("--pattern is required (supplies k and alpha)")
-    if cfg.N is None:
+    if args.N is None:
         raise io.InputFormatError("-N is required")
-    tb = harness.tail_bounds_check(cfg.N, cfg.pattern.k, cfg.pattern.alpha)
+    tb = harness.tail_bounds_check(args.N, pattern.k, pattern.alpha)
     fmt = io.format_value
     doc = {
         "N": tb.N,
@@ -497,7 +473,7 @@ def cmd_tail_check(cfg: RunConfig) -> int:
             else {"applicable": False}
         ),
     }
-    _emit_json(doc, cfg.out_path)
+    _emit_json(doc, args.out)
     return EXIT_OK
 
 
@@ -505,95 +481,80 @@ def cmd_tail_check(cfg: RunConfig) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+OPTIONS = {   # flag: add_argument keywords
+    "--backend": {"choices": ["exact", "log", "auto"], "default": "auto"},
+    "--measure": {"help": "measure JSON file"},
+    "--moments": {"help": "moments JSON file"},
+    "--law": {"help": "count-law JSON file"},
+    "--out": {"help": "output path (default stdout)"},
+    "-N": {"type": int, "dest": "N"},
+    "--pattern": {"help": "comma list of 0/1, e.g. 1,1,0"},
+    "--stride": {"type": int, "default": 1},
+    "--level": {"type": int},
+    "--seed": {"type": int, "default": 0},
+}
+
+COMMANDS = {   # name: (handler, help, the options it reads)
+    "prefix-prob": (cmd_prefix_prob, "prefix probability of a pattern",
+                    ("--measure", "--moments", "--law", "--out", "--pattern")),
+    "yn-law": (cmd_yn_law, "law of the sample mean over 0..N",
+               ("--measure", "--out", "-N")),
+    "verify": (cmd_verify, "two-sided verification report",
+               ("--backend", "--measure", "--law", "--out", "-N", "--pattern")),
+    "ratio-scan": (cmd_ratio_scan, "per-index kernel ratio scan (CSV)",
+                   ("--backend", "--out", "-N", "--pattern", "--stride")),
+    "recover": (cmd_recover, "recover a measure from moments",
+                ("--moments", "--out", "--level")),
+    "extend-check": (cmd_extend_check, "complete monotonicity check",
+                     ("--moments", "--out")),
+    "oracle": (cmd_oracle, "word-sweep agreement check", ("--out", "-N", "--seed")),
+    "tail-check": (cmd_tail_check, "tail-bound verification",
+                   ("--out", "-N", "--pattern")),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    for flag in COMMANDS[command][2]:
+        parser.add_argument(flag, **OPTIONS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand; ``main`` needs it only when argv
+    names no subcommand."""
     parser = argparse.ArgumentParser(
         prog="definetti",
         description="Finite-N diagnostics for exchangeable Bernoulli mixtures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, n=False, pattern=False, stride=False, level=False, seed=False):
-        p.add_argument("--backend", choices=["exact", "log", "auto"], default="auto")
-        p.add_argument("--measure", help="measure JSON file")
-        p.add_argument("--moments", help="moments JSON file")
-        p.add_argument("--law", help="count-law JSON file")
-        p.add_argument("--out", help="output path (default stdout)")
-        if n:
-            p.add_argument("-N", type=int, dest="N")
-        if pattern:
-            p.add_argument("--pattern", help="comma list of 0/1, e.g. 1,1,0")
-        if stride:
-            p.add_argument("--stride", type=int, default=1)
-        if level:
-            p.add_argument("--level", type=int)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-
-    handlers = {}
-    p = sub.add_parser("prefix-prob", help="prefix probability of a pattern")
-    add_common(p, pattern=True)
-    handlers["prefix-prob"] = cmd_prefix_prob
-
-    p = sub.add_parser("yn-law", help="law of the sample mean over 0..N")
-    add_common(p, n=True)
-    handlers["yn-law"] = cmd_yn_law
-
-    p = sub.add_parser("verify", help="two-sided verification report")
-    add_common(p, n=True, pattern=True)
-    handlers["verify"] = cmd_verify
-
-    p = sub.add_parser("ratio-scan", help="per-index kernel ratio scan (CSV)")
-    add_common(p, n=True, pattern=True, stride=True)
-    handlers["ratio-scan"] = cmd_ratio_scan
-
-    p = sub.add_parser("recover", help="recover a measure from moments")
-    add_common(p, level=True)
-    handlers["recover"] = cmd_recover
-
-    p = sub.add_parser("extend-check", help="complete monotonicity check")
-    add_common(p)
-    handlers["extend-check"] = cmd_extend_check
-
-    p = sub.add_parser("oracle", help="word-sweep agreement check")
-    add_common(p, n=True, seed=True)
-    handlers["oracle"] = cmd_oracle
-
-    p = sub.add_parser("tail-check", help="tail-bound verification")
-    add_common(p, n=True, pattern=True)
-    handlers["tail-check"] = cmd_tail_check
-
-    parser.set_defaults(_handlers=handlers)
+    for command, (_, help_text, _) in COMMANDS.items():
+        _add_options(sub.add_parser(command, help=help_text), command)
     return parser
 
 
+def parse_args(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """(subcommand, its options) from argv.  A subcommand named first gets
+    a parser of its own options alone; anything else (no arguments, -h, an
+    unknown name) goes to ``build_parser``.  A usage error exits 2 with
+    argparse's usage text."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"definetti {argv[0]}")
+        _add_options(parser, argv[0])
+        return argv[0], parser.parse_args(argv[1:])
+    args = build_parser().parse_args(argv)
+    return args.command, args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = args._handlers[args.command]
+    command, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = _config_from_args(args)
-        return handler(cfg)
-    except ExtendabilityError as exc:
-        print(
-            json.dumps(
-                {
-                    "error": "extendability",
-                    "message": str(exc),
-                    "certificate": io.format_value(exc.value),
-                }
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_EXTENDABILITY
-    except io.InputFormatError as exc:
-        print(json.dumps({"error": "input", "message": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
-    except (ValidationError, AssertionError) as exc:
-        print(json.dumps({"error": "invariant", "message": str(exc)}), file=sys.stderr)
-        return EXIT_INVARIANT
-    except DomainError as exc:
-        print(json.dumps({"error": "domain", "message": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
+        return COMMANDS[command][0](args)
+    except tuple(ERRORS) as exc:
+        kind, code = next(v for t, v in ERRORS.items() if isinstance(exc, t))
+        doc = {"error": kind, "message": str(exc)}
+        if isinstance(exc, ExtendabilityError):
+            doc["certificate"] = io.format_value(exc.value)
+        print(json.dumps(doc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -110,15 +110,9 @@ def load_measure(path: str) -> MixingMeasure:
     return MixingMeasure.from_pairs(pairs)
 
 
-def load_moments(path: str) -> MomentVector:
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "c" not in doc or not isinstance(doc["c"], list):
-        raise InputFormatError(f"{path}: expected an object with a 'c' list")
-    return MomentVector(tuple(parse_value(x) for x in doc["c"]))
-
-
-def _law_entry(x: Any) -> tuple[int, int] | float:
-    """A law weight as (numerator, denominator), unreduced, or a float.
+def _entry(x: Any) -> tuple[int, int] | float:
+    """A law weight or moment as (numerator, denominator), unreduced, or a
+    float.
 
     Plain "n" and "n/d" strings are read with ``int()``, which skips the
     gcd ``Fraction`` would take; every other spelling goes through
@@ -136,14 +130,29 @@ def _law_entry(x: Any) -> tuple[int, int] | float:
     return v if isinstance(v, float) else (v.numerator, v.denominator)
 
 
+def _entries(path: str, key: str) -> list:
+    """The ``key`` list of the JSON object in ``path``, read by ``_entry``."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict) or key not in doc or not isinstance(doc[key], list):
+        raise InputFormatError(f"{path}: expected an object with a '{key}' list")
+    return [_entry(x) for x in doc[key]]
+
+
+def load_moments(path: str) -> MomentVector:
+    """A moment vector.  All-exact entries become integer numerators over
+    the lcm of their denominators; any float among them makes a float
+    vector."""
+    c = _entries(path, "c")
+    if any(isinstance(v, float) for v in c):
+        return MomentVector(v if isinstance(v, float) else Fraction(*v) for v in c)
+    return MomentVector.from_integer_ratios(*integer_ratios(c))
+
+
 def load_law(path: str) -> SampleMeanLaw:
     """A count law.  All-exact weights become integer numerators over the
     lcm of their denominators, so validation sums integers; any float among
     them makes a float law."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "q" not in doc or not isinstance(doc["q"], list):
-        raise InputFormatError(f"{path}: expected an object with a 'q' list")
-    q = [_law_entry(x) for x in doc["q"]]
+    q = _entries(path, "q")
     if len(q) < 2:
         raise InputFormatError(f"{path}: law needs at least two weights")
     if any(isinstance(v, float) for v in q):

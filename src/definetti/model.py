@@ -4,8 +4,8 @@ All types are immutable and every operation is a pure function, so any of
 them can be shared across threads.  Arithmetic follows the inputs: rational
 atoms/weights (Fraction or int) run exactly end to end, floats run in
 double precision with compensated summation where cancellation bites.  An
-exact count law is always integer numerators over one denominator, a float
-one float64 weights (``SampleMeanLaw``).
+exact count law or moment vector is always integer numerators over one
+denominator, a float one float64 values (``_Ratios``).
 """
 
 from __future__ import annotations
@@ -136,25 +136,63 @@ class MixingMeasure:
         return cls(tuple(sorted(merged.items(), key=lambda pw: pw[0])))
 
     @classmethod
+    def from_count_law(cls, law: "SampleMeanLaw") -> "MixingMeasure":
+        """Atoms at i/N carrying the law's nonzero weights.  An exact law's
+        own integer checks (nonnegative numerators summing to their
+        denominator) are the measure's invariants, so none is repeated."""
+        form = law.integer_form()
+        if form is None:
+            return cls(tuple((i / law.N, q) for i, q in enumerate(law.weights) if q != 0))
+        nums, den = form
+        mu = cls.__new__(cls)
+        atoms = tuple((Fraction(i, law.N), Fraction(v, den)) for i, v in enumerate(nums) if v)
+        object.__setattr__(mu, "atoms", atoms)
+        return mu
+
+    @classmethod
     def point_mass(cls, p: Value) -> "MixingMeasure":
         one = Fraction(1) if isinstance(p, (Fraction, int)) else 1.0
         return cls(((p, one),))
 
 
-class SampleMeanLaw:
+class _Ratios:
+    """Values held in one of two forms: exact ones as integer numerators
+    over one common denominator (``integer_form``), whose Fractions
+    materialize lazily (``_values``), or float64 ones."""
+
+    __slots__ = ("_values", "_nums", "_den")
+
+    def _exact_or_float(self) -> tuple[Value, ...]:
+        if self._values is None:
+            self._values = tuple(Fraction(v, self._den) for v in self._nums)
+        return self._values
+
+    @property
+    def is_exact(self) -> bool:
+        return self._nums is not None
+
+    def integer_form(self) -> tuple[tuple[int, ...], int] | None:
+        """(numerators, denominator) of exact values; None for floats."""
+        return None if self._nums is None else (self._nums, self._den)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._exact_or_float() == other._exact_or_float()
+
+
+class SampleMeanLaw(_Ratios):
     """Distribution of the sample mean over {0, 1/N, ..., 1} as weights q_0..q_N.
 
-    A law is held in one of two forms.  An exact law keeps integer
-    numerators over one common denominator (``integer_form``): exact
-    weights given to the constructor are converted once, over the lcm of
-    their denominators, and the public ``weights`` tuple of Fractions
-    materializes lazily.  This keeps N ~ 1e4 exact pipelines free of
-    per-entry gcd reductions, which would otherwise dominate the runtime.
-    A float law keeps float64 weights; any float among the weights makes
+    Held in one of the two forms of ``_Ratios``: exact weights given to the
+    constructor are converted once, over the lcm of their denominators, and
+    the public ``weights`` tuple of Fractions materializes lazily.  This
+    keeps N ~ 1e4 exact pipelines free of per-entry gcd reductions, which
+    would otherwise dominate the runtime.  Any float among the weights makes
     the law a float law.
     """
 
-    __slots__ = ("N", "cancellation_flagged", "_weights", "_nums", "_den")
+    __slots__ = ("N", "cancellation_flagged")
 
     def __init__(
         self,
@@ -182,7 +220,7 @@ class SampleMeanLaw:
         total = sum(weights)
         if abs(total - 1) > FLOAT_SUM_TOL:
             raise ValidationError(f"weights sum to {total!r}, expected 1 within 1e-12")
-        self._weights = weights
+        self._values = weights
         self._nums = self._den = None
 
     def _set_integer_form(self, nums: Sequence[int], den: int) -> None:
@@ -198,7 +236,7 @@ class SampleMeanLaw:
             )
         self._nums = tuple(nums)
         self._den = den
-        self._weights = None
+        self._values = None
 
     @classmethod
     def from_integer_ratios(cls, nums: Sequence[int], den: int) -> "SampleMeanLaw":
@@ -213,69 +251,82 @@ class SampleMeanLaw:
 
     @property
     def weights(self) -> tuple[Value, ...]:
-        if self._weights is None:
-            self._weights = tuple(Fraction(v, self._den) for v in self._nums)
-        return self._weights
-
-    @property
-    def is_exact(self) -> bool:
-        return self._nums is not None
-
-    def integer_form(self) -> tuple[tuple[int, ...], int] | None:
-        """(numerators, denominator) of an exact law; None for a float law."""
-        if self._nums is None:
-            return None
-        return self._nums, self._den
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SampleMeanLaw):
-            return NotImplemented
-        return self.N == other.N and self.weights == other.weights
+        return self._exact_or_float()
 
     def __repr__(self) -> str:
         kind = "exact" if self.is_exact else "float"
         return f"SampleMeanLaw(N={self.N}, {kind})"
 
 
-@dataclass(frozen=True)
-class MomentVector:
+def _check_moments(nums: Sequence, den: Value, tol: float) -> None:
+    """c_0 = 1 and 1 >= c_1 >= ... >= c_n >= 0 for c_j = nums[j] / den:
+    integers over a positive den with tol = 0, or floats over den = 1 with
+    slack tol.  A Fraction is built only for an error message."""
+    if not nums:
+        raise ValidationError("moment vector must not be empty")
+    if den <= 0:
+        raise ValidationError("denominator must be positive")
+    if tol:   # floats: NaN would pass every comparison below
+        for j, v in enumerate(nums):
+            if not math.isfinite(v):
+                raise ValidationError(f"moment c_{j} = {v!r} is not finite")
+    show = (lambda v: v) if tol else (lambda v: Fraction(v, den))
+    if abs(nums[0] - den) > tol:
+        want = "1 within 1e-12" if tol else "exactly 1"
+        raise ValidationError(f"c_0 = {show(nums[0])}, expected {want}")
+    for j in range(len(nums) - 1):
+        if nums[j + 1] - nums[j] > tol:
+            raise ValidationError(
+                f"moments must be nonincreasing: c_{j} = {show(nums[j])} < c_{j + 1} = {show(nums[j + 1])}"
+            )
+    if nums[-1] < -tol:
+        raise ValidationError(f"moments must be nonnegative: c_{len(nums) - 1} = {show(nums[-1])}")
+
+
+class MomentVector(_Ratios):
     """Prefix probabilities c_j = P(first j coordinates all one), c_0 = 1.
 
-    Construction enforces only the necessary monotonicity
-    1 >= c_1 >= ... >= c_n >= 0; full realizability is the job of
-    check_complete_monotonicity.
+    Held in one of the two forms of ``_Ratios``, as ``SampleMeanLaw`` is: a
+    moment file's numerators come as they are (``from_integer_ratios``),
+    exact values given to the constructor are put over the lcm of their
+    denominators, and the ``c`` tuple of Fractions materializes lazily.  Any
+    float among the values makes the whole vector float64.  Construction
+    enforces only the necessary monotonicity 1 >= c_1 >= ... >= c_n >= 0
+    (floats within 1e-12), in integers for an exact vector; full
+    realizability is the job of check_complete_monotonicity.
     """
 
-    c: tuple[Value, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.c:
-            raise ValidationError("moment vector must not be empty")
-        for j, v in enumerate(self.c):   # NaN would pass every comparison below
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValidationError(f"moment c_{j} = {v!r} is not finite")
-        c0 = self.c[0]
-        if is_exact([c0]):
-            if c0 != 1:
-                raise ValidationError(f"c_0 = {c0}, expected exactly 1")
-        elif abs(c0 - 1) > FLOAT_SUM_TOL:
-            raise ValidationError(f"c_0 = {c0!r}, expected 1 within 1e-12")
-        tol = 0 if self.is_exact else FLOAT_SUM_TOL
-        for j in range(len(self.c) - 1):
-            if self.c[j + 1] - self.c[j] > tol:
-                raise ValidationError(
-                    f"moments must be nonincreasing: c_{j} = {self.c[j]} < c_{j + 1} = {self.c[j + 1]}"
-                )
-        if self.c[-1] < -tol:
-            raise ValidationError(f"moments must be nonnegative: c_{len(self.c) - 1} = {self.c[-1]}")
+    def __init__(self, c: Sequence[Value]):
+        c = tuple(c)
+        if is_exact(c):
+            nums, den = integer_ratios((v.numerator, v.denominator) for v in c)
+            _check_moments(nums, den, 0)
+            self._nums, self._den, self._values = tuple(nums), den, c
+            return
+        try:
+            self._values = tuple(map(float, c))
+        except OverflowError as exc:   # an exact entry past the float range
+            raise ValidationError(f"moment outside the float range: {exc}") from exc
+        _check_moments(self._values, 1.0, FLOAT_SUM_TOL)
+        self._nums = self._den = None
+
+    @classmethod
+    def from_integer_ratios(cls, nums: Sequence[int], den: int) -> "MomentVector":
+        """Exact moments c_j = nums[j] / den, validated without any reduction."""
+        _check_moments(nums, den, 0)
+        c = cls.__new__(cls)
+        c._nums, c._den, c._values = tuple(nums), den, None
+        return c
 
     @property
-    def is_exact(self) -> bool:
-        return is_exact(self.c)
+    def c(self) -> tuple[Value, ...]:
+        return self._exact_or_float()
 
     @property
     def order(self) -> int:
-        return len(self.c) - 1
+        return len(self._values if self._nums is None else self._nums) - 1
 
 
 @dataclass(frozen=True)
@@ -366,11 +417,7 @@ def moments_from_measure(mu: MixingMeasure, n: int) -> MomentVector:
     """Raw moments c_j = E[p^j], j = 0..n."""
     if n < 0:
         raise ValidationError("moment order must be nonnegative")
-    zero = Fraction(0) if mu.is_exact else 0.0
-    c = []
-    for j in range(n + 1):
-        c.append(sum((w * p**j for p, w in mu.atoms), zero))
-    return MomentVector(tuple(c))
+    return MomentVector(sum(w * p**j for p, w in mu.atoms) for j in range(n + 1))
 
 
 def prefix_prob_from_moments(c: MomentVector, e: PrefixEvent) -> Value:
@@ -389,19 +436,15 @@ def prefix_prob_from_moments(c: MomentVector, e: PrefixEvent) -> Value:
     return math.fsum(terms)
 
 
-def _difference_rows(c: Sequence[Value]) -> tuple[int, Iterator[list[int]]]:
-    """(D, rows) for exact c_0..c_n: row m holds (-1)^m Delta^m c_j,
-    j = 0..n-m, as integer numerators over D, the lcm of the denominators of
-    c.  Rows come lazily, m = 0..n; no Fraction (and so no gcd) is built."""
-    first, D = integer_ratios((v.numerator, v.denominator) for v in c)
-
-    def rows():
-        row = first
-        while row:
-            yield row
-            row = list(map(operator.sub, row, row[1:]))
-
-    return D, rows()
+def _difference_rows(nums: Sequence) -> Iterator[Sequence]:
+    """Rows m = 0..n of the alternating difference table of c_0..c_n, given
+    as floats or as exact integer numerators over one denominator D
+    (``integer_form``): row m holds (-1)^m Delta^m c_j, j = 0..n-m, over the
+    same D.  Rows come lazily; no Fraction (and so no gcd) is built."""
+    row = nums
+    while row:
+        yield row
+        row = list(map(operator.sub, row, row[1:]))
 
 
 def mean_law_from_moments(c: MomentVector, n: int) -> SampleMeanLaw:
@@ -412,9 +455,9 @@ def mean_law_from_moments(c: MomentVector, n: int) -> SampleMeanLaw:
     with E the shift c_j -> c_{j+1} and m = n - j.
 
     Raises ExtendabilityError carrying the first negative weight when the
-    vector admits no such law.  Rational input is scaled once to integer
-    numerators over the lcm D of its denominators.  The inner sum for q_j is
-    then the last entry of row n - j of the integer alternating difference
+    vector admits no such law.  Rational input is integer numerators over
+    one denominator D (``MomentVector.integer_form``).  The inner sum for q_j
+    is the last entry of row n - j of the integer alternating difference
     table of c_0..c_n (``_difference_rows``, the table that
     ``check_complete_monotonicity`` scans): O(n^2) integer subtractions and
     no per-term binomials or gcds.  The law keeps those numerators over the
@@ -426,8 +469,10 @@ def mean_law_from_moments(c: MomentVector, n: int) -> SampleMeanLaw:
         raise ValidationError("level must be positive")
     if c.order < n:
         raise ValidationError(f"need moments up to order {n}, have {c.order}")
-    if c.is_exact:
-        D, rows = _difference_rows(c.c[: n + 1])
+    form = c.integer_form()
+    if form is not None:
+        c_nums, D = form
+        rows = _difference_rows(c_nums[: n + 1])
         last = [row[-1] for row in rows]   # last[m] = (-1)^m Delta^m c_(n-m)
         nums = []
         choose = 1  # C(n, j)
@@ -461,25 +506,19 @@ def mean_law_from_moments(c: MomentVector, n: int) -> SampleMeanLaw:
 def check_complete_monotonicity(c: MomentVector) -> MonotonicityCheck:
     """Alternating finite differences (-1)^m Delta^m c_j >= 0 for m + j <= n.
 
-    Scans depth by depth and reports the first negative difference as the
-    certificate; rational input runs on the integer difference table of
-    ``_difference_rows``, floats get a 1e-12 slack.
+    Scans the table of ``_difference_rows`` depth by depth and reports the
+    first negative difference as the certificate: in integers for rational
+    input, in floats with a 1e-12 slack otherwise.
     """
-    if c.is_exact:
-        D, rows = _difference_rows(c.c)
-        next(rows)   # row 0 is c itself
-        for m, row in enumerate(rows, start=1):
-            if min(row) < 0:
-                j = next(j for j, v in enumerate(row) if v < 0)
-                value = Fraction(row[j], D)
-                return MonotonicityCheck(ok=False, order=m, index=j, value=value)
-        return MonotonicityCheck(ok=True)
-    row = list(c.c)
-    for m in range(1, c.order + 1):
-        row = [row[j] - row[j + 1] for j in range(len(row) - 1)]
-        for j, v in enumerate(row):
-            if v < -FLOAT_SUM_TOL:
-                return MonotonicityCheck(ok=False, order=m, index=j, value=v)
+    form = c.integer_form()
+    values, tol = (c.c, FLOAT_SUM_TOL) if form is None else (form[0], 0)
+    rows = _difference_rows(values)
+    next(rows)   # row 0 is c itself
+    for m, row in enumerate(rows, start=1):
+        if min(row) < -tol:
+            j = next(j for j, v in enumerate(row) if v < -tol)
+            value = row[j] if form is None else Fraction(row[j], form[1])
+            return MonotonicityCheck(ok=False, order=m, index=j, value=value)
     return MonotonicityCheck(ok=True)
 
 

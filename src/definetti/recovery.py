@@ -52,28 +52,18 @@ class WeakConvergenceDiagnostic:
         return max(g for _, g in self.gaps)
 
 
-def _measure_from_law(law: SampleMeanLaw) -> MixingMeasure:
-    n = law.N
-    atoms = []
-    for i, q in enumerate(law.weights):
-        if q != 0:
-            loc = Fraction(i, n) if law.is_exact else i / n
-            atoms.append((loc, q))
-    return MixingMeasure(tuple(atoms))
-
-
 def recover_from_moments(c: MomentVector, n: int) -> RecoveredMeasure:
     """Level-n recovery: atoms at i/n with the unique level-n count-law
     weights.  Propagates the extendability rejection (with its negative
     weight certificate) when the vector admits no level-n law."""
-    law = mean_law_from_moments(c, n)
-    return RecoveredMeasure(measure=_measure_from_law(law), source="moments", level=n)
+    measure = MixingMeasure.from_count_law(mean_law_from_moments(c, n))
+    return RecoveredMeasure(measure=measure, source="moments", level=n)
 
 
 def recover_from_mean_law(law: SampleMeanLaw) -> RecoveredMeasure:
     """Read the count law itself as a discrete measure on [0, 1]."""
     return RecoveredMeasure(
-        measure=_measure_from_law(law), source="mean-law", level=law.N
+        measure=MixingMeasure.from_count_law(law), source="mean-law", level=law.N
     )
 
 

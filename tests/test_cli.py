@@ -2,12 +2,14 @@ import json
 import math
 import multiprocessing
 import os
+import shlex
 import shutil
 import signal
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -803,6 +805,83 @@ def test_verify_has_no_stride_option(fair_file, capsys):
         main(["verify", "--measure", fair_file, "-N", "100", "--pattern", "1",
               "--stride", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["yn-law", "--measure", "{mu}", "-N", "3", "--backend", "log"],
+        ["oracle", "-N", "3", "--measure", "{mu}", "--law", "{missing}"],
+        ["recover", "--law", "{mu}"],
+    ],
+)
+def test_options_a_command_does_not_read_exit_2(argv, fair_file, tmp_path, capsys):
+    # each subcommand declares only the options it reads; these were once
+    # accepted and then ignored
+    argv = [arg.format(mu=fair_file, missing=tmp_path / "missing.json") for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: definetti {argv[0]} ")
+    assert "unrecognized arguments" in err
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("definetti ")]
+
+
+def test_readme_cli_lines_parse():
+    lines = _readme_cli_lines()
+    assert sorted(argv[0] for argv in lines) == sorted(cli.COMMANDS)
+    for argv in lines:
+        command, args = cli.parse_args(argv)
+        assert command == argv[0]
+        # the full parser, used when argv names no subcommand, reads them alike
+        assert vars(cli.build_parser().parse_args(argv)) == {**vars(args), "command": command}
+
+
+@pytest.mark.parametrize(
+    "c, code, value",
+    [
+        (["2/2", "2/4", "1/4"], 0, "1/4"),        # unreduced entries are fine
+        ([1, "1/2", "0001/4"], 0, "1/4"),
+        (["1", 0.5, "1/4"], 0, 0.25),              # a float entry: float vector
+        (["1", "1/0"], 2, None),
+        (["1", "1/-2", "0"], 2, None),
+        (["1", "x", "0"], 2, None),
+        (["1", True, "0"], 2, None),
+        (["1/2", "1/4", "0"], 3, None),
+        (["1", "1/4", "1/2"], 3, None),
+    ],
+)
+def test_moment_file_entries(c, code, value, tmp_path, capsys):
+    path = write_json(tmp_path, "c.json", {"c": c})
+    got, out, _ = run_cli(["prefix-prob", "--moments", path, "--pattern", "1,0"], capsys)
+    assert got == code
+    if value is not None:
+        assert json.loads(out)["value"] == value
+
+
+def test_moment_file_with_a_float_is_float64(tmp_path, capsys):
+    path = write_json(tmp_path, "c.json", {"c": ["1", "3/4", "2/5", 0.1]})
+    c = io.load_moments(path)
+    assert c.integer_form() is None
+    assert c.c == (1.0, 0.75, 0.4, 0.1)
+    assert all(type(v) is float for v in c.c)
+    # the float path's certificate, no longer the exact "-1/10" that the
+    # rational entries alone would give
+    code, out, err = run_cli(["extend-check", "--moments", path], capsys)
+    assert (code, err) == (4, "")
+    assert out == json.dumps({
+        "result": "reject",
+        "certificate": (1.0 - 0.75) - (0.75 - 0.4),
+        "difference_order": 2,
+        "index": 0,
+    }) + "\n"
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])

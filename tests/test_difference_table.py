@@ -8,7 +8,11 @@ inclusion-exclusion sum and the depth-by-depth difference scan.
 
 import json
 import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
 import pytest
 from hypothesis import event, given, strategies as st
@@ -20,6 +24,8 @@ from definetti.model import (
     MixingMeasure,
     MomentVector,
     MonotonicityCheck,
+    SampleMeanLaw,
+    ValidationError,
     check_complete_monotonicity,
     mean_law_from_moments,
     moments_from_measure,
@@ -190,3 +196,106 @@ def test_cli_recover_and_extend_check_match_reference(tmp_path, capsys):
                 "index": ref.index,
             }) + "\n"
         assert err == ""
+
+
+def reference_moment_error(c):
+    """The message the necessary checks give exact moments c (Fractions),
+    term by term, or None when c_0 = 1 >= c_1 >= ... >= c_n >= 0."""
+    if not c:
+        return "moment vector must not be empty"
+    if c[0] != 1:
+        return f"c_0 = {c[0]}, expected exactly 1"
+    for j in range(len(c) - 1):
+        if c[j + 1] > c[j]:
+            return f"moments must be nonincreasing: c_{j} = {c[j]} < c_{j + 1} = {c[j + 1]}"
+    if c[-1] < 0:
+        return f"moments must be nonnegative: c_{len(c) - 1} = {c[-1]}"
+    return None
+
+
+def _spell(draw, v, huge):
+    """A JSON spelling of the Fraction v: an int, "n", "p/q" or unreduced
+    "kp/kq"; ``huge`` scales by 10**4301, past CPython's int/str digit limit."""
+    if huge:
+        zeros = "0" * 4301
+        return f"{v.numerator}{zeros}/{v.denominator}{zeros}"
+    forms = ["p/q", "kp/kq"] + (["int", "n"] if v.denominator == 1 else [])
+    form = draw(st.sampled_from(forms))
+    if form == "int":
+        return int(v)
+    if form == "n":
+        return str(v.numerator)
+    k = draw(st.integers(2, 6)) if form == "kp/kq" else 1
+    return f"{v.numerator * k}/{v.denominator * k}"
+
+
+@st.composite
+def moment_files(draw):
+    """(Fraction moments, their JSON spellings): moments of a measure, or a
+    copy with c_0 moved, an increase, a negative last entry, or one entry
+    raised toward its left neighbour (usually not extendable).  Each entry
+    is spelled one of several ways, and at most one past 4,300 digits."""
+    fault = draw(st.sampled_from(["none", "c0", "increase", "negative", "perturbed"]))
+    mu = draw(rational_measures())
+    # below order 8 a perturbed vector is often still extendable
+    n = draw(st.integers(8 if fault == "perturbed" else 0, 16))
+    c = list(moments_from_measure(mu, n).c)
+    j = draw(st.integers(0, n))
+    shift = F(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    if fault == "c0":
+        c[0] += shift * draw(st.sampled_from([-1, 1]))
+    elif fault == "increase" and j > 0:
+        c[j] = c[j - 1] + shift
+    elif fault == "negative":
+        c[-1] -= shift
+    elif fault == "perturbed" and j > 0:
+        c[j] += shift / (1 + shift) * (c[j - 1] - c[j])
+    huge = draw(st.integers(-1, len(c) - 1))
+    return c, [_spell(draw, v, i == huge) for i, v in enumerate(c)]
+
+
+def _main_quietly(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(moment_files())
+def test_moment_file_integer_form_matches_fraction_form(case):
+    c, spelled = case
+    want = reference_moment_error(c)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump({"c": spelled}, fh)
+        try:
+            built = MomentVector(tuple(c))
+        except ValidationError as exc:
+            built = str(exc)
+        try:
+            loaded = io.load_moments(path)
+        except ValidationError as exc:
+            loaded = str(exc)
+        code, out, err = _main_quietly(["extend-check", "--moments", path])
+    if want is not None:
+        event("rejected on construction")
+        assert built == loaded == want
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "invariant", "message": want}
+        return
+    assert loaded.is_exact and built.is_exact
+    assert loaded.c == built.c == tuple(c)
+    (nums, den), (f_nums, f_den) = loaded.integer_form(), built.integer_form()
+    assert [v * f_den for v in nums] == [v * den for v in f_nums]
+    check = check_complete_monotonicity(loaded)
+    assert check == check_complete_monotonicity(built) == reference_monotonicity(c)
+    event("extend-check accepted" if check.ok else "extend-check rejected")
+    assert code == (0 if check.ok else 4)
+    if loaded.order >= 1:
+        law = _outcome(mean_law_from_moments, loaded, loaded.order)
+        built_law = _outcome(mean_law_from_moments, built, loaded.order)
+        assert law == built_law   # the same weights, or the same rejection
+        if isinstance(law, SampleMeanLaw):
+            (nums, den), (f_nums, f_den) = law.integer_form(), built_law.integer_form()
+            assert [v * f_den for v in nums] == [v * den for v in f_nums]
