@@ -52,6 +52,15 @@ Pinsker's inequality D(x || p) >= 2 (x - p)^2, no window is wider than
 |i - Np| <= sqrt(LOG_TERM_FLOOR N / 2) (plus the padding), and windows are
 narrower for p away from 1/2.
 
+The same bound lets the verifier skip an atom's per-index pass altogether.
+If an atom's window lies inside the mid window (M1, M2] and inside the
+support alpha <= i <= N - k + alpha, then its terms at every index outside
+the window, and so its whole lower-tail, upper-tail, below-alpha and
+above-support sums, are below (N + 1) exp(-800) < 2^-1074 (N <= 2^53).  Its
+mid-window sums then equal its exact totals up to less than the float
+spacing, and ``harness`` takes those totals from the atom's moments
+(``model.kernel_mean``) instead of from these kernels.
+
 Region sums add nonnegative terms with numpy's pairwise ``np.sum`` over
 contiguous slices.  numpy sums blocks of up to 128 terms in 8 interleaved
 lanes and splits longer ranges in halves, so each term passes through at

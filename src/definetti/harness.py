@@ -12,6 +12,11 @@ The sums are exact rationals for N <= 2000 (or on request) and log-space
 float64 above.  The mid-window deviation does not depend on the law, and
 both backends take it from one exact function, ``mid_window_eps``, which
 certifies it in O(k log N) from the unimodality of the ratio.
+
+On the log backend, a measure's atoms whose windows (``_kernels._atom_window``)
+lie inside the mid window add nothing to the tails in float64, so their
+exact totals from moments are their mid sums; only the other atoms take the
+per-index kernels (``_measure_log_fields``).
 """
 
 from __future__ import annotations
@@ -30,13 +35,14 @@ from .model import (
     SampleMeanLaw,
     ValidationError,
     Value,
+    kernel_mean,
+    level_moments,
     sample_mean_law,
     _log_mean_law_array,
 )
 from .numerics import (
     RegionBounds,
     iid_kernel,
-    ratio_factors,
     region_bounds,
     replacement_correction,
     replacement_correction_float,
@@ -390,20 +396,31 @@ def mid_window_eps(N: int, k: int, alpha: int, bounds: RegionBounds) -> Fraction
       rho is unimodal: rho(i+1) > rho(i) holds on a prefix of the support.
     * Hence over [lo, hi], the window inside the support,
       eps = max(1 - rho(lo), 1 - rho(hi), rho(peak) - 1), and integer
-      bisection on rho(i+1) > rho(i) finds the peak.
+      bisection on rho(i+1) > rho(i) finds the peak.  With
+      rho(i) = r i^(alpha) (N-i)^(k-alpha) / (i^alpha (N-i)^(k-alpha)),
+      each step compares two cross products of integers, and only the three
+      final rho values are Fractions.
     """
     lo = max(bounds.M1 + 1, alpha)
     hi = min(bounds.M2, N - k + alpha)
     if lo > hi:
         return Fraction(1)
+    beta = k - alpha
+
+    def a_b(i: int) -> tuple[int, int]:
+        # rho(i) = r * a_b(i)[0] / a_b(i)[1], both positive on [lo, hi]
+        return math.perm(i, alpha) * math.perm(N - i, beta), i**alpha * (N - i) ** beta
 
     def rho(i: int) -> Fraction:
-        return ratio_factors(N, k, alpha, i).product()
+        num, den = a_b(i)
+        return Fraction(num * N**k, den * math.perm(N, k))
 
+    # rho(i+1) > rho(i) by cross-multiplied integers; r cancels
     left, right = lo, hi
     while left < right:
         mid = (left + right) // 2
-        if rho(mid + 1) > rho(mid):
+        (a0, b0), (a1, b1) = a_b(mid), a_b(mid + 1)
+        if a1 * b0 > a0 * b1:
             left = mid + 1
         else:
             right = mid
@@ -464,7 +481,9 @@ def verify_approximation(
     ``mid_window_eps`` in both backends (the log report carries its
     correctly rounded float), so ``eps_mid_sampled`` is always false.  In
     the exact backend every report field is a Fraction and the domination
-    is an identity, not a float statement.
+    is an identity, not a float statement.  On the log backend, a measure
+    whose atoms all lie inside the mid window gets abs_diff <= sandwich_bound
+    exactly for the printed floats (``_measure_log_fields``).
     """
     if isinstance(source, MixingMeasure):
         if N is None:
@@ -580,30 +599,22 @@ def _exact_fields(law, e, N, bounds):
 
 def _verify_log(source, e, N, bounds) -> VerificationReport:
     k, alpha = e.k, e.alpha
-    # the law on its support: every index left out has q_i = 0 in float64
+    eps_mid = mid_window_eps(N, k, alpha, bounds)
     if isinstance(source, MixingMeasure):
-        idx, log_q = _log_mean_law_array(source, N)
+        sums, lhs, rhs, abs_diff, budget, below, above = _measure_log_fields(
+            source, e, N, bounds, eps_mid
+        )
     else:
         # int / int rounds correctly, so it equals float() of the reduced Fraction
         form = source.integer_form()
         values = [n / form[1] for n in form[0]] if form else source.weights
         weights = np.array(values, dtype=np.float64)
-        idx = np.flatnonzero(weights)
-        log_q = np.log(weights[idx])
-    log_a, log_b = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)
-    sums = _kernels.pair_region_sums(log_a, log_b, log_q, idx, bounds.M1, bounds.M2)
-    lhs_lower, lhs_mid, lhs_upper, rhs_lower, rhs_mid, rhs_upper = map(float, sums)
-    lhs = math.fsum((lhs_lower, lhs_mid, lhs_upper))
-    rhs = math.fsum((rhs_lower, rhs_mid, rhs_upper))
-    eps_mid = float(mid_window_eps(N, k, alpha, bounds))
-    # b-side mass where the conditional weight is an exact zero:
-    # i < alpha and i > N - k + alpha
-    below = slice(0, np.searchsorted(idx, alpha))
-    above = slice(np.searchsorted(idx, N - k + alpha, side="right"), None)
-    rhs_below_alpha = float(np.sum(np.exp(log_b[below] + log_q[below])))
-    rhs_above_support = float(np.sum(np.exp(log_b[above] + log_q[above])))
+        idx = np.flatnonzero(weights)   # the law on its float64 support
+        sums, below, above = _indexed_sums(idx, np.log(weights[idx]), e, N, bounds)
+        lhs, rhs = math.fsum(sums[:3]), math.fsum(sums[3:])
+        abs_diff = abs(lhs - rhs)
+        budget = float(eps_mid) * sums[4] + sums[0] + sums[3] + sums[2] + sums[5]
     pathological = lhs < FLOAT_PATHOLOGICAL_TOL
-    budget = eps_mid * rhs_mid + lhs_lower + rhs_lower + lhs_upper + rhs_upper
     return VerificationReport(
         N=N,
         k=k,
@@ -613,23 +624,86 @@ def _verify_log(source, e, N, bounds) -> VerificationReport:
         backend="log",
         lhs=lhs,
         rhs=rhs,
-        abs_diff=abs(lhs - rhs),
-        lhs_lower=lhs_lower,
-        lhs_mid=lhs_mid,
-        lhs_upper=lhs_upper,
-        rhs_lower=rhs_lower,
-        rhs_mid=rhs_mid,
-        rhs_upper=rhs_upper,
-        eps_mid=eps_mid,
+        abs_diff=abs_diff,
+        lhs_lower=sums[0],
+        lhs_mid=sums[1],
+        lhs_upper=sums[2],
+        rhs_lower=sums[3],
+        rhs_mid=sums[4],
+        rhs_upper=sums[5],
+        eps_mid=float(eps_mid),
         eps_mid_sampled=False,
         sandwich_bound=budget,
         lower_tail_bound=_lower_tail_bound(N, alpha),
         upper_tail_bound=_upper_tail_bound(N, k, alpha),
         pathological=pathological,
         pathological_label="numerically pathological" if pathological else None,
-        rhs_below_alpha=rhs_below_alpha,
-        rhs_above_support=rhs_above_support,
+        rhs_below_alpha=below,
+        rhs_above_support=above,
     )
+
+
+def _indexed_sums(idx, log_q, e, N, bounds) -> tuple[list[float], float, float]:
+    """The six region sums of a law given on the ascending indices ``idx``
+    by log q, and its b-side mass where the conditional weight is an exact
+    zero: i < alpha and i > N - k + alpha."""
+    k, alpha = e.k, e.alpha
+    log_a, log_b = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)
+    sums = _kernels.pair_region_sums(log_a, log_b, log_q, idx, bounds.M1, bounds.M2)
+    below = slice(0, np.searchsorted(idx, alpha))
+    above = slice(np.searchsorted(idx, N - k + alpha, side="right"), None)
+    return (
+        sums.tolist(),
+        float(np.sum(np.exp(log_b[below] + log_q[below]))),
+        float(np.sum(np.exp(log_b[above] + log_q[above]))),
+    )
+
+
+def _measure_log_fields(mu, e, N, bounds, eps_mid):
+    """Log report fields of a measure, from exact totals where they hold.
+
+    An atom whose window (``_kernels._atom_window``: its binomial mass
+    outside it is below exp(-800)) lies inside the mid window (M1, M2] and
+    inside the support alpha <= i <= N - k + alpha has every tail and edge
+    sum below (N + 1) exp(-800) < 2^-1074, so it adds its exact closed form
+    (``model.kernel_mean``) to the mid sums and nothing elsewhere.  Only the
+    other atoms take the per-index pass, on their own windows; the sums are
+    linear in the atoms.  Their float sums enter as exact rationals, so the
+    report holds every field correctly rounded from one set of exact values:
+    lhs, rhs and the six region sums, and sandwich_bound rounded up from
+
+        eps_mid * rhs_mid + lhs_lower + rhs_lower + lhs_upper + rhs_upper
+        + max(0, abs_diff - |lhs - rhs|),
+
+    abs_diff being |fl(lhs) - fl(rhs)| in float.  With every atom interior
+    the budget dominates |lhs - rhs| up to the dropped mass, which is under
+    the float spacing, so abs_diff <= sandwich_bound holds exactly.
+    """
+    k, alpha = e.k, e.alpha
+    lo_edge = max(bounds.M1, alpha - 1)          # a window must start above
+    hi_edge = min(bounds.M2, N - k + alpha)      # and end at or below
+    interior, tail = [], []
+    for p, w in mu.atoms:
+        lo, hi = _kernels._atom_window(N, float(p))
+        (interior if lo > lo_edge and hi <= hi_edge else tail).append((p, w))
+    sums, below, above = [0.0] * 6, 0.0, 0.0
+    if tail:
+        idx, log_q = _log_mean_law_array(tail, N)
+        sums, below, above = _indexed_sums(idx, log_q, e, N, bounds)
+    exact = [Fraction(x) for x in sums]
+    if interior:
+        lhs_mid, rhs_mid = kernel_mean(level_moments(interior, k), N, k, alpha)
+        exact[1] += lhs_mid
+        exact[4] += rhs_mid
+    lhs_x, rhs_x = sum(exact[:3]), sum(exact[3:])
+    lhs, rhs = float(lhs_x), float(rhs_x)
+    abs_diff = abs(lhs - rhs)
+    budget = eps_mid * exact[4] + exact[0] + exact[3] + exact[2] + exact[5]
+    budget += max(0, Fraction(abs_diff) - abs(lhs_x - rhs_x))
+    bound = float(budget)
+    if bound < budget:
+        bound = math.nextafter(bound, math.inf)
+    return [float(x) for x in exact], lhs, rhs, abs_diff, bound, below, above
 
 
 def _lower_tail_bound(N: int, alpha: int) -> float | None:

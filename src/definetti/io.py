@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from fractions import Fraction
 from typing import Any
 
@@ -22,33 +21,13 @@ from .model import (
     MomentVector,
     SampleMeanLaw,
     Value,
+    any_size,
     integer_ratios,
 )
 
 
 class InputFormatError(ValueError):
     """Malformed input file or value."""
-
-
-def _any_size(convert, x):
-    """``convert(x)``, retried once with CPython's int<->str digit limit
-    (4300 by default) lifted when it raises ValueError; the limit is
-    restored before returning.
-
-    Exact reports at N in the thousands carry integers far past the limit.
-    Only a failed conversion takes the retry, so short numbers pay nothing.
-    """
-    try:
-        return convert(x)
-    except ValueError:
-        if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
-            raise
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return convert(x)
-        finally:
-            sys.set_int_max_str_digits(old)
 
 
 def parse_value(x: Any) -> Value:
@@ -67,7 +46,7 @@ def parse_value(x: Any) -> Value:
         return x
     if isinstance(x, str):
         try:
-            return _any_size(Fraction, x)
+            return any_size(Fraction, x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"malformed rational string {x!r}") from exc
     raise InputFormatError(f"expected a number or 'num/den' string, got {x!r}")
@@ -84,7 +63,7 @@ def format_value(v: Value) -> Any:
     if isinstance(v, int):
         v = Fraction(v)
     if isinstance(v, Fraction):
-        return _any_size(_fraction_text, v)
+        return any_size(_fraction_text, v)
     return float(v)
 
 
@@ -96,6 +75,8 @@ def _load_json(path: str) -> Any:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:   # e.g. an integer literal past the int/str digit limit
+        raise InputFormatError(f"cannot parse {path}: {exc}") from exc
 
 
 def load_measure(path: str) -> MixingMeasure:
@@ -122,10 +103,10 @@ def _entry(x: Any) -> tuple[int, int] | float:
         num, slash, den = x.partition("/")
         digits = num[1:] if num.startswith("-") else num
         if digits.isdecimal() and (den.isdecimal() or not slash):
-            d = _any_size(int, den) if slash else 1
+            d = any_size(int, den) if slash else 1
             if d == 0:
                 raise InputFormatError(f"malformed rational string {x!r}")
-            return _any_size(int, num), d
+            return any_size(int, num), d
     v = parse_value(x)
     return v if isinstance(v, float) else (v.numerator, v.denominator)
 

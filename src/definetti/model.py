@@ -10,8 +10,10 @@ denominator, a float one float64 values (``_Ratios``).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -27,6 +29,28 @@ FLOAT_SUM_TOL = 1e-12
 # float results whose estimated rounding error exceeds this relative level
 # get the cancellation flag
 CANCELLATION_TOL = 1e-6
+
+
+def any_size(convert, x):
+    """``convert(x)``, retried once with CPython's int<->str digit limit
+    (4300 by default) lifted when it raises ValueError; the limit is
+    restored before returning.
+
+    Exact reports at N in the thousands carry integers far past the limit,
+    and so can a certificate.  Only a failed conversion takes the retry, so
+    short numbers pay nothing.
+    """
+    try:
+        return convert(x)
+    except ValueError:
+        if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+            raise
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(x)
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class ValidationError(ValueError):
@@ -45,7 +69,7 @@ class ExtendabilityError(Exception):
         self.value = value
         super().__init__(
             f"moment vector is not extendable to level {level}: "
-            f"weight q_{index} = {value} < 0"
+            f"weight q_{index} = {any_size(str, value)} < 0"
         )
 
 
@@ -216,7 +240,10 @@ class SampleMeanLaw(_Ratios):
         for i, q in enumerate(weights):
             if not q >= 0:   # also NaN; an infinite weight fails the sum check
                 raise ValidationError(f"weight q_{i} = {q} is not a nonnegative number")
-        weights = tuple(map(float, weights))
+        try:
+            weights = tuple(map(float, weights))
+        except OverflowError as exc:   # an exact entry past the float range
+            raise ValidationError(f"weight outside the float range: {exc}") from exc
         total = sum(weights)
         if abs(total - 1) > FLOAT_SUM_TOL:
             raise ValidationError(f"weights sum to {total!r}, expected 1 within 1e-12")
@@ -361,7 +388,7 @@ def sample_mean_law(mu: MixingMeasure, N: int) -> SampleMeanLaw:
     if N < 1:
         raise ValidationError("N must be positive")
     if not mu.is_exact:
-        idx, log_q = _log_mean_law_array(mu, N)
+        idx, log_q = _log_mean_law_array(mu.atoms, N)
         q = np.zeros(N + 1, dtype=np.float64)
         q[idx] = np.exp(log_q)
         return SampleMeanLaw(N=N, weights=tuple(q.tolist()))
@@ -382,31 +409,106 @@ def sample_mean_law(mu: MixingMeasure, N: int) -> SampleMeanLaw:
     return SampleMeanLaw.from_integer_ratios(nums, den)
 
 
-def _log_mean_law_array(mu: MixingMeasure, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, log q_idx) of the float count law on its support (``_kernels``)."""
-    ps = np.array([float(p) for p, _ in mu.atoms], dtype=np.float64)
-    log_ws = np.log(np.array([float(w) for _, w in mu.atoms], dtype=np.float64))
+def _log_mean_law_array(
+    atoms: Sequence[tuple[Value, Value]], N: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, log q_idx) of the float count law of the (p, w) atoms on its
+    support (``_kernels``); the weights need not sum to one."""
+    ps = np.array([float(p) for p, _ in atoms], dtype=np.float64)
+    log_ws = np.log(np.array([float(w) for _, w in atoms], dtype=np.float64))
     return _kernels.log_mean_law(_kernels.RESIDUALS, N, ps, log_ws)
+
+
+def level_moments(
+    source: SampleMeanLaw | MixingMeasure | Iterable[tuple[Value, Value]], k: int
+) -> tuple[list[int], int]:
+    """c_0..c_k, c_j = P(the first j coordinates are all one), as integer
+    numerators over one denominator.
+
+    For a measure (or any (p, w) atoms, whose weights need not sum to one)
+    c_j = sum w p^j at every level; a float enters as ``Fraction(x)``, which
+    is exact, so float atoms give one power-of-two denominator.  For an
+    exact count law at level N, c_j = E[S^(j)] / N^(j) with falling
+    factorials x^(j) = x (x-1) ... (x-j+1), and E[S^(j)] = j! B_j with the
+    binomial moments B_j = sum_i C(i, j) q_i.  Since sum_i q_i x^i =
+    sum_j B_j (x - 1)^j, dividing the law's polynomial by x - 1 j times
+    leaves B_j as the remainder; each division is one running sum of N
+    bignum additions, with no products.  No coordinate j > N exists, so
+    c_j = 0 there (only its product N^(j) c_j = 0 is ever read, by
+    ``kernel_mean``).
+    """
+    if isinstance(source, SampleMeanLaw):
+        nums, den = source.integer_form()
+        N = source.N
+        top = min(k, N)
+        out, rev = [], nums[::-1]   # highest coefficient first
+        for j in range(top + 1):
+            rev = list(itertools.accumulate(rev))
+            # the remainder is the full sum; the rest is the quotient
+            out.append(rev.pop() * math.factorial(j) * math.perm(N - j, top - j))
+        return out + [0] * (k - top), den * math.perm(N, top)
+    if isinstance(source, MixingMeasure):
+        source = source.atoms
+    atoms = [(Fraction(p), Fraction(w)) for p, w in source]
+    den = math.lcm(*(w.denominator * p.denominator**k for p, w in atoms))
+    out = [0] * (k + 1)
+    for p, w in atoms:
+        a, b = p.numerator, p.denominator
+        t = w.numerator * (den // w.denominator)   # w p^0 over den
+        for j in range(k + 1):
+            out[j] += t
+            t = t * a // b   # exact for j < k: den holds b^k
+    return out, den
+
+
+def _stirling2_rows(m: int) -> list[list[int]]:
+    """Rows n = 0..m of the Stirling numbers of the second kind S(n, j):
+    x^n = sum_j S(n, j) x^(j)."""
+    rows = [[1]]
+    for n in range(1, m + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, n + 1)])
+    return rows
+
+
+def kernel_mean(
+    moments: tuple[Sequence[int], int], N: int, k: int, alpha: int
+) -> tuple[Fraction, Fraction]:
+    """(lhs, rhs) of a pattern with alpha ones among k at level N, exactly,
+    from c_0..c_k of ``level_moments``:
+
+        lhs = sum_i P(prefix | count=i) q_i = sum_t (-1)^t C(k-alpha, t) c_(alpha+t),
+        rhs = E[(S/N)^alpha (1 - S/N)^(k-alpha)] = sum_j t_j N^(j) c_j / N^k.
+
+    The first is inclusion-exclusion over the k - alpha zeros.  For the
+    second, E[S^(j)] = N^(j) c_j, and the polynomial S^alpha (N - S)^(k-alpha)
+    = sum_t (-1)^t C(k-alpha, t) N^(k-alpha-t) S^(alpha+t) has the falling
+    coefficients t_j = sum_t (-1)^t C(k-alpha, t) N^(k-alpha-t) S(alpha+t, j)
+    (Stirling numbers of the second kind).  lhs needs k <= N.
+    """
+    nums, den = moments
+    beta = k - alpha
+    lhs = sum((-1) ** t * math.comb(beta, t) * nums[alpha + t] for t in range(beta + 1))
+    coef = [0] * (k + 1)
+    stirling = _stirling2_rows(k)
+    for t in range(beta + 1):
+        scale = (-1) ** t * math.comb(beta, t) * N ** (beta - t)
+        for j, s in enumerate(stirling[alpha + t]):
+            coef[j] += scale * s
+    rhs = sum(c * math.perm(N, j) * nums[j] for j, c in enumerate(coef) if c)
+    return Fraction(lhs, den), Fraction(rhs, den * N**k)
 
 
 def prefix_prob_from_mean_law(law: SampleMeanLaw, e: PrefixEvent) -> Value:
     """P(prefix pattern) implied by a count law via the exchangeable
     conditional weights: sum_i P(prefix | count=i) q_i.
 
-    With falling factorials x^(m), P(prefix | count=i) = i^(alpha)
-    (N-i)^(k-alpha) / N^(k), so an exact law's value is one integer sum
-    over den * N^(k)."""
+    An exact law's value is ``kernel_mean``'s lhs over its ``level_moments``."""
     N, k, alpha = law.N, e.k, e.alpha
     if k > N:
         raise ValidationError(f"pattern length {k} exceeds N={N}")
     if law.is_exact:
-        nums, den = law.integer_form()
-        acc = sum(
-            math.perm(i, alpha) * math.perm(N - i, k - alpha) * num
-            for i, num in enumerate(nums)
-            if num
-        )
-        return Fraction(acc, den * math.perm(N, k))
+        return kernel_mean(level_moments(law, k), N, k, alpha)[0]
     q = np.array(law.weights, dtype=np.float64)
     idx = np.flatnonzero(q)
     log_a, _ = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)

@@ -7,6 +7,7 @@ rational input the recovery is exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from .model import (
     MomentVector,
     SampleMeanLaw,
     Value,
+    kernel_mean,
+    level_moments,
     mean_law_from_moments,
 )
 from .numerics import DomainError
@@ -67,19 +70,10 @@ def recover_from_mean_law(law: SampleMeanLaw) -> RecoveredMeasure:
     )
 
 
-def _expect_kernel_law(law: SampleMeanLaw, a: int, k: int) -> Value:
-    """E[(i/n)^a (1 - i/n)^(k-a)] under the count law; a monomial p^m is the
-    a = k = m case.  Exact laws are summed over their common denominator
-    with one reduction at the end."""
+def _expect_kernel_law_float(law: SampleMeanLaw, a: int, k: int) -> float:
+    """E[(i/n)^a (1 - i/n)^(k-a)] under a float count law; a monomial p^m
+    is the a = k = m case."""
     n = law.N
-    form = law.integer_form()
-    if form is not None:
-        nums, den = form
-        acc = 0
-        for i, q_num in enumerate(nums):
-            if q_num:
-                acc += i**a * (n - i) ** (k - a) * q_num
-        return Fraction(acc, den * n**k)
     return math.fsum(
         (i / n) ** a * (1 - i / n) ** (k - a) * q
         for i, q in enumerate(law.weights)
@@ -100,15 +94,21 @@ def weak_convergence_gap(
     and kernels p^a (1-p)^(k-a) (k <= k_max)."""
     if k_max < 0:
         raise DomainError("k_max must be nonnegative")
+    if law.is_exact:
+        # every law expectation is kernel_mean's rhs over one moment pass
+        moments = level_moments(law, k_max)
+
+        def expect(a: int, k: int) -> Value:
+            return kernel_mean(moments, law.N, k, a)[1]
+    else:
+        expect = functools.partial(_expect_kernel_law_float, law)
     entries: list[tuple[str, Value]] = []
     for m in range(k_max + 1):
-        gap = abs(_expect_kernel_law(law, m, m) - _expect_kernel_measure(target, m, m))
+        gap = abs(expect(m, m) - _expect_kernel_measure(target, m, m))
         entries.append((f"p^{m}", gap))
     for k in range(1, k_max + 1):
         for a in range(k + 1):
-            gap = abs(
-                _expect_kernel_law(law, a, k) - _expect_kernel_measure(target, a, k)
-            )
+            gap = abs(expect(a, k) - _expect_kernel_measure(target, a, k))
             entries.append((f"p^{a}(1-p)^{k - a}", gap))
     return WeakConvergenceDiagnostic(gaps=tuple(entries))
 

@@ -737,6 +737,46 @@ def test_exact_verify_n5000_exits_0(eighth_file, capsys):
     assert max(len(v) for v in doc.values() if isinstance(v, str)) > 4300
 
 
+def test_json_integer_literal_past_digit_limit_exit2(tmp_path, capsys):
+    # json parses an integer literal with int(), which refuses more than
+    # 4,300 digits; a "n" string of the same number is read in full
+    path = tmp_path / "c.json"
+    path.write_text('{"c": [1, 1' + "0" * 4400 + ", 0]}")
+    code, out, err = run_cli(["extend-check", "--moments", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+def test_recover_certificate_past_digit_limit_exit4(tmp_path, capsys):
+    # the first negative level-2 weight has about 8,700 digits in lowest terms
+    limit = sys.get_int_max_str_digits()
+    den = 3**9100
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(
+        {"c": ["1", io.format_value(Fraction(den - 1, den)), "0"]}
+    ))
+    code, out, err = run_cli(["recover", "--moments", str(path), "--level", "2"], capsys)
+    assert code == 4 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "extendability"
+    # q_0 = c_0 - 2 c_1 + c_2
+    want = Fraction(1) - 2 * Fraction(den - 1, den)
+    assert io.parse_value(doc["certificate"]) == want
+    assert io.format_value(want) in doc["message"]
+    assert sys.get_int_max_str_digits() == limit
+    code, out, _ = run_cli(["extend-check", "--moments", str(path)], capsys)
+    assert code == 4 and json.loads(out)["result"] == "reject"
+
+
+def test_law_entry_past_float_range_exit3(tmp_path, capsys):
+    # a float entry makes the law float64; an exact entry past the float
+    # range is then an invariant violation, not a traceback
+    path = write_json(tmp_path, "law.json", {"q": ["1" + "0" * 400, 0.5]})
+    code, out, err = run_cli(["prefix-prob", "--law", path, "--pattern", "1"], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "invariant"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from definetti.model import (
     SampleMeanLaw,
     ValidationError,
     exchangeable_law_from_counts,
+    kernel_mean,
+    level_moments,
     prefix_prob_from_mean_law,
     sample_mean_law,
 )
@@ -118,6 +120,18 @@ def test_prefix_prob_from_counts_matches_reference(q, data):
     got = prefix_prob_from_mean_law(law, e)
     assert isinstance(got, Fraction)
     assert got == reference_prefix_prob(law, e)
+
+
+@given(rational_measures(), st.data())
+def test_kernel_mean_of_a_measure_and_of_its_law_agree(mu, data):
+    # c_j = E[p^j] for the measure and E[S^(j)] / N^(j) for its level-N law
+    # are the same numbers, and both give the Fraction references' lhs and rhs
+    N = data.draw(st.integers(1, 40))
+    law = sample_mean_law(mu, N)
+    e = data.draw(patterns(N))
+    want = (reference_prefix_prob(law, e), reference_kernel_expectation(law, e.alpha, e.k))
+    assert kernel_mean(level_moments(law, e.k), N, e.k, e.alpha) == want
+    assert kernel_mean(level_moments(mu, e.k), N, e.k, e.alpha) == want
 
 
 @given(count_vectors(), rational_measures(), st.integers(0, 4))

@@ -428,6 +428,10 @@ def _assert_matches_dense(rep, want, N):
         # disjoint windows, and one window reaching index 0
         (((0.1, 0.5), (0.9, 0.5)), 10**5, (1, 0, 1)),
         (((1e-4, 0.4), (0.6, 0.6)), 10**5, (0, 1, 0, 0)),
+        # one atom reaching a tail, one interior: the per-index pass runs on
+        # the first alone, the second adds its exact closed form
+        (((0.0, 0.3), (0.4, 0.7)), 10**5, (1, 0, 1)),
+        (((1e-6, 0.5), (0.5, 0.5)), 10**5, (0, 1, 0)),
     ],
 )
 def test_verify_log_on_support_matches_dense_row(atoms, N, pattern):
@@ -473,6 +477,92 @@ def test_cli_log_backend_small_n_matches_dense_row(N, three_atom_mu, tmp_path, c
     lws = np.log(np.array([float(w) for _, w in three_atom_mu.atoms]))
     want = _dense_log_verify(dense_log_mean_law(N, ps, lws), N, e)
     _assert_matches_dense(rep, want, N)
+
+
+def test_verify_log_mixed_measure_scans_only_its_tail_atoms(monkeypatch):
+    # the atom at 1e-6 reaches index 0; the one at 1/2 is interior, so only
+    # the first goes through the per-index kernels, on its own window
+    N = 10**5
+    seen = []
+    scan = harness._log_mean_law_array
+
+    def spy(atoms, n):
+        seen.append(list(atoms))
+        return scan(atoms, n)
+
+    monkeypatch.setattr(harness, "_log_mean_law_array", spy)
+    mu = MixingMeasure(((1e-6, 0.5), (0.5, 0.5)))
+    rep = verify_approximation(mu, PrefixEvent((0, 1, 0)), N=N)
+    assert seen == [[(1e-6, 0.5)]]
+    assert rep.lhs_lower > 0 and rep.rhs_lower > 0
+
+
+def _binomial_raw_moment(N, m):
+    """E[S^m] for S ~ Bin(N, p) as integer coefficients of a polynomial in p,
+    by the recurrence E[S^(m+1)] = p (1 - p) d/dp E[S^m] + N p E[S^m]."""
+    poly = [1]
+    for _ in range(m):
+        nxt = [0] * (len(poly) + 1)
+        for d, c in enumerate(poly):
+            if d:
+                nxt[d] += d * c      # p d/dp
+                nxt[d + 1] -= d * c  # -p^2 d/dp
+            nxt[d + 1] += N * c
+        poly = nxt
+    return poly
+
+
+def _exact_log_reference(atoms, N, k, alpha):
+    """(lhs, rhs) of a float measure in exact rationals: lhs is the mixture's
+    prefix probability sum w p^alpha (1-p)^(k-alpha) (the exchangeable value
+    of a mixture of iid laws), rhs = E[S^alpha (N-S)^(k-alpha)] / N^k with
+    (N - S)^(k-alpha) expanded binomially."""
+    beta = k - alpha
+    lhs = rhs = F(0)
+    for p, w in atoms:
+        p, w = F(p), F(w)
+        lhs += w * p**alpha * (1 - p) ** beta
+        for t in range(beta + 1):
+            moment = sum(c * p**d for d, c in enumerate(_binomial_raw_moment(N, alpha + t)))
+            rhs += w * (-1) ** t * math.comb(beta, t) * N ** (beta - t) * moment
+    return lhs, rhs / N**k
+
+
+@given(st.data())
+def test_verify_log_interior_measure_is_exact(data):
+    # every atom's window inside the mid window: the report is correctly
+    # rounded from exact values and abs_diff <= sandwich_bound with no slack
+    N = data.draw(st.sampled_from([10**5, 10**6, 10**7]), label="N")
+    k = data.draw(st.integers(1, 8), label="k")
+    pattern = tuple(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                              label="pattern"))
+    alpha = sum(pattern)
+    ps = data.draw(st.lists(st.floats(0.1, 0.9), min_size=1, max_size=4, unique=True),
+                   label="ps")
+    raw = data.draw(st.lists(st.floats(0.5, 9.0), min_size=len(ps), max_size=len(ps)),
+                    label="raw")
+    atoms = [(p, r / math.fsum(raw)) for p, r in sorted(zip(ps, raw))]
+    mu = MixingMeasure(tuple(atoms))
+    b = region_bounds(N)
+    for p, _ in atoms:
+        lo, hi = _kernels._atom_window(N, p)
+        assert b.M1 < lo and hi <= b.M2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness._kernels, "scan_log_ab", None)   # no per-index pass
+        rep = verify_approximation(mu, PrefixEvent(pattern), N=N, backend="log")
+    lhs, rhs = _exact_log_reference(atoms, N, k, alpha)
+    assert (rep.lhs, rep.rhs) == (float(lhs), float(rhs))
+    assert (rep.lhs_mid, rep.rhs_mid) == (float(lhs), float(rhs))
+    assert rep.lhs_lower == rep.lhs_upper == rep.rhs_lower == rep.rhs_upper == 0.0
+    assert rep.rhs_below_alpha == rep.rhs_above_support == 0.0
+    assert rep.abs_diff == abs(rep.lhs - rep.rhs)
+    assert rep.abs_diff <= rep.sandwich_bound
+    # sandwich_bound is the least float at or above the exact budget plus
+    # what the float difference adds to |lhs - rhs|
+    eps = mid_window_eps(N, k, alpha, b)
+    assert rep.eps_mid == float(eps)
+    need = eps * rhs + max(0, F(rep.abs_diff) - abs(lhs - rhs))
+    assert F(rep.sandwich_bound) >= need > F(math.nextafter(rep.sandwich_bound, -math.inf))
 
 
 def test_verify_auto_backend_switches(three_atom_mu):
@@ -541,6 +631,48 @@ def test_mid_window_eps_matches_brute(data):
         for i in range(b.M1 + 1, b.M2 + 1)
     )
     assert mid_window_eps(N, k, alpha, b) == brute
+
+
+def _fraction_bisection_eps(N, k, alpha, bounds):
+    """mid_window_eps as first written: the bisection compares the Fraction
+    products of ``ratio_factors`` at every step."""
+    lo = max(bounds.M1 + 1, alpha)
+    hi = min(bounds.M2, N - k + alpha)
+    if lo > hi:
+        return F(1)
+
+    def rho(i):
+        return d.ratio_factors(N, k, alpha, i).product()
+
+    left, right = lo, hi
+    while left < right:
+        mid = (left + right) // 2
+        if rho(mid + 1) > rho(mid):
+            left = mid + 1
+        else:
+            right = mid
+    eps = max(1 - rho(lo), 1 - rho(hi), rho(left) - 1)
+    if lo > bounds.M1 + 1 or hi < bounds.M2:
+        eps = max(eps, F(1))
+    return eps
+
+
+@pytest.mark.parametrize("N", [10**4, 10**5, 10**6, 10**7])
+def test_mid_window_eps_matches_fraction_bisection(N):
+    b = region_bounds(N)
+    for k in range(1, 9):
+        for alpha in range(k + 1):
+            assert mid_window_eps(N, k, alpha, b) == _fraction_bisection_eps(N, k, alpha, b)
+
+
+@given(st.data())
+def test_mid_window_eps_matches_fraction_bisection_small_n(data):
+    # small N puts the support edges inside the mid window
+    N = data.draw(st.integers(8, 400), label="N")
+    k = data.draw(st.integers(1, min(N, 40)), label="k")
+    alpha = data.draw(st.integers(0, k), label="alpha")
+    b = region_bounds(N)
+    assert mid_window_eps(N, k, alpha, b) == _fraction_bisection_eps(N, k, alpha, b)
 
 
 def test_exact_verify_uses_no_float_kernel(three_atom_mu, monkeypatch):
