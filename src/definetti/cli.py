@@ -120,32 +120,10 @@ def _emit_json(doc, out_path: str | None) -> None:
 
 
 def _report_doc(rep: harness.VerificationReport) -> dict:
-    fmt = io.format_value
+    # the dataclass fields are in the JSON key order
     return {
-        "N": rep.N,
-        "k": rep.k,
-        "alpha": rep.alpha,
-        "M1": rep.M1,
-        "M2": rep.M2,
-        "backend": rep.backend,
-        "lhs": fmt(rep.lhs),
-        "rhs": fmt(rep.rhs),
-        "abs_diff": fmt(rep.abs_diff),
-        "lhs_lower": fmt(rep.lhs_lower),
-        "lhs_mid": fmt(rep.lhs_mid),
-        "lhs_upper": fmt(rep.lhs_upper),
-        "rhs_lower": fmt(rep.rhs_lower),
-        "rhs_mid": fmt(rep.rhs_mid),
-        "rhs_upper": fmt(rep.rhs_upper),
-        "eps_mid": fmt(rep.eps_mid),
-        "eps_mid_sampled": rep.eps_mid_sampled,
-        "sandwich_bound": fmt(rep.sandwich_bound),
-        "lower_tail_bound": rep.lower_tail_bound,
-        "upper_tail_bound": rep.upper_tail_bound,
-        "pathological": rep.pathological,
-        "pathological_label": rep.pathological_label,
-        "rhs_below_alpha": fmt(rep.rhs_below_alpha),
-        "rhs_above_support": fmt(rep.rhs_above_support),
+        name: io.format_value(v) if isinstance(v, Fraction) else v
+        for name, v in vars(rep).items()
     }
 
 

@@ -13,10 +13,14 @@ float64 above.  The mid-window deviation does not depend on the law, and
 both backends take it from one exact function, ``mid_window_eps``, which
 certifies it in O(k log N) from the unimodality of the ratio.
 
-On the log backend, a measure's atoms whose windows (``_kernels._atom_window``)
-lie inside the mid window add nothing to the tails in float64, so their
-exact totals from moments are their mid sums; only the other atoms take the
-per-index kernels (``_measure_log_fields``).
+Every source and backend reduces to the same eight exact values (six
+region sums and two edge masses), and one function, ``_report``, turns
+them into a ``VerificationReport``: exact on the exact backend, each field
+correctly rounded and the budget rounded up on the log backend.  There, a
+measure's atoms whose windows (``_kernels._atom_window``) lie inside the
+mid window add nothing to the tails in float64, so their exact totals from
+moments are their mid sums; only the other atoms take the per-index kernels
+(``_measure_log_sums``).
 """
 
 from __future__ import annotations
@@ -325,6 +329,15 @@ class TailBounds:
     upper_ok: bool | None
 
 
+def _tail_caps(N: int, k: int, alpha: int) -> tuple[float | None, float | None]:
+    """The lower-tail cap N^(-(2*alpha-1)/3) (alpha >= 1) and the upper-tail
+    cap N^(-(k-alpha)/2) (alpha <= k-1); None where a side does not apply."""
+    return (
+        float(N) ** (-(2 * alpha - 1) / 3) if alpha >= 1 else None,
+        float(N) ** (-(k - alpha) / 2) if alpha <= k - 1 else None,
+    )
+
+
 def tail_bounds_check(N: int, k: int, alpha: int) -> TailBounds:
     """Verify both tail estimates exactly; inapplicable sides report None."""
     if not (0 <= alpha <= k <= N):
@@ -335,13 +348,13 @@ def tail_bounds_check(N: int, k: int, alpha: int) -> TailBounds:
     lower_applicable = alpha >= 1
     upper_applicable = alpha <= k - 1
 
-    lower_sum = lower_chain_mid = lower_cap = lower_ok = None
+    lower_cap, upper_cap = _tail_caps(N, k, alpha)
+    lower_sum = lower_chain_mid = lower_ok = None
     if lower_applicable:
         lower_sum = sum(
             (iid_kernel(N, k, alpha, i) for i in range(b.M1 + 1)), Fraction(0)
         )
         lower_chain_mid = Fraction(b.M1 ** (1 + alpha), N**alpha)
-        lower_cap = float(N) ** (-(2 * alpha - 1) / 3)
         # sum <= N^(-(2a-1)/3)  <=>  sum^3 * N^(2a-1) <= 1, exactly
         chain_first = lower_sum <= lower_chain_mid
         chain_second = lower_chain_mid**3 * N ** (2 * alpha - 1) <= 1
@@ -349,13 +362,12 @@ def tail_bounds_check(N: int, k: int, alpha: int) -> TailBounds:
         lower_ok = bool(chain_first and cap_ok)
         if chain_first and chain_second and not cap_ok:
             raise AssertionError("inconsistent tail chain")  # unreachable
-    upper_max = upper_cap = upper_ok = None
+    upper_max = upper_ok = None
     if upper_applicable:
         upper_max = max(
             (iid_kernel(N, k, alpha, i) for i in range(b.M2 + 1, N + 1)),
             default=Fraction(0),
         )
-        upper_cap = float(N) ** (-(k - alpha) / 2)
         # max <= N^(-(k-a)/2)  <=>  max^2 * N^(k-a) <= 1, exactly
         upper_ok = bool(upper_max**2 * N ** (k - alpha) <= 1)
     return TailBounds(
@@ -471,19 +483,14 @@ def verify_approximation(
     """Compute both sides of the approximation and a sound error budget.
 
     ``source`` is either a mixing measure (then ``N`` is required) or a
-    ready count law.  The mid-window deviation eps_mid here includes rows
-    where the conditional probability is exactly zero (deviation 1), so the
-    reported bound
-
-        eps_mid * rhs_mid + lhs_lower + rhs_lower + lhs_upper + rhs_upper
-
-    dominates |lhs - rhs| by the triangle inequality.  eps_mid comes from
-    ``mid_window_eps`` in both backends (the log report carries its
-    correctly rounded float), so ``eps_mid_sampled`` is always false.  In
-    the exact backend every report field is a Fraction and the domination
-    is an identity, not a float statement.  On the log backend, a measure
-    whose atoms all lie inside the mid window gets abs_diff <= sandwich_bound
-    exactly for the printed floats (``_measure_log_fields``).
+    ready count law.  Every source gives the same eight exact values: the
+    six region sums (a-side, b-side) x (lower, mid, upper), then the b-side
+    mass below alpha and above the support N - k + alpha, where the
+    conditional weight is an exact zero.  On the exact backend they come
+    from the law's integer numerators (``_exact_fields``); on the log backend
+    from float64 sums read as Fractions (``_indexed_sums``), plus exact
+    moment totals for a measure's interior atoms (``_measure_log_sums``).
+    ``_report`` assembles every report from them, with the budget.
     """
     if isinstance(source, MixingMeasure):
         if N is None:
@@ -493,7 +500,7 @@ def verify_approximation(
         law_n = source.N
         if N is not None and int(N) != law_n:
             raise ValidationError(f"law has N={law_n}, got N={N}")
-    k, alpha = e.k, e.alpha
+    k = e.k
     if k > law_n:
         raise ValidationError(f"pattern length {k} exceeds N={law_n}")
     bounds = region_bounds(law_n)
@@ -505,60 +512,73 @@ def verify_approximation(
             raise ValidationError(
                 "exact backend requires rational input data (num/den strings)"
             )
-        return _verify_exact(source, e, law_n, bounds)
-    return _verify_log(source, e, law_n, bounds)
+        law = sample_mean_law(source, law_n) if isinstance(source, MixingMeasure) else source
+        sums = _exact_fields(law, e, law_n, bounds)
+    elif isinstance(source, MixingMeasure):
+        sums = _measure_log_sums(source, e, law_n, bounds)
+    else:
+        # int / int rounds correctly, so it equals float() of the reduced Fraction
+        form = source.integer_form()
+        values = [n / form[1] for n in form[0]] if form else source.weights
+        weights = np.array(values, dtype=np.float64)
+        idx = np.flatnonzero(weights)   # the law on its float64 support
+        sums = _indexed_sums(idx, np.log(weights[idx]), e, law_n, bounds)
+    return _report(e, law_n, bounds, backend, sums)
 
 
-def _verify_exact(source, e, N, bounds) -> VerificationReport:
-    law = sample_mean_law(source, N) if isinstance(source, MixingMeasure) else source
-    parts, rhs_below_alpha, rhs_above_support = _exact_fields(law, e, N, bounds)
+def _report(e, N, bounds, backend, sums) -> VerificationReport:
+    """The report from the eight exact values of ``verify_approximation``.
+
+    lhs and rhs are the sums of the a-side and b-side region sums.  The
+    mid-window deviation eps_mid (``mid_window_eps``, exact) includes rows
+    where the conditional probability is exactly zero (deviation 1), so
+    for the true region sums the budget
+
+        eps_mid * rhs_mid + lhs_lower + rhs_lower + lhs_upper + rhs_upper
+
+    dominates |lhs - rhs| by the triangle inequality.  On the exact backend
+    every field is its exact value and the domination is an identity.  On
+    the log backend every field is the correctly rounded float of its exact
+    value, abs_diff is |lhs - rhs| of those floats, and sandwich_bound is
+    the budget plus max(0, abs_diff - |lhs - rhs|), exact, rounded up.  So
+    if the budget of the eight values falls short of their |lhs - rhs| by
+    less than 2^-1074, then sandwich_bound > abs_diff - 2^-1074, and as both
+    are floats, abs_diff <= sandwich_bound holds exactly.  A measure whose
+    atoms are all interior (``_measure_log_sums``) has that: its values
+    move tail mass below 2^-1074 into the mid sums.  Float per-index sums
+    (atoms near an end, law files) carry their rounding into the mid sums,
+    so there the claim holds only up to that rounding.
+    """
     k, alpha = e.k, e.alpha
     eps_mid = mid_window_eps(N, k, alpha, bounds)
-    lhs = parts[("a", "lower")] + parts[("a", "mid")] + parts[("a", "upper")]
-    rhs = parts[("b", "lower")] + parts[("b", "mid")] + parts[("b", "upper")]
-    abs_diff = abs(lhs - rhs)
-    budget = (
-        eps_mid * parts[("b", "mid")]
-        + parts[("a", "lower")]
-        + parts[("b", "lower")]
-        + parts[("a", "upper")]
-        + parts[("b", "upper")]
-    )
-    pathological = lhs == 0
-    if pathological and rhs != rhs_below_alpha + rhs_above_support:
-        # impossible for nonnegative weights: lhs = 0 forces q_i = 0 at
-        # every index with a positive conditional probability
-        raise AssertionError("pathological run with interior kernel mass")
+    lhs, rhs = sum(sums[:3]), sum(sums[3:6])
+    budget = eps_mid * sums[4] + sums[0] + sums[3] + sums[2] + sums[5]
+    if backend == "exact":
+        show, abs_diff = Fraction, abs(lhs - rhs)
+        pathological, label = lhs == 0, "exact zero"
+        if pathological and rhs != sums[6] + sums[7]:
+            # impossible for nonnegative weights: lhs = 0 forces q_i = 0 at
+            # every index with a positive conditional probability
+            raise AssertionError("pathological run with interior kernel mass")
+    else:
+        show, abs_diff = float, abs(float(lhs) - float(rhs))
+        budget += max(0, Fraction(abs_diff) - abs(lhs - rhs))
+        pathological = float(lhs) < FLOAT_PATHOLOGICAL_TOL
+        label = "numerically pathological"
+    bound = show(budget)
+    if bound < budget:
+        bound = math.nextafter(bound, math.inf)
     return VerificationReport(
-        N=N,
-        k=k,
-        alpha=alpha,
-        M1=bounds.M1,
-        M2=bounds.M2,
-        backend="exact",
-        lhs=lhs,
-        rhs=rhs,
-        abs_diff=abs_diff,
-        lhs_lower=parts[("a", "lower")],
-        lhs_mid=parts[("a", "mid")],
-        lhs_upper=parts[("a", "upper")],
-        rhs_lower=parts[("b", "lower")],
-        rhs_mid=parts[("b", "mid")],
-        rhs_upper=parts[("b", "upper")],
-        eps_mid=eps_mid,
-        eps_mid_sampled=False,
-        sandwich_bound=budget,
-        lower_tail_bound=_lower_tail_bound(N, alpha),
-        upper_tail_bound=_upper_tail_bound(N, k, alpha),
-        pathological=pathological,
-        pathological_label="exact zero" if pathological else None,
-        rhs_below_alpha=rhs_below_alpha,
-        rhs_above_support=rhs_above_support,
+        N, k, alpha, bounds.M1, bounds.M2, backend,
+        show(lhs), show(rhs), abs_diff, *map(show, sums[:6]),
+        show(eps_mid), False, bound, *_tail_caps(N, k, alpha),
+        pathological, label if pathological else None, *map(show, sums[6:]),
     )
 
 
-def _exact_fields(law, e, N, bounds):
-    """Exact region sums of both sides, accumulated as integers.
+def _exact_fields(law, e, N, bounds) -> list[Fraction]:
+    """The eight exact sums of ``verify_approximation``, accumulated as
+    integers.
 
     With q_i = nums[i] / den and falling factorials x^(m) = x (x-1) ... (x-m+1),
     the conditional weight is a_i = C(N-k, i-alpha) / C(N, i)
@@ -574,9 +594,7 @@ def _exact_fields(law, e, N, bounds):
     hi = N - k + alpha  # conditional prefix probability vanishes above
 
     lhs_num = [0, 0, 0]   # lower, mid, upper over den * N^(k)
-    rhs_num = [0, 0, 0]   # over den * N^k
-    below_num = 0
-    above_num = 0
+    rhs_num = [0] * 5     # lower, mid, upper, below alpha, above hi over den * N^k
     for i, num in enumerate(nums):
         if num == 0:
             continue
@@ -585,82 +603,29 @@ def _exact_fields(law, e, N, bounds):
         rhs_term = i**alpha * (N - i) ** (k - alpha) * num
         rhs_num[reg] += rhs_term
         if i < alpha:
-            below_num += rhs_term
+            rhs_num[3] += rhs_term
         elif i > hi:
-            above_num += rhs_term
-    lhs_den = den * math.perm(N, k)
-    rhs_den = den * N**k
-    parts = {("a", name): Fraction(n, lhs_den) for name, n in zip(REGION_NAMES, lhs_num)}
-    parts.update(
-        {("b", name): Fraction(n, rhs_den) for name, n in zip(REGION_NAMES, rhs_num)}
-    )
-    return parts, Fraction(below_num, rhs_den), Fraction(above_num, rhs_den)
+            rhs_num[4] += rhs_term
+    lhs_den, rhs_den = den * math.perm(N, k), den * N**k
+    return [Fraction(n, lhs_den) for n in lhs_num] + [Fraction(n, rhs_den) for n in rhs_num]
 
 
-def _verify_log(source, e, N, bounds) -> VerificationReport:
-    k, alpha = e.k, e.alpha
-    eps_mid = mid_window_eps(N, k, alpha, bounds)
-    if isinstance(source, MixingMeasure):
-        sums, lhs, rhs, abs_diff, budget, below, above = _measure_log_fields(
-            source, e, N, bounds, eps_mid
-        )
-    else:
-        # int / int rounds correctly, so it equals float() of the reduced Fraction
-        form = source.integer_form()
-        values = [n / form[1] for n in form[0]] if form else source.weights
-        weights = np.array(values, dtype=np.float64)
-        idx = np.flatnonzero(weights)   # the law on its float64 support
-        sums, below, above = _indexed_sums(idx, np.log(weights[idx]), e, N, bounds)
-        lhs, rhs = math.fsum(sums[:3]), math.fsum(sums[3:])
-        abs_diff = abs(lhs - rhs)
-        budget = float(eps_mid) * sums[4] + sums[0] + sums[3] + sums[2] + sums[5]
-    pathological = lhs < FLOAT_PATHOLOGICAL_TOL
-    return VerificationReport(
-        N=N,
-        k=k,
-        alpha=alpha,
-        M1=bounds.M1,
-        M2=bounds.M2,
-        backend="log",
-        lhs=lhs,
-        rhs=rhs,
-        abs_diff=abs_diff,
-        lhs_lower=sums[0],
-        lhs_mid=sums[1],
-        lhs_upper=sums[2],
-        rhs_lower=sums[3],
-        rhs_mid=sums[4],
-        rhs_upper=sums[5],
-        eps_mid=float(eps_mid),
-        eps_mid_sampled=False,
-        sandwich_bound=budget,
-        lower_tail_bound=_lower_tail_bound(N, alpha),
-        upper_tail_bound=_upper_tail_bound(N, k, alpha),
-        pathological=pathological,
-        pathological_label="numerically pathological" if pathological else None,
-        rhs_below_alpha=below,
-        rhs_above_support=above,
-    )
-
-
-def _indexed_sums(idx, log_q, e, N, bounds) -> tuple[list[float], float, float]:
-    """The six region sums of a law given on the ascending indices ``idx``
-    by log q, and its b-side mass where the conditional weight is an exact
-    zero: i < alpha and i > N - k + alpha."""
+def _indexed_sums(idx, log_q, e, N, bounds) -> list[Fraction]:
+    """The eight sums of a law given on the ascending indices ``idx`` by
+    log q, each float64 sum read as an exact Fraction: the six region sums,
+    then the b-side mass where the conditional weight is an exact zero,
+    i < alpha and i > N - k + alpha."""
     k, alpha = e.k, e.alpha
     log_a, log_b = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)
     sums = _kernels.pair_region_sums(log_a, log_b, log_q, idx, bounds.M1, bounds.M2)
     below = slice(0, np.searchsorted(idx, alpha))
     above = slice(np.searchsorted(idx, N - k + alpha, side="right"), None)
-    return (
-        sums.tolist(),
-        float(np.sum(np.exp(log_b[below] + log_q[below]))),
-        float(np.sum(np.exp(log_b[above] + log_q[above]))),
-    )
+    edges = [float(np.sum(np.exp(log_b[s] + log_q[s]))) for s in (below, above)]
+    return [Fraction(x) for x in (*sums.tolist(), *edges)]
 
 
-def _measure_log_fields(mu, e, N, bounds, eps_mid):
-    """Log report fields of a measure, from exact totals where they hold.
+def _measure_log_sums(mu, e, N, bounds) -> list[Fraction]:
+    """The eight sums of a measure on the log backend, exact where they can be.
 
     An atom whose window (``_kernels._atom_window``: its binomial mass
     outside it is below exp(-800)) lies inside the mid window (M1, M2] and
@@ -668,16 +633,7 @@ def _measure_log_fields(mu, e, N, bounds, eps_mid):
     sum below (N + 1) exp(-800) < 2^-1074, so it adds its exact closed form
     (``model.kernel_mean``) to the mid sums and nothing elsewhere.  Only the
     other atoms take the per-index pass, on their own windows; the sums are
-    linear in the atoms.  Their float sums enter as exact rationals, so the
-    report holds every field correctly rounded from one set of exact values:
-    lhs, rhs and the six region sums, and sandwich_bound rounded up from
-
-        eps_mid * rhs_mid + lhs_lower + rhs_lower + lhs_upper + rhs_upper
-        + max(0, abs_diff - |lhs - rhs|),
-
-    abs_diff being |fl(lhs) - fl(rhs)| in float.  With every atom interior
-    the budget dominates |lhs - rhs| up to the dropped mass, which is under
-    the float spacing, so abs_diff <= sandwich_bound holds exactly.
+    linear in the atoms.
     """
     k, alpha = e.k, e.alpha
     lo_edge = max(bounds.M1, alpha - 1)          # a window must start above
@@ -686,29 +642,11 @@ def _measure_log_fields(mu, e, N, bounds, eps_mid):
     for p, w in mu.atoms:
         lo, hi = _kernels._atom_window(N, float(p))
         (interior if lo > lo_edge and hi <= hi_edge else tail).append((p, w))
-    sums, below, above = [0.0] * 6, 0.0, 0.0
+    sums = [Fraction(0)] * 8
     if tail:
-        idx, log_q = _log_mean_law_array(tail, N)
-        sums, below, above = _indexed_sums(idx, log_q, e, N, bounds)
-    exact = [Fraction(x) for x in sums]
+        sums = _indexed_sums(*_log_mean_law_array(tail, N), e, N, bounds)
     if interior:
         lhs_mid, rhs_mid = kernel_mean(level_moments(interior, k), N, k, alpha)
-        exact[1] += lhs_mid
-        exact[4] += rhs_mid
-    lhs_x, rhs_x = sum(exact[:3]), sum(exact[3:])
-    lhs, rhs = float(lhs_x), float(rhs_x)
-    abs_diff = abs(lhs - rhs)
-    budget = eps_mid * exact[4] + exact[0] + exact[3] + exact[2] + exact[5]
-    budget += max(0, Fraction(abs_diff) - abs(lhs_x - rhs_x))
-    bound = float(budget)
-    if bound < budget:
-        bound = math.nextafter(bound, math.inf)
-    return [float(x) for x in exact], lhs, rhs, abs_diff, bound, below, above
-
-
-def _lower_tail_bound(N: int, alpha: int) -> float | None:
-    return float(N) ** (-(2 * alpha - 1) / 3) if alpha >= 1 else None
-
-
-def _upper_tail_bound(N: int, k: int, alpha: int) -> float | None:
-    return float(N) ** (-(k - alpha) / 2) if alpha <= k - 1 else None
+        sums[1] += lhs_mid
+        sums[4] += rhs_mid
+    return sums

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -678,6 +679,80 @@ def test_determinism_byte_identical(three_atom_file):
     assert a.stdout == b.stdout
 
 
+GOLDEN_MEASURES = {
+    "three": {"atoms": [{"p": "1/5", "w": "3/10"}, {"p": "1/2", "w": "2/5"},
+                        {"p": "9/10", "w": "3/10"}]},
+    "fair": {"atoms": [{"p": "1/2", "w": "1"}]},
+    "interior": {"atoms": [{"p": 0.2, "w": 0.3}, {"p": 0.5, "w": 0.4},
+                           {"p": 0.9, "w": 0.3}]},
+}
+
+# sha256 of `verify` stdout for (source, measure, N, pattern, backend): the
+# report bytes, pinned.  Only outputs that depend on no platform: the exact
+# backend is integer arithmetic, and a float measure whose atoms are all
+# interior takes its log fields from exact moment totals, with no per-index
+# numpy sums.  A law source is the measure's `yn-law` file.
+REPORT_DIGESTS = {
+    ("measure", "three", 101, "1,1,0,1", "exact"): "56d2fa597e42c6b4c6b521e41e3d652ba39f8a291bef4e331c1c42678d2aa360",
+    ("measure", "three", 101, "1,0", "exact"): "fc2febb346963acea9a916826ca1c9d3f43776ae70430f4a5042bb0ab7927c70",
+    ("measure", "three", 101, "0,0,0", "exact"): "ddd8fd3797f7e3d1988d7c1a28e9e006a16274fabcbaac9843c099933224e7df",
+    ("measure", "three", 2000, "1,1,0,1", "exact"): "69388adde25175b9807b6df37c0734fcbbc233082642d7be60e0dbe6b27f5132",
+    ("measure", "three", 2000, "1,0", "exact"): "4875bcf7a600dfc586c90dc66f140bcfe90fed106a4ba0a6dc1453459a1cf2ad",
+    ("measure", "three", 2000, "0,0,0", "exact"): "95ff33ba491f8af75ac9a24c1b18e49b5f5ca3eb322ed343226ad86aa033a9b9",
+    ("measure", "three", 5000, "1,1,0,1", "exact"): "d6859e159f76981e8a13fdbb618dd76ffb134d4c82fc4ae29094a2cf908628d1",
+    ("measure", "three", 5000, "1,0", "exact"): "ec5692d57e9a6f870b73441b8e51de8b3a48c66a3fd711394843e9332667388b",
+    ("measure", "three", 5000, "0,0,0", "exact"): "bf85e9baa8048a74722c48ddb2cd36bba2042faf6094bc871152bddaee345224",
+    ("law", "three", 101, "1,1,1,0,0", "exact"): "69f43a6f305323f601d24eebf9b8cb3010ee537c7ac7f56e04c5e36621c54810",
+    ("law", "three", 101, "0,1", "exact"): "fc2febb346963acea9a916826ca1c9d3f43776ae70430f4a5042bb0ab7927c70",
+    ("law", "three", 2000, "1,1,1,0,0", "exact"): "7888f9a5c608f2277ad124210398f569c0f0cdec78004390a5ec3cfa11ab3e08",
+    ("law", "three", 2000, "0,1", "exact"): "4875bcf7a600dfc586c90dc66f140bcfe90fed106a4ba0a6dc1453459a1cf2ad",
+    ("law", "fair", 5000, "1,1,1,0,0", "exact"): "48d4f728e8927506bdb11a782f543dd5c1460d23a0f52b883e4c872f71dbb779",
+    ("law", "fair", 5000, "0,1", "exact"): "ab2b6504d3129fc9a2792705ef81589d8707c37185d3f9f21c113a446eed66ff",
+    ("measure", "interior", 100000, "1,1,0,1", "log"): "64eccb35b9903927c3ae0de39b7147677ff4f013608198398960a81129f58a72",
+    ("measure", "interior", 100000, "1,0", "log"): "729a2fd5580d2ebb23daf39cd442baa519906187b9e7fab2fae9b4dde10b0787",
+    ("measure", "interior", 100000, "0,0,0,0,1,1", "log"): "1ba879babefbbf22780779c82d1e7ca873bfefe0a30ff8e3e572122ed47f8183",
+    ("measure", "interior", 10000000, "1,1,0,1", "log"): "be0adbe0c9f12e4b5d29d14afc91f4f9bd12ea38e7db70f3b129e28db4a30467",
+    ("measure", "interior", 10000000, "1,0", "log"): "bbef5f8a72551a0cb8e11c294796654e156195c36e56d2e4f0375d45c98d7d4d",
+    ("measure", "interior", 10000000, "0,0,0,0,1,1", "log"): "4c750144dc887409cf7593262934d5e8c2d57ced60b3435cdb9c44046b5c8ccf",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_source(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    made = {}
+
+    def source(kind, name, N):
+        if (kind, name, N) not in made:
+            measure = root / f"{name}.json"
+            measure.write_text(json.dumps(GOLDEN_MEASURES[name]))
+            if kind == "measure":
+                made[kind, name, N] = ["--measure", str(measure), "-N", str(N)]
+            else:
+                law = root / f"{name}-{N}.json"
+                assert main(["yn-law", "--measure", str(measure), "-N", str(N),
+                             "--out", str(law)]) == 0
+                made[kind, name, N] = ["--law", str(law)]
+        return made[kind, name, N]
+
+    return source
+
+
+@pytest.mark.parametrize("case, digest", list(REPORT_DIGESTS.items()))
+def test_verify_report_bytes_golden(case, digest, golden_source, capsys):
+    kind, name, N, pattern, backend = case
+    if name == "interior":
+        b = region_bounds(N)
+        for atom in GOLDEN_MEASURES[name]["atoms"]:
+            lo, hi = _kernels._atom_window(N, atom["p"])
+            assert b.M1 < lo and hi <= b.M2
+    argv = ["verify", *golden_source(kind, name, N), "--pattern", pattern,
+            "--backend", backend]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_oracle_determinism_in_process(capsys):
     code1, out1, _ = run_cli(["oracle", "-N", "4", "--seed", "9"], capsys)
     code2, out2, _ = run_cli(["oracle", "-N", "4", "--seed", "9"], capsys)
@@ -791,9 +866,9 @@ def _vanish_conditional_weights(monkeypatch):
     accumulate = harness._exact_fields
 
     def without_lhs(*args):
-        parts, below, above = accumulate(*args)
-        parts = {key: Fraction(0) if key[0] == "a" else v for key, v in parts.items()}
-        return parts, below, above
+        # the eight sums: a-side lower, mid, upper first
+        sums = accumulate(*args)
+        return [Fraction(0)] * 3 + sums[3:]
 
     monkeypatch.setattr(harness, "_exact_fields", without_lhs)
 
@@ -882,6 +957,14 @@ def test_readme_cli_lines_parse():
         assert command == argv[0]
         # the full parser, used when argv names no subcommand, reads them alike
         assert vars(cli.build_parser().parse_args(argv)) == {**vars(args), "command": command}
+
+
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})   # its assert must hold
+    assert len(capsys.readouterr().out.splitlines()) == block.count("print(")
 
 
 @pytest.mark.parametrize(

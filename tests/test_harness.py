@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import definetti as d
-from definetti import _kernels, harness
+from definetti import _kernels, harness, io
 from definetti.cli import main
 from definetti.harness import (
     REGION_NAMES,
@@ -418,6 +418,44 @@ def _assert_matches_dense(rep, want, N):
     assert abs(rep["sandwich_bound"] - budget) <= 3 * gamma * budget
 
 
+SUM_FIELDS = ("lhs_lower", "lhs_mid", "lhs_upper", "rhs_lower", "rhs_mid", "rhs_upper",
+              "rhs_below_alpha", "rhs_above_support")
+
+
+def _assert_rounding_rule(rep, sums):
+    """A log report against the eight exact values it rests on: every field
+    correctly rounded from them, abs_diff the float |lhs - rhs|, and
+    sandwich_bound the least float at or above the exact budget plus what
+    the float difference adds to |lhs - rhs|."""
+    assert [getattr(rep, name) for name in SUM_FIELDS] == [float(x) for x in sums]
+    lhs, rhs = sum(sums[:3]), sum(sums[3:6])
+    assert (rep.lhs, rep.rhs) == (float(lhs), float(rhs))
+    assert rep.abs_diff == abs(rep.lhs - rep.rhs)
+    eps = mid_window_eps(rep.N, rep.k, rep.alpha, region_bounds(rep.N))
+    assert rep.eps_mid == float(eps)
+    need = (eps * sums[4] + sums[0] + sums[3] + sums[2] + sums[5]
+            + max(0, F(rep.abs_diff) - abs(lhs - rhs)))
+    assert F(rep.sandwich_bound) >= need > F(math.nextafter(rep.sandwich_bound, -math.inf))
+
+
+def _printed_sums(rep):
+    return [F(getattr(rep, name)) for name in SUM_FIELDS]
+
+
+def _log_report_and_sums(monkeypatch, source, e, N=None):
+    """A log report and the eight exact values it was assembled from."""
+    seen = []
+    report = harness._report
+
+    def spy(e, N, bounds, backend, sums):
+        seen.append(list(sums))
+        return report(e, N, bounds, backend, sums)
+
+    monkeypatch.setattr(harness, "_report", spy)
+    rep = verify_approximation(source, e, N=N, backend="log")
+    return rep, seen[0]
+
+
 @pytest.mark.parametrize(
     "atoms, N, pattern",
     [
@@ -434,14 +472,17 @@ def _assert_matches_dense(rep, want, N):
         (((1e-6, 0.5), (0.5, 0.5)), 10**5, (0, 1, 0)),
     ],
 )
-def test_verify_log_on_support_matches_dense_row(atoms, N, pattern):
+def test_verify_log_on_support_matches_dense_row(atoms, N, pattern, monkeypatch):
     mu = MixingMeasure(atoms)
     e = PrefixEvent(pattern)
     ps = np.array([p for p, _ in atoms])
     lws = np.log(np.array([w for _, w in atoms]))
     want = _dense_log_verify(dense_log_mean_law(N, ps, lws), N, e)
-    rep = verify_approximation(mu, e, N=N, backend="log")
+    rep, sums = _log_report_and_sums(monkeypatch, mu, e, N)
     _assert_matches_dense(vars(rep), want, N)
+    # an interior atom's exact totals make the mid sums non-floats, so the
+    # rule is checked against the exact values behind the printed fields
+    _assert_rounding_rule(rep, sums)
 
 
 @pytest.mark.parametrize("pattern", [(1, 1, 0), (1, 0, 0), (1, 1, 1, 0)])
@@ -461,6 +502,25 @@ def test_verify_log_float_law_with_zeros_matches_dense_row(pattern):
     assert want["rhs_below_alpha"] > 0 or want["rhs_above_support"] > 0
     rep = verify_approximation(law, e, backend="log")
     _assert_matches_dense(vars(rep), want, N)
+    # a law's sums are floats: the printed ones are the exact values
+    _assert_rounding_rule(rep, _printed_sums(rep))
+
+
+@pytest.mark.parametrize("N", [300, 1500])
+def test_verify_log_exact_law_follows_rounding_rule(N, three_atom_mu, tmp_path, capsys,
+                                                    monkeypatch):
+    # an exact law file on the log backend: its floats are nums[i] / den
+    mu, path = tmp_path / "mu.json", tmp_path / "law.json"
+    mu.write_text(json.dumps(io.measure_to_doc(three_atom_mu)))
+    assert main(["yn-law", "--measure", str(mu), "-N", str(N), "--out", str(path)]) == 0
+    law = io.load_law(str(path))
+    for pattern in ((1, 0), (1, 1, 0, 1), (0, 0, 0), (1, 1, 1, 1, 1, 0)):
+        rep, sums = _log_report_and_sums(monkeypatch, law, PrefixEvent(pattern))
+        assert sums == _printed_sums(rep)
+        _assert_rounding_rule(rep, sums)
+        assert main(["verify", "--law", str(path), "--pattern", ",".join(map(str, pattern)),
+                     "--backend", "log"]) == 0
+        assert json.loads(capsys.readouterr().out) == vars(rep)
 
 
 @pytest.mark.parametrize("N", [8, 60, 300])
@@ -551,18 +611,9 @@ def test_verify_log_interior_measure_is_exact(data):
         mp.setattr(harness._kernels, "scan_log_ab", None)   # no per-index pass
         rep = verify_approximation(mu, PrefixEvent(pattern), N=N, backend="log")
     lhs, rhs = _exact_log_reference(atoms, N, k, alpha)
-    assert (rep.lhs, rep.rhs) == (float(lhs), float(rhs))
-    assert (rep.lhs_mid, rep.rhs_mid) == (float(lhs), float(rhs))
-    assert rep.lhs_lower == rep.lhs_upper == rep.rhs_lower == rep.rhs_upper == 0.0
-    assert rep.rhs_below_alpha == rep.rhs_above_support == 0.0
-    assert rep.abs_diff == abs(rep.lhs - rep.rhs)
+    # all of both totals in the mid sums, nothing elsewhere
+    _assert_rounding_rule(rep, [0, lhs, 0, 0, rhs, 0, 0, 0])
     assert rep.abs_diff <= rep.sandwich_bound
-    # sandwich_bound is the least float at or above the exact budget plus
-    # what the float difference adds to |lhs - rhs|
-    eps = mid_window_eps(N, k, alpha, b)
-    assert rep.eps_mid == float(eps)
-    need = eps * rhs + max(0, F(rep.abs_diff) - abs(lhs - rhs))
-    assert F(rep.sandwich_bound) >= need > F(math.nextafter(rep.sandwich_bound, -math.inf))
 
 
 def test_verify_auto_backend_switches(three_atom_mu):

@@ -205,6 +205,41 @@ def test_mean_law_windows_at_1e5():
     assert np.max(np.abs(lq[normal] - dense[idx[normal]])) <= 5e-12
 
 
+def _full_range_window(N, p):
+    """The window bisected over the whole index range: each edge from
+    floor(Np) out to -1 and to N + 1 (the reference for ``_atom_window``)."""
+    def edge(inside, outside):
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            if K._n_kl(N, p, mid) <= K.LOG_TERM_FLOOR:
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    c = min(N, math.floor(N * p))
+    return max(0, edge(c, -1) - 2), min(N, edge(c, N + 1) + 2)
+
+
+def test_atom_window_pinsker_start_matches_full_range_bisection():
+    # starting each edge's bisection from c -+ (isqrt(400 N) + 2) finds the
+    # same window as bisecting over 0..N, from tiny p to the float below 1
+    ns = [8, 9, 12, 31, 100, 101, 1000, 2000, 4097, 10**4, 10**5, 123_457,
+          10**6, 10**7, 3 * 10**7 + 1, 10**8, 10**9]
+    ps = [1e-300, 1e-100, 1e-20, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01,
+          0.05, 0.1, 0.2, 1 / 3, 0.37, 0.5, 0.6, 2 / 3, 0.9, 0.99, 0.999, 1 - 1e-6,
+          1 - 1e-9, 1 - 1e-12, 1 - 2.0**-53]
+    rng = np.random.default_rng(17)
+    ps += (10.0 ** rng.uniform(-300, 0, 60)).tolist()
+    ps += (1.0 - 10.0 ** rng.uniform(-15.9, -1, 40)).tolist()
+    cases = 0
+    for N in ns:
+        for p in ps:
+            assert K._atom_window(N, p) == _full_range_window(N, p), (N, p)
+            cases += 1
+    assert cases == len(ns) * len(ps) > 2000
+
+
 def test_mean_law_saddle_form_at_1e7():
     # 50 digits against the float atom's exact value, on 401 indices of the
     # window and its first and last 5 with log q_i >= -700
