@@ -11,8 +11,10 @@ there are blocks; smaller scans, and one usable CPU, format in-process.  The
 bytes do not depend on the CPU count, and at most one block per worker is in
 flight.
 
-Each subcommand declares only the options it reads (COMMANDS), so an
-option it would ignore is refused.
+Each subcommand declares the options it reads and those it requires
+(COMMANDS), and argparse checks every command line against that table, so
+an option it would ignore is refused.  Documents hold exact values as
+Fractions, which one ``json.dumps`` hook writes as "num/den" text.
 
 Exit codes: 0 success, 2 input/domain errors, 3 invariant violations
 (invalid input objects and failed internal guards), 4 extendability
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -60,16 +63,6 @@ SCAN_POOL_MIN_ROWS = 6 * SCAN_BLOCK_ROWS
 # Each worker adds 25-45 MB to the process tree; 4 bound that while keeping
 # the parent (about 7 ms of its own per 245 ms block) far from saturated.
 SCAN_MAX_WORKERS = 4
-
-
-def _pattern(text: str | None) -> PrefixEvent | None:
-    """The --pattern option as a PrefixEvent; a malformed one is an input error."""
-    if text is None:
-        return None
-    try:
-        return PrefixEvent.from_string(text)
-    except ValidationError as exc:
-        raise io.InputFormatError(str(exc)) from exc
 
 
 class _ReaderGone(Exception):
@@ -114,17 +107,16 @@ def _output(out_path: str | None):
         yield fh
 
 
+def _exact_text(v):
+    """The ``json.dumps`` hook: an exact value as its "num/den" text."""
+    if isinstance(v, Fraction):
+        return io.format_value(v)
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
 def _emit_json(doc, out_path: str | None) -> None:
     with _output(out_path) as fh:
-        fh.write(json.dumps(doc) + "\n")
-
-
-def _report_doc(rep: harness.VerificationReport) -> dict:
-    # the dataclass fields are in the JSON key order
-    return {
-        name: io.format_value(v) if isinstance(v, Fraction) else v
-        for name, v in vars(rep).items()
-    }
+        fh.write(json.dumps(doc, default=_exact_text) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -132,51 +124,36 @@ def _report_doc(rep: harness.VerificationReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_prefix_prob(args: argparse.Namespace) -> int:
-    pattern = _pattern(args.pattern)
-    if pattern is None:
-        raise io.InputFormatError("--pattern is required")
-    if args.measure:
+    if args.measure is not None:
         mu = io.load_measure(args.measure)
-        value = model.mixture_prefix_prob(mu, pattern)
-    elif args.moments:
+        value = model.mixture_prefix_prob(mu, args.pattern)
+    elif args.moments is not None:
         c = io.load_moments(args.moments)
-        value = model.prefix_prob_from_moments(c, pattern)
-    elif args.law:
-        law = io.load_law(args.law)
-        value = model.prefix_prob_from_mean_law(law, pattern)
+        value = model.prefix_prob_from_moments(c, args.pattern)
     else:
-        raise io.InputFormatError("one of --measure, --moments, --law is required")
-    _emit_json({"value": io.format_value(value)}, args.out)
+        law = io.load_law(args.law)
+        value = model.prefix_prob_from_mean_law(law, args.pattern)
+    _emit_json({"value": value}, args.out)
     return EXIT_OK
 
 
 def cmd_yn_law(args: argparse.Namespace) -> int:
-    if args.measure is None:
-        raise io.InputFormatError("--measure is required")
-    if args.N is None:
-        raise io.InputFormatError("-N is required")
     mu = io.load_measure(args.measure)
     law = model.sample_mean_law(mu, args.N)
-    _emit_json(
-        {"N": law.N, "q": [io.format_value(q) for q in law.weights]}, args.out
-    )
+    _emit_json({"N": law.N, "q": law.weights}, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    pattern = _pattern(args.pattern)
-    if pattern is None:
-        raise io.InputFormatError("--pattern is required")
-    if args.law:
+    if args.law is not None:
         source = io.load_law(args.law)
-    elif args.measure:
-        if args.N is None:
-            raise io.InputFormatError("-N is required with --measure")
-        source = io.load_measure(args.measure)
+    elif args.N is None:
+        raise io.InputFormatError("-N is required with --measure")
     else:
-        raise io.InputFormatError("one of --measure, --law is required")
-    rep = harness.verify_approximation(source, pattern, N=args.N, backend=args.backend)
-    _emit_json(_report_doc(rep), args.out)
+        source = io.load_measure(args.measure)
+    rep = harness.verify_approximation(source, args.pattern, N=args.N, backend=args.backend)
+    # the dataclass fields are in the JSON key order
+    _emit_json(vars(rep), args.out)
     return EXIT_OK
 
 
@@ -308,17 +285,13 @@ def _block_formatter(workers: int):
 
 
 def cmd_ratio_scan(args: argparse.Namespace) -> int:
-    pattern = _pattern(args.pattern)
-    if pattern is None:
-        raise io.InputFormatError("--pattern is required (supplies k and alpha)")
-    if args.N is None:
-        raise io.InputFormatError("-N is required")
+    pattern = args.pattern
     scan = harness.ratio_scan(
         args.N, pattern.k, pattern.alpha, stride=args.stride, backend=args.backend
     )
     summary = {
-        "eps_mid": io.format_value(scan.eps_mid),
-        "r": io.format_value(scan.r),
+        "eps_mid": scan.eps_mid,
+        "r": scan.r,
         "M1": scan.bounds.M1,
         "M2": scan.bounds.M2,
         "stride": scan.stride,
@@ -333,15 +306,11 @@ def cmd_ratio_scan(args: argparse.Namespace) -> int:
             fh.write("i,a,b,ratio,region\n")
         for text in format_blocks(_scan_blocks(scan)):
             fh.write(text)
-        fh.write(json.dumps(summary) + "\n")
+        fh.write(json.dumps(summary, default=_exact_text) + "\n")
     return EXIT_OK
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    if args.moments is None:
-        raise io.InputFormatError("--moments is required")
-    if args.level is None:
-        raise io.InputFormatError("--level is required")
     c = io.load_moments(args.moments)
     rec = recovery.recover_from_moments(c, args.level)
     _emit_json(io.measure_to_doc(rec.measure, level=rec.level), args.out)
@@ -349,8 +318,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 
 def cmd_extend_check(args: argparse.Namespace) -> int:
-    if args.moments is None:
-        raise io.InputFormatError("--moments is required")
     c = io.load_moments(args.moments)
     check = model.check_complete_monotonicity(c)
     if check.ok:
@@ -359,7 +326,7 @@ def cmd_extend_check(args: argparse.Namespace) -> int:
     _emit_json(
         {
             "result": "reject",
-            "certificate": io.format_value(check.value),
+            "certificate": check.value,
             "difference_order": check.order,
             "index": check.index,
         },
@@ -381,11 +348,9 @@ def _random_rational_measure(rng: random.Random) -> model.MixingMeasure:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    N = args.N if args.N is not None else 6
+    N = args.N
     if N > 10:
         raise DomainError(f"exhaustive oracle sweep capped at N = 10, got {N}")
-    if N < 1:
-        raise DomainError("N must be positive")
     rng = random.Random(args.seed)
     trials = 5
     max_gap = Fraction(0)
@@ -408,7 +373,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "N": N,
             "seed": args.seed,
             "trials": trials,
-            "max_abs_gap": io.format_value(max_gap),
+            "max_abs_gap": max_gap,
         },
         args.out,
     )
@@ -416,13 +381,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_tail_check(args: argparse.Namespace) -> int:
-    pattern = _pattern(args.pattern)
-    if pattern is None:
-        raise io.InputFormatError("--pattern is required (supplies k and alpha)")
-    if args.N is None:
-        raise io.InputFormatError("-N is required")
-    tb = harness.tail_bounds_check(args.N, pattern.k, pattern.alpha)
-    fmt = io.format_value
+    tb = harness.tail_bounds_check(args.N, args.pattern.k, args.pattern.alpha)
     doc = {
         "N": tb.N,
         "k": tb.k,
@@ -432,8 +391,8 @@ def cmd_tail_check(args: argparse.Namespace) -> int:
         "lower": (
             {
                 "applicable": True,
-                "sum": fmt(tb.lower_sum),
-                "chain_mid": fmt(tb.lower_chain_mid),
+                "sum": tb.lower_sum,
+                "chain_mid": tb.lower_chain_mid,
                 "cap": tb.lower_cap,
                 "ok": tb.lower_ok,
             }
@@ -443,7 +402,7 @@ def cmd_tail_check(args: argparse.Namespace) -> int:
         "upper": (
             {
                 "applicable": True,
-                "max": fmt(tb.upper_max),
+                "max": tb.upper_max,
                 "cap": tb.upper_cap,
                 "ok": tb.upper_ok,
             }
@@ -459,66 +418,96 @@ def cmd_tail_check(args: argparse.Namespace) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """-N, --stride and --level: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _pattern(text: str) -> PrefixEvent:
+    """--pattern as a PrefixEvent."""
+    try:
+        return PrefixEvent.from_string(text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 OPTIONS = {   # flag: add_argument keywords
     "--backend": {"choices": ["exact", "log", "auto"], "default": "auto"},
     "--measure": {"help": "measure JSON file"},
     "--moments": {"help": "moments JSON file"},
     "--law": {"help": "count-law JSON file"},
     "--out": {"help": "output path (default stdout)"},
-    "-N": {"type": int, "dest": "N"},
-    "--pattern": {"help": "comma list of 0/1, e.g. 1,1,0"},
-    "--stride": {"type": int, "default": 1},
-    "--level": {"type": int},
+    "-N": {"type": _positive_int, "dest": "N"},
+    "--pattern": {"type": _pattern, "help": "comma list of 0/1, e.g. 1,1,0"},
+    "--stride": {"type": _positive_int, "default": 1},
+    "--level": {"type": _positive_int},
     "--seed": {"type": int, "default": 0},
 }
 
-COMMANDS = {   # name: (handler, help, the options it reads)
+# name: (handler, help, the options it requires, the other options it reads);
+# a tuple among the required options is a group of which exactly one is given
+COMMANDS = {
     "prefix-prob": (cmd_prefix_prob, "prefix probability of a pattern",
-                    ("--measure", "--moments", "--law", "--out", "--pattern")),
+                    (("--measure", "--moments", "--law"), "--pattern"), ("--out",)),
     "yn-law": (cmd_yn_law, "law of the sample mean over 0..N",
-               ("--measure", "--out", "-N")),
+               ("--measure", "-N"), ("--out",)),
     "verify": (cmd_verify, "two-sided verification report",
-               ("--backend", "--measure", "--law", "--out", "-N", "--pattern")),
+               (("--measure", "--law"), "--pattern"), ("--backend", "--out", "-N")),
     "ratio-scan": (cmd_ratio_scan, "per-index kernel ratio scan (CSV)",
-                   ("--backend", "--out", "-N", "--pattern", "--stride")),
+                   ("-N", "--pattern"), ("--backend", "--out", "--stride")),
     "recover": (cmd_recover, "recover a measure from moments",
-                ("--moments", "--out", "--level")),
+                ("--moments", "--level"), ("--out",)),
     "extend-check": (cmd_extend_check, "complete monotonicity check",
-                     ("--moments", "--out")),
-    "oracle": (cmd_oracle, "word-sweep agreement check", ("--out", "-N", "--seed")),
+                     ("--moments",), ("--out",)),
+    "oracle": (cmd_oracle, "word-sweep agreement check", (), ("--out", "-N", "--seed")),
     "tail-check": (cmd_tail_check, "tail-bound verification",
-                   ("--out", "-N", "--pattern")),
+                   ("-N", "--pattern"), ("--out",)),
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
-    for flag in COMMANDS[command][2]:
-        parser.add_argument(flag, **OPTIONS[flag])
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand; ``main`` needs it only when argv
-    names no subcommand."""
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and each subcommand's own, built once per process."""
     parser = argparse.ArgumentParser(
         prog="definetti",
         description="Finite-N diagnostics for exchangeable Bernoulli mixtures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, _) in COMMANDS.items():
-        _add_options(sub.add_parser(command, help=help_text), command)
-    return parser
+    for command, (_, help_text, required, optional) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for entry in required:
+            if isinstance(entry, tuple):
+                group = command_parser.add_mutually_exclusive_group(required=True)
+                for flag in entry:
+                    group.add_argument(flag, **OPTIONS[flag])
+            else:
+                command_parser.add_argument(entry, required=True, **OPTIONS[entry])
+        for flag in optional:
+            command_parser.add_argument(flag, **OPTIONS[flag])
+    sub.choices["oracle"].set_defaults(N=6)   # the sweep's size when -N is left out
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, for an argv that names none."""
+    return _parsers()[0]
 
 
 def parse_args(argv: list[str]) -> tuple[str, argparse.Namespace]:
-    """(subcommand, its options) from argv.  A subcommand named first gets
-    a parser of its own options alone; anything else (no arguments, -h, an
-    unknown name) goes to ``build_parser``.  A usage error exits 2 with
-    argparse's usage text."""
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"definetti {argv[0]}")
-        _add_options(parser, argv[0])
-        return argv[0], parser.parse_args(argv[1:])
-    args = build_parser().parse_args(argv)
+    """(subcommand, its options) from argv.  A subcommand named first is
+    parsed by its own parser, so a usage error shows that subcommand's usage
+    line; anything else (no arguments, -h, an unknown name) goes to
+    ``build_parser``.  A usage error exits 2 with argparse's usage text."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        return argv[0], commands[argv[0]].parse_args(argv[1:])
+    args = parser.parse_args(argv)
     return args.command, args
 
 
@@ -530,8 +519,8 @@ def main(argv: list[str] | None = None) -> int:
         kind, code = next(v for t, v in ERRORS.items() if isinstance(exc, t))
         doc = {"error": kind, "message": str(exc)}
         if isinstance(exc, ExtendabilityError):
-            doc["certificate"] = io.format_value(exc.value)
-        print(json.dumps(doc), file=sys.stderr)
+            doc["certificate"] = exc.value
+        print(json.dumps(doc, default=_exact_text), file=sys.stderr)
         return code
 
 

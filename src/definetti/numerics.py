@@ -144,21 +144,13 @@ def iid_kernel(N: int, k: int, alpha: int, i: int) -> Fraction:
     return Fraction(i, N) ** alpha * Fraction(N - i, N) ** (k - alpha)
 
 
-def falling_product(N: int, k: int) -> int:
-    """N (N-1) ... (N-k+1)."""
-    out = 1
-    for j in range(k):
-        out *= N - j
-    return out
-
-
 def replacement_correction(N: int, k: int) -> Fraction:
     """N^k over the k-term falling product; always >= 1."""
     if k > N:
         raise DomainError(f"pattern length {k} exceeds sequence length {N}")
     if k < 1:
         raise DomainError("pattern length must be at least 1")
-    return Fraction(N**k, falling_product(N, k))
+    return Fraction(N**k, math.perm(N, k))
 
 
 def replacement_correction_float(N: int, k: int) -> float:
@@ -200,7 +192,7 @@ def ratio_within_correction(N: int, k: int, alpha: int, i: int) -> bool:
     _check_prefix_args(N, k, alpha, i)
     if (i == 0 and alpha > 0) or (i == N and alpha < k):
         raise DomainError(f"iid kernel vanishes at i={i}; ratio undefined")
-    lhs = binomial(N - k, i - alpha) * falling_product(N, k)
+    lhs = binomial(N - k, i - alpha) * math.perm(N, k)
     rhs = math.comb(N, i) * i**alpha * (N - i) ** (k - alpha)
     return lhs <= rhs
 
@@ -209,7 +201,7 @@ def ratio_bound_holds_all(N: int, k: int, alpha: int) -> bool:
     """ratio_within_correction over every i with a positive kernel, by
     multiplicative recurrences (one pass, exact integers)."""
     _check_prefix_args(N, k, alpha, min(N, 1))
-    fall = falling_product(N, k)
+    fall = math.perm(N, k)
     lo = 0 if alpha == 0 else 1
     hi = N if alpha == k else N - 1
     choose_full = math.comb(N, lo)

@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import json
 import math
 import multiprocessing
 import os
+import re
 import shlex
 import shutil
 import signal
@@ -104,20 +106,28 @@ def test_prefix_prob_malformed_json_exit2(tmp_path, capsys):
     assert json.loads(err)["error"] == "input"
 
 
+def usage_error(argv, capsys):
+    """stderr of a command line that argparse refuses; it exits 2 and prints
+    nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: definetti {argv[0]} ")
+    return err
+
+
 def test_prefix_prob_missing_source_exit2(capsys):
-    code, _, err = run_cli(["prefix-prob", "--pattern", "1"], capsys)
-    assert code == 2
+    err = usage_error(["prefix-prob", "--pattern", "1"], capsys)
+    assert "one of the arguments --measure --moments --law is required" in err
 
 
 def test_malformed_pattern_exit2(fair_file, capsys):
-    code, _, err = run_cli(
-        ["prefix-prob", "--measure", fair_file, "--pattern", "1,x"], capsys
-    )
-    assert code == 2
-    code, _, err = run_cli(
-        ["prefix-prob", "--measure", fair_file, "--pattern", "1,2"], capsys
-    )
-    assert code == 2
+    err = usage_error(["prefix-prob", "--measure", fair_file, "--pattern", "1,x"], capsys)
+    assert "argument --pattern: malformed pattern '1,x'" in err
+    err = usage_error(["prefix-prob", "--measure", fair_file, "--pattern", "1,2"], capsys)
+    assert "argument --pattern: pattern entries must be 0 or 1: (1, 2)" in err
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +763,66 @@ def test_verify_report_bytes_golden(case, digest, golden_source, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+GOLDEN_MOMENTS = {
+    "polya": {"c": ["1", "1/2", "1/3", "1/4"]},
+    "bad": {"c": ["1", "1/2", "0", "0"]},
+}
+
+# sha256 of the document each command line writes, pinned: on stdout, in its
+# --out file, or on stderr for a rejection that prints no report.  Every
+# value in them comes from integer arithmetic; tail-check's two float caps
+# are cut out before hashing.  {law} is the three-atom measure's N = 101
+# `yn-law` file.
+OUTPUT_DIGESTS = [   # (id, argv, exit code, document stream, sha256)
+    ("prefix-prob-measure", ["prefix-prob", "--measure", "{three}",
+                             "--pattern", "1,1,0,1"],
+     0, "stdout", "4941b5f370048990aab25ef5b1039ba0a22858c9a4b6caa1587ff62b25b1fa1b"),
+    ("prefix-prob-moments", ["prefix-prob", "--moments", "{polya}",
+                             "--pattern", "1,0,1"],
+     0, "stdout", "9531b23d4833cbe556e1505bfdf6e58724bab74990c151976f457ec011663ca1"),
+    ("prefix-prob-law", ["prefix-prob", "--law", "{law}", "--pattern", "1,1,0,1"],
+     0, "stdout", "4941b5f370048990aab25ef5b1039ba0a22858c9a4b6caa1587ff62b25b1fa1b"),
+    ("yn-law", ["yn-law", "--measure", "{three}", "-N", "50"],
+     0, "stdout", "75e0add8a2c3b1b6d6405f44e0548a046141f8126863f4ebd6f7b24471102f4c"),
+    ("ratio-scan-exact", ["ratio-scan", "--backend", "exact", "-N", "200",
+                          "--pattern", "1,1,0", "--out", "{out}"],
+     0, "--out", "0ff8633e7939e6976c8afb5e59a206e5704fb7340a418080a543344a55e73ab1"),
+    ("recover-accept", ["recover", "--moments", "{polya}", "--level", "3"],
+     0, "stdout", "3ebafe4cd6b52d1e024b6cba295266518630550cc411d6d5ee57070c132d04a3"),
+    ("recover-reject", ["recover", "--moments", "{bad}", "--level", "3"],
+     4, "stderr", "accfbda86804eb2c07309326b9cfec0699a73e142dbb0f0fa498d1c243073dbf"),
+    ("extend-check-accept", ["extend-check", "--moments", "{polya}"],
+     0, "stdout", "431e0c6bd38dc76b0f214d0c1df0b3f2f89a1020d1372a0f73ede7bdf895bdf7"),
+    ("extend-check-reject", ["extend-check", "--moments", "{bad}"],
+     4, "stdout", "bb04274a20ee22345a4adce3fa2d68d9f4962caf8a76d3f15bebfe1b337b7715"),
+    ("oracle", ["oracle", "-N", "8", "--seed", "1"],
+     0, "stdout", "c7c0ccf515845261b236348ef2a820df6e5d0d76d10485a6d192d33d440db8e2"),
+    ("tail-check", ["tail-check", "-N", "10000", "--pattern", "1,0,0"],
+     0, "stdout", "f69f95b8a750a240df19d65775efb230aa191a0f29a0ddaec91c8c17c730185d"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stream, digest",
+                         [pytest.param(*case[1:], id=case[0]) for case in OUTPUT_DIGESTS])
+def test_output_bytes_golden(argv, code, stream, digest, golden_source, tmp_path, capsys):
+    files = {name: write_json(tmp_path, f"{name}.json", doc)
+             for name, doc in GOLDEN_MOMENTS.items()}
+    files["three"] = golden_source("measure", "three", 101)[1]
+    files["law"] = golden_source("law", "three", 101)[1]
+    files["out"] = str(tmp_path / "out.txt")
+    got, out, err = run_cli([arg.format(**files) for arg in argv], capsys)
+    assert got == code
+    streams = {"stdout": out, "stderr": err}
+    if stream == "--out":
+        streams["--out"] = Path(files["out"]).read_text()
+    text = streams.pop(stream)
+    assert set(streams.values()) == {""}
+    if argv[0] == "tail-check":
+        text, cut = re.subn(r'"cap": [^,]+, ', "", text)
+        assert cut == 2
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_oracle_determinism_in_process(capsys):
     code1, out1, _ = run_cli(["oracle", "-N", "4", "--seed", "9"], capsys)
     code2, out2, _ = run_cli(["oracle", "-N", "4", "--seed", "9"], capsys)
@@ -886,6 +956,8 @@ def _vanish_conditional_weights(monkeypatch):
          "invariant"),
         (["recover", "--moments", "{bad_moments}", "--level", "3"], None, 4,
          "extendability"),
+        # argparse cannot require -N only with --measure
+        (["verify", "--measure", "{fair}", "--pattern", "1"], None, 2, "input"),
     ],
 )
 def test_exit_codes(argv, patch, code, error, fair_file, tmp_path, monkeypatch, capsys):
@@ -927,20 +999,95 @@ def test_verify_has_no_stride_option(fair_file, capsys):
     [
         ["yn-law", "--measure", "{mu}", "-N", "3", "--backend", "log"],
         ["oracle", "-N", "3", "--measure", "{mu}", "--law", "{missing}"],
-        ["recover", "--law", "{mu}"],
+        ["recover", "--moments", "{mu}", "--level", "2", "--law", "{mu}"],
     ],
 )
 def test_options_a_command_does_not_read_exit_2(argv, fair_file, tmp_path, capsys):
     # each subcommand declares only the options it reads; these were once
     # accepted and then ignored
     argv = [arg.format(mu=fair_file, missing=tmp_path / "missing.json") for arg in argv]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"usage: definetti {argv[0]} ")
-    assert "unrecognized arguments" in err
+    assert "unrecognized arguments" in usage_error(argv, capsys)
+
+
+# A valid command line per subcommand, the options it requires, and the
+# sources of which it takes exactly one.
+RULE_COMMANDS = {
+    "prefix-prob": (["--measure", "{mu}", "--pattern", "1"], ["--pattern"],
+                    ["--measure", "--moments", "--law"]),
+    "yn-law": (["--measure", "{mu}", "-N", "3"], ["--measure", "-N"], []),
+    "verify": (["--measure", "{mu}", "-N", "3", "--pattern", "1"], ["--pattern"],
+               ["--measure", "--law"]),
+    "ratio-scan": (["-N", "100", "--pattern", "1", "--stride", "2"], ["-N", "--pattern"], []),
+    "recover": (["--moments", "{c}", "--level", "2"], ["--moments", "--level"], []),
+    "extend-check": (["--moments", "{c}"], ["--moments"], []),
+    "oracle": (["-N", "3", "--seed", "1"], [], []),
+    "tail-check": (["-N", "100", "--pattern", "1"], ["-N", "--pattern"], []),
+}
+
+
+def _without(args, flag):
+    j = args.index(flag)
+    return args[:j] + args[j + 2:]
+
+
+def _with(args, flag, value):
+    return _without(args, flag) + [flag, value]
+
+
+def _rule_cases():
+    for command, (args, required, sources) in RULE_COMMANDS.items():
+        for flag in required:
+            yield command, f"without{flag}", _without(args, flag)
+        if sources:
+            bare = _without(args, sources[0])
+            yield command, "without-source", bare
+            for j, first in enumerate(sources):
+                for second in sources[j + 1:]:
+                    yield command, f"{first}+{second}", (
+                        bare + [first, "{mu}", second, "{mu}"])
+        for flag in ("-N", "--stride", "--level"):
+            if flag in args:
+                for value in ("0", "-1"):
+                    yield command, f"{flag}={value}", _with(args, flag, value)
+        if "--pattern" in args:
+            for value in ("1,x", "1,2", ""):
+                yield command, f"--pattern={value}", _with(args, "--pattern", value)
+
+
+def _rule_argv(command, args, fair_file, polya_file):
+    return [command] + [arg.format(mu=fair_file, c=polya_file) for arg in args]
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_line_rule_bases_parse(command, fair_file, polya_file):
+    argv = _rule_argv(command, RULE_COMMANDS[command][0], fair_file, polya_file)
+    assert cli.parse_args(argv)[0] == command
+
+
+@pytest.mark.parametrize(
+    "command, fault, args", [pytest.param(*case, id=f"{case[0]}:{case[1]}")
+                             for case in _rule_cases()]
+)
+def test_command_line_faults_are_usage_errors(command, fault, args, fair_file,
+                                              polya_file, capsys):
+    # a fault in the command line itself exits 2 with argparse's usage text;
+    # the files are never opened
+    usage_error(_rule_argv(command, args, fair_file, polya_file), capsys)
+
+
+def test_a_process_builds_its_parsers_once(fair_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["prefix-prob", "--measure", fair_file, "--pattern", "1"]) == 0
+    built.clear()
+    assert main(["oracle", "-N", "3"]) == 0
+    assert built == []
 
 
 def _readme_cli_lines():
