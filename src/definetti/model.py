@@ -77,14 +77,6 @@ def is_exact(values: Sequence[Value]) -> bool:
     return all(isinstance(v, (Fraction, int)) and not isinstance(v, bool) for v in values)
 
 
-def integer_ratios(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """Fractions n/d, given as unreduced (n, d) pairs with d > 0, as integer
-    numerators over one denominator: the lcm of the d."""
-    pairs = list(pairs)
-    den = math.lcm(*{d for _, d in pairs})
-    return [n * (den // d) for n, d in pairs], den
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -164,12 +156,12 @@ class MixingMeasure:
         """Atoms at i/N carrying the law's nonzero weights.  An exact law's
         own integer checks (nonnegative numerators summing to their
         denominator) are the measure's invariants, so none is repeated."""
-        form = law.integer_form()
+        N, form = law.N, law.integer_form()
         if form is None:
-            return cls(tuple((i / law.N, q) for i, q in enumerate(law.weights) if q != 0))
+            return cls(tuple((i / N, q) for i, q in enumerate(law.weights) if q != 0))
         nums, den = form
         mu = cls.__new__(cls)
-        atoms = tuple((Fraction(i, law.N), Fraction(v, den)) for i, v in enumerate(nums) if v)
+        atoms = tuple((Fraction(i, N), Fraction(v, den)) for i, v in enumerate(nums) if v)
         object.__setattr__(mu, "atoms", atoms)
         return mu
 
@@ -182,14 +174,68 @@ class MixingMeasure:
 class _Ratios:
     """Values held in one of two forms: exact ones as integer numerators
     over one common denominator (``integer_form``), whose Fractions
-    materialize lazily (``_values``), or float64 ones."""
+    materialize lazily (``_values``), or float64 ones.
+
+    This class alone picks the form.  All-exact values go over the lcm of
+    their denominators, with no gcd per entry; any float among them makes
+    every value float64.  A subclass supplies only its invariant check,
+    ``_check(values, den, tol)``: integer numerators over ``den`` with
+    ``tol = 0``, or floats over ``den = 1.0`` with slack ``tol``.
+    """
 
     __slots__ = ("_values", "_nums", "_den")
+
+    def _hold(self, values: Iterable[Value]) -> None:
+        values = tuple(values)
+        if is_exact(values):
+            self._hold_ratios([(v.numerator, v.denominator) for v in values])
+            return
+        try:
+            floats = tuple(map(float, values))
+        except OverflowError as exc:   # an exact entry past the float range
+            raise ValidationError(
+                f"{type(self).__name__} entry outside the float range: {exc}"
+            ) from exc
+        self._check(floats, 1.0, FLOAT_SUM_TOL)
+        self._values, self._nums, self._den = floats, None, None
+
+    def _hold_ratios(self, pairs: Sequence[tuple[int, int]]) -> None:
+        """Fractions n/d, given as unreduced (n, d) pairs with d > 0, as
+        integer numerators over the lcm of the d."""
+        den = math.lcm(*{d for _, d in pairs})
+        self._hold_integers([n * (den // d) for n, d in pairs], den)
+
+    def _hold_integers(self, nums: Sequence[int], den: int) -> None:
+        self._check(nums, den, 0)
+        self._values, self._nums, self._den = None, tuple(nums), den
+
+    @classmethod
+    def from_integer_ratios(cls, nums: Sequence[int], den: int):
+        """Exact values nums[i] / den, validated without any reduction."""
+        obj = cls.__new__(cls)
+        obj._hold_integers(nums, den)
+        return obj
+
+    @classmethod
+    def _from_entries(cls, entries: Sequence[tuple[int, int] | float]):
+        """Values read from a file (``io._entry``): unreduced (numerator,
+        denominator) pairs, or floats among them."""
+        obj = cls.__new__(cls)
+        if any(isinstance(v, float) for v in entries):
+            obj._hold(v if isinstance(v, float) else Fraction(*v) for v in entries)
+        else:
+            obj._hold_ratios(entries)
+        return obj
 
     def _exact_or_float(self) -> tuple[Value, ...]:
         if self._values is None:
             self._values = tuple(Fraction(v, self._den) for v in self._nums)
         return self._values
+
+    @property
+    def _last(self) -> int:
+        """Index of the last value: a law's N, a moment vector's order."""
+        return len(self._values if self._nums is None else self._nums) - 1
 
     @property
     def is_exact(self) -> bool:
@@ -205,18 +251,34 @@ class _Ratios:
         return self._exact_or_float() == other._exact_or_float()
 
 
+def _check_law(nums: Sequence, den: Value, tol: float) -> None:
+    """q_i = nums[i] / den are nonnegative and sum to one: integers over a
+    positive den with tol = 0, or floats over den = 1 within tol."""
+    if len(nums) < 2:
+        raise ValidationError("count law needs at least two entries (N >= 1)")
+    if den <= 0:
+        raise ValidationError("denominator must be positive")
+    show = (lambda v: v) if tol else (lambda v: Fraction(v, den))
+    if min(nums) < 0:
+        i = next(i for i, v in enumerate(nums) if v < 0)
+        raise ValidationError(f"weight q_{i} = {show(nums[i])} is negative")
+    total = sum(nums)
+    if not abs(total - den) <= tol:   # also a NaN or infinite weight
+        want = "1 within 1e-12" if tol else "1"
+        raise ValidationError(f"weights sum to {show(total)}, expected {want}")
+
+
 class SampleMeanLaw(_Ratios):
     """Distribution of the sample mean over {0, 1/N, ..., 1} as weights q_0..q_N.
 
-    Held in one of the two forms of ``_Ratios``: exact weights given to the
-    constructor are converted once, over the lcm of their denominators, and
-    the public ``weights`` tuple of Fractions materializes lazily.  This
-    keeps N ~ 1e4 exact pipelines free of per-entry gcd reductions, which
-    would otherwise dominate the runtime.  Any float among the weights makes
-    the law a float law.
+    Held in one of the two forms of ``_Ratios``, so N ~ 1e4 exact pipelines
+    are free of per-entry gcd reductions, which would otherwise dominate
+    the runtime.  N is the index of the last weight.
     """
 
-    __slots__ = ("N", "cancellation_flagged")
+    _check = staticmethod(_check_law)
+    N = _Ratios._last
+    cancellation_flagged = False   # for laws built without __init__
 
     def __init__(
         self,
@@ -231,50 +293,8 @@ class SampleMeanLaw(_Ratios):
             raise ValidationError(
                 f"expected {N + 1} weights for N={N}, got {len(weights)}"
             )
-        self.N = N
+        self._hold(weights)
         self.cancellation_flagged = cancellation_flagged
-        if is_exact(weights):
-            pairs = ((q.numerator, q.denominator) for q in weights)
-            self._set_integer_form(*integer_ratios(pairs))
-            return
-        for i, q in enumerate(weights):
-            if not q >= 0:   # also NaN; an infinite weight fails the sum check
-                raise ValidationError(f"weight q_{i} = {q} is not a nonnegative number")
-        try:
-            weights = tuple(map(float, weights))
-        except OverflowError as exc:   # an exact entry past the float range
-            raise ValidationError(f"weight outside the float range: {exc}") from exc
-        total = sum(weights)
-        if abs(total - 1) > FLOAT_SUM_TOL:
-            raise ValidationError(f"weights sum to {total!r}, expected 1 within 1e-12")
-        self._values = weights
-        self._nums = self._den = None
-
-    def _set_integer_form(self, nums: Sequence[int], den: int) -> None:
-        """Validate q_i = nums[i] / den and keep it, without any reduction."""
-        if den <= 0:
-            raise ValidationError("denominator must be positive")
-        for i, v in enumerate(nums):
-            if v < 0:
-                raise ValidationError(f"weight q_{i} = {Fraction(v, den)} is negative")
-        if sum(nums) != den:
-            raise ValidationError(
-                f"weights sum to {Fraction(sum(nums), den)}, expected 1"
-            )
-        self._nums = tuple(nums)
-        self._den = den
-        self._values = None
-
-    @classmethod
-    def from_integer_ratios(cls, nums: Sequence[int], den: int) -> "SampleMeanLaw":
-        """Exact law q_i = nums[i] / den, validated without any reduction."""
-        if len(nums) < 2:
-            raise ValidationError("count law needs at least two entries (N >= 1)")
-        law = cls.__new__(cls)
-        law.N = len(nums) - 1
-        law.cancellation_flagged = False
-        law._set_integer_form(nums, den)
-        return law
 
     @property
     def weights(self) -> tuple[Value, ...]:
@@ -313,47 +333,23 @@ def _check_moments(nums: Sequence, den: Value, tol: float) -> None:
 class MomentVector(_Ratios):
     """Prefix probabilities c_j = P(first j coordinates all one), c_0 = 1.
 
-    Held in one of the two forms of ``_Ratios``, as ``SampleMeanLaw`` is: a
-    moment file's numerators come as they are (``from_integer_ratios``),
-    exact values given to the constructor are put over the lcm of their
-    denominators, and the ``c`` tuple of Fractions materializes lazily.  Any
-    float among the values makes the whole vector float64.  Construction
-    enforces only the necessary monotonicity 1 >= c_1 >= ... >= c_n >= 0
-    (floats within 1e-12), in integers for an exact vector; full
-    realizability is the job of check_complete_monotonicity.
+    Held in one of the two forms of ``_Ratios``, as ``SampleMeanLaw`` is.
+    Construction enforces only the necessary monotonicity
+    1 >= c_1 >= ... >= c_n >= 0 (floats within 1e-12), in integers for an
+    exact vector; full realizability is the job of
+    check_complete_monotonicity.
     """
 
     __slots__ = ()
+    _check = staticmethod(_check_moments)
+    order = _Ratios._last
 
     def __init__(self, c: Sequence[Value]):
-        c = tuple(c)
-        if is_exact(c):
-            nums, den = integer_ratios((v.numerator, v.denominator) for v in c)
-            _check_moments(nums, den, 0)
-            self._nums, self._den, self._values = tuple(nums), den, c
-            return
-        try:
-            self._values = tuple(map(float, c))
-        except OverflowError as exc:   # an exact entry past the float range
-            raise ValidationError(f"moment outside the float range: {exc}") from exc
-        _check_moments(self._values, 1.0, FLOAT_SUM_TOL)
-        self._nums = self._den = None
-
-    @classmethod
-    def from_integer_ratios(cls, nums: Sequence[int], den: int) -> "MomentVector":
-        """Exact moments c_j = nums[j] / den, validated without any reduction."""
-        _check_moments(nums, den, 0)
-        c = cls.__new__(cls)
-        c._nums, c._den, c._values = tuple(nums), den, None
-        return c
+        self._hold(c)
 
     @property
     def c(self) -> tuple[Value, ...]:
         return self._exact_or_float()
-
-    @property
-    def order(self) -> int:
-        return len(self._values if self._nums is None else self._nums) - 1
 
 
 @dataclass(frozen=True)

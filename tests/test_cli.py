@@ -1180,6 +1180,29 @@ def test_non_finite_input_exit2(argv, doc, token, tmp_path, capsys):
     assert "finite" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("container", ["5", "null", '"ab"', "{}"])
+@pytest.mark.parametrize(
+    "argv, key, want",
+    [
+        (["prefix-prob", "--measure", "{f}", "--pattern", "1"], "atoms", "an 'atoms' list"),
+        (["prefix-prob", "--moments", "{f}", "--pattern", "1"], "c", "a 'c' list"),
+        (["prefix-prob", "--law", "{f}", "--pattern", "1"], "q", "a 'q' list"),
+    ],
+)
+def test_non_list_entries_exit2(argv, key, want, container, tmp_path, capsys):
+    # every input file is an object whose key holds a list; any other
+    # container is an input error, not a traceback or an invariant
+    path = tmp_path / "in.json"
+    path.write_text('{"%s": %s}' % (key, container))
+    code, out, err = run_cli([arg.format(f=path) for arg in argv], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {
+        "error": "input",
+        "message": f"{path}: expected an object with {want}",
+    }
+
+
 def test_unopenable_out_path_exit2(fair_file, tmp_path, capsys):
     out = tmp_path / "missing-dir" / "x.json"
     code, stdout, err = run_cli(

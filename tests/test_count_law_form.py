@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from definetti import io
+from definetti.cli import main
 from definetti.model import (
     MixingMeasure,
+    MomentVector,
     PrefixEvent,
     SampleMeanLaw,
     ValidationError,
@@ -187,3 +189,82 @@ def test_law_mixing_fractions_and_a_float_holds_only_floats(tmp_path):
     atoms = recover_from_mean_law(law).measure.atoms
     assert atoms == ((0.0, 0.25), (0.5, 0.5), (1.0, 0.25))
     assert all(type(x) is float for atom in atoms for x in atom)
+
+
+# (class, file key, loader, constructor over parsed values, values attribute)
+KINDS = {
+    "law": (SampleMeanLaw, "q", io.load_law,
+            lambda v: SampleMeanLaw(N=len(v) - 1, weights=v), "weights"),
+    "moments": (MomentVector, "c", io.load_moments, MomentVector, "c"),
+}
+HUGE = "1" + "0" * 400   # exact, past the float range
+
+
+def _parsed(entries):
+    return [x if isinstance(x, float) else F(x) for x in entries]
+
+
+def _load(tmp_path, kind, entries):
+    _, key, load, _, _ = KINDS[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps({key: entries}))
+    return load(str(path))
+
+
+@pytest.mark.parametrize(
+    "kind, entries",
+    [
+        ("law", ["1/6", "2/6", "1/2"]),
+        ("law", [0, "4/4"]),
+        ("moments", ["1", "2/4", "1/3", "3/9"]),
+        ("moments", [1, "1/7", 0]),
+    ],
+)
+def test_exact_forms_agree(kind, entries, tmp_path):
+    cls, _, _, build, attr = KINDS[kind]
+    values = _parsed(entries)
+    built, loaded = build(values), _load(tmp_path, kind, entries)
+    from_ratios = cls.from_integer_ratios(*_over_lcm(values))
+    for x in (built, loaded, from_ratios):
+        assert type(x) is cls and x.is_exact
+        assert x == built
+        assert getattr(x, attr) == tuple(values)
+        nums, den = x.integer_form()
+        assert [F(v, den) for v in nums] == values
+
+
+@pytest.mark.parametrize(
+    "kind, entries",
+    [
+        ("law", [0.25, 0.25, 0.5]),
+        ("law", ["1/3", 0.5, "1/6"]),          # one float makes a float law
+        ("moments", [1.0, 0.5, 0.3]),
+        ("moments", ["1", 0.5, "1/3"]),
+    ],
+)
+def test_float_forms_are_bit_identical(kind, entries, tmp_path):
+    _, _, _, build, attr = KINDS[kind]
+    built, loaded = build(_parsed(entries)), _load(tmp_path, kind, entries)
+    want = [float(x) for x in _parsed(entries)]
+    for x in (built, loaded):
+        assert not x.is_exact and x.integer_form() is None
+        got = getattr(x, attr)
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize(
+    "kind, entries",
+    [("law", ["1/2", 0.5, HUGE]), ("moments", ["1", 0.5, HUGE])],
+)
+def test_exact_entry_past_float_range_beside_a_float(kind, entries, tmp_path, capsys):
+    build = KINDS[kind][3]
+    with pytest.raises(ValidationError, match="outside the float range"):
+        build(_parsed(entries))
+    with pytest.raises(ValidationError, match="outside the float range"):
+        _load(tmp_path, kind, entries)
+    path = tmp_path / f"{kind}.json"
+    code = main(["prefix-prob", f"--{kind}", str(path), "--pattern", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "invariant"
