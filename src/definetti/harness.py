@@ -11,7 +11,7 @@ max ratio deviation in the mid window plus the four tail partial sums.
 The sums are exact rationals for N <= 2000 (or on request) and log-space
 float64 above.  The mid-window deviation does not depend on the law, and
 both backends take it from one exact function, ``mid_window_eps``, which
-certifies it in O(k log N) from the unimodality of the ratio.
+certifies it from the unimodality of the ratio in a few O(k) evaluations.
 
 Every source and backend reduces to the same eight exact values (six
 region sums and two edge masses), and one function, ``_report``, turns
@@ -19,12 +19,13 @@ them into a ``VerificationReport``: exact on the exact backend, each field
 correctly rounded and the budget rounded up on the log backend.  There, a
 measure's atoms whose windows (``_kernels._atom_window``) lie inside the
 mid window add nothing to the tails in float64, so their exact totals from
-moments are their mid sums; only the other atoms take the per-index kernels
-(``_measure_log_sums``).
+moments are their mid sums (``_kernels._window_inside`` decides which);
+only the other atoms take the per-index kernels (``_measure_log_sums``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -391,12 +392,18 @@ def tail_bounds_check(N: int, k: int, alpha: int) -> TailBounds:
 # certified mid-window deviation
 # ---------------------------------------------------------------------------
 
+def _ratio_terms(N: int, k: int, alpha: int, i: int) -> tuple[int, int]:
+    """(num, den) with a_i / b_i = r num / den, both positive on the support."""
+    beta = k - alpha
+    return math.perm(i, alpha) * math.perm(N - i, beta), i**alpha * (N - i) ** beta
+
+
 def mid_window_eps(N: int, k: int, alpha: int, bounds: RegionBounds) -> Fraction:
     """Exact max |a_i / b_i - 1| over the mid window M1 < i <= M2.
 
     a_i = C(N-k, i-alpha) / C(N, i) is the conditional prefix probability
     and b_i = (i/N)^alpha (1-i/N)^(k-alpha) the iid kernel.  The maximum is
-    certified from O(log N) ratio evaluations of O(k) small Fractions each:
+    certified from a few ratio evaluations of O(k) small integers each:
 
     * b_i > 0 on the whole window, because 2 <= M1 < M2 < N for N >= 8.
     * Off the support alpha <= i <= N-k+alpha, a_i = 0, so the deviation
@@ -407,35 +414,43 @@ def mid_window_eps(N: int, k: int, alpha: int, bounds: RegionBounds) -> Fraction
       in i and every factor is positive there, so log rho is concave and
       rho is unimodal: rho(i+1) > rho(i) holds on a prefix of the support.
     * Hence over [lo, hi], the window inside the support,
-      eps = max(1 - rho(lo), 1 - rho(hi), rho(peak) - 1), and integer
-      bisection on rho(i+1) > rho(i) finds the peak.  With
+      eps = max(1 - rho(lo), 1 - rho(hi), rho(peak) - 1), where the peak is
+      the first i at which rho(i+1) > rho(i) fails.  With
       rho(i) = r i^(alpha) (N-i)^(k-alpha) / (i^alpha (N-i)^(k-alpha)),
-      each step compares two cross products of integers, and only the three
+      each test compares two cross products of integers, and only the three
       final rho values are Fractions.
+    * The search gallops, then bisects, from the stationary point of the
+      continuous log rho, i / (N - i) = sqrt(alpha (alpha-1) / (beta (beta-1)))
+      with beta = k - alpha, a few indices from the peak at large N.
     """
     lo = max(bounds.M1 + 1, alpha)
     hi = min(bounds.M2, N - k + alpha)
     if lo > hi:
         return Fraction(1)
     beta = k - alpha
-
-    def a_b(i: int) -> tuple[int, int]:
-        # rho(i) = r * a_b(i)[0] / a_b(i)[1], both positive on [lo, hi]
-        return math.perm(i, alpha) * math.perm(N - i, beta), i**alpha * (N - i) ** beta
+    a_b = functools.partial(_ratio_terms, N, k, alpha)
 
     def rho(i: int) -> Fraction:
         num, den = a_b(i)
         return Fraction(num * N**k, den * math.perm(N, k))
 
-    # rho(i+1) > rho(i) by cross-multiplied integers; r cancels
-    left, right = lo, hi
+    # the seed N sa / (sa + sb) is the stationary point to within one index
+    sa, sb = (math.isqrt(x << 2 * N.bit_length())
+              for x in (alpha * (alpha - 1), beta * (beta - 1)))
+    i = min(max(lo, N * sa // max(1, sa + sb)), max(lo, hi - 1))
+    # the peak stays in [left, right]; a probe outside it falls back to the
+    # midpoint, so the gallop turns into bisection once the test flips
+    left, right, step = lo, hi, 1
     while left < right:
-        mid = (left + right) // 2
-        (a0, b0), (a1, b1) = a_b(mid), a_b(mid + 1)
+        if not left <= i < right:
+            i = (left + right) // 2
+        # rho(i+1) > rho(i) by cross-multiplied integers; r cancels
+        (a0, b0), (a1, b1) = a_b(i), a_b(i + 1)
         if a1 * b0 > a0 * b1:
-            left = mid + 1
+            left, i = i + 1, i + step
         else:
-            right = mid
+            right, i = i, i - step
+        step *= 2
     eps = max(1 - rho(lo), 1 - rho(hi), rho(left) - 1)
     if lo > bounds.M1 + 1 or hi < bounds.M2:
         eps = max(eps, Fraction(1))
@@ -631,17 +646,17 @@ def _measure_log_sums(mu, e, N, bounds) -> list[Fraction]:
     outside it is below exp(-800)) lies inside the mid window (M1, M2] and
     inside the support alpha <= i <= N - k + alpha has every tail and edge
     sum below (N + 1) exp(-800) < 2^-1074, so it adds its exact closed form
-    (``model.kernel_mean``) to the mid sums and nothing elsewhere.  Only the
-    other atoms take the per-index pass, on their own windows; the sums are
-    linear in the atoms.
+    (``model.kernel_mean``) to the mid sums and nothing elsewhere; two
+    values of N D decide this (``_kernels._window_inside``).  Only the other
+    atoms take the per-index pass; the sums are linear in the atoms.
     """
     k, alpha = e.k, e.alpha
     lo_edge = max(bounds.M1, alpha - 1)          # a window must start above
     hi_edge = min(bounds.M2, N - k + alpha)      # and end at or below
     interior, tail = [], []
     for p, w in mu.atoms:
-        lo, hi = _kernels._atom_window(N, float(p))
-        (interior if lo > lo_edge and hi <= hi_edge else tail).append((p, w))
+        inside = _kernels._window_inside(N, float(p), lo_edge, hi_edge)
+        (interior if inside else tail).append((p, w))
     sums = [Fraction(0)] * 8
     if tail:
         sums = _indexed_sums(*_log_mean_law_array(tail, N), e, N, bounds)

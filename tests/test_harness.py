@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,8 @@ from definetti.model import (
     SampleMeanLaw,
     ValidationError,
     exchangeable_law_from_counts,
+    kernel_mean,
+    level_moments,
     sample_mean_law,
 )
 from definetti.numerics import (
@@ -708,7 +711,8 @@ def _fraction_bisection_eps(N, k, alpha, bounds):
     return eps
 
 
-@pytest.mark.parametrize("N", [10**4, 10**5, 10**6, 10**7])
+# N past 2^53 too: the seeded search works in integers at any N
+@pytest.mark.parametrize("N", [10**4, 10**5, 10**6, 10**7, 2**53 + 1, 10**20])
 def test_mid_window_eps_matches_fraction_bisection(N):
     b = region_bounds(N)
     for k in range(1, 9):
@@ -724,6 +728,47 @@ def test_mid_window_eps_matches_fraction_bisection_small_n(data):
     alpha = data.draw(st.integers(0, k), label="alpha")
     b = region_bounds(N)
     assert mid_window_eps(N, k, alpha, b) == _fraction_bisection_eps(N, k, alpha, b)
+
+
+def test_log_verify_from_measure_runs_no_search(monkeypatch):
+    # two N D values per interior atom (bisecting its window takes about
+    # 32), and a handful of ratio evaluations per mid_window_eps (bisecting
+    # over the mid window takes up to 52 at N = 1e7)
+    calls = {"n_kl": 0, "ratio": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(_kernels, "_n_kl", counted("n_kl", _kernels._n_kl))
+    monkeypatch.setattr(harness, "_ratio_terms", counted("ratio", harness._ratio_terms))
+    N = 10**7
+    atoms = ((0.15, 0.1), (0.4, 0.2), (0.65, 0.3), (0.9, 0.4))
+    monkeypatch.setattr(_kernels, "scan_log_ab", None)   # every atom interior
+    verify_approximation(MixingMeasure(atoms), PrefixEvent((1, 0, 1, 1, 0, 0)), N=N)
+    assert calls["n_kl"] <= 2 * len(atoms)
+    for N in (10**4, 10**7, 2**53):
+        b = region_bounds(N)
+        for k in range(1, 13):
+            for alpha in range(k + 1):
+                calls["ratio"] = 0
+                mid_window_eps(N, k, alpha, b)
+                assert calls["ratio"] <= 8, (N, k, alpha)
+
+
+def test_verify_log_subnormal_atom():
+    # N p is subnormal, so d / Np overflows in the saddle form; the term at
+    # i = 1 (N D about 727) must survive, warning-free
+    atoms = ((5e-324, 1.0),)
+    N = 10**7
+    assert 700 < _kernels._n_kl(N, 5e-324, 1) < _kernels.LOG_TERM_FLOOR
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_approximation(MixingMeasure(atoms), PrefixEvent((1,)), N=N)
+    lhs, rhs = kernel_mean(level_moments(atoms, 1), N, 1, 1)
+    assert (rep.lhs, rep.rhs) == (float(lhs), float(rhs)) == (5e-324, 5e-324)
 
 
 def test_exact_verify_uses_no_float_kernel(three_atom_mu, monkeypatch):

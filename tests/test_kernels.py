@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from definetti import _kernels as K
 from definetti.model import MixingMeasure, PrefixEvent, SampleMeanLaw
 from definetti.model import prefix_prob_from_mean_law, sample_mean_law
-from definetti.numerics import LogFactorialTable, default_table
+from definetti.numerics import LogFactorialTable, default_table, region_bounds
 
 from conftest import dense_log_mean_law
 
@@ -238,6 +240,30 @@ def test_atom_window_pinsker_start_matches_full_range_bisection():
             assert K._atom_window(N, p) == _full_range_window(N, p), (N, p)
             cases += 1
     assert cases == len(ns) * len(ps) > 2000
+
+
+@given(st.data())
+def test_window_inside_matches_atom_window_rule(data):
+    # the two N D probes decide what the bisected window decides: whether it
+    # lies inside (lo_edge, hi_edge], for the edges a log verify uses
+    N = data.draw(st.sampled_from([8, 100, 10**5, 10**7, 2**53]), label="N")
+    k = data.draw(st.integers(1, min(N, 12)), label="k")
+    alpha = data.draw(st.integers(0, k), label="alpha")
+    b = region_bounds(N)
+    lo_edge, hi_edge = max(b.M1, alpha - 1), min(b.M2, N - k + alpha)
+    near = st.floats(-0.5, 0.5)
+    p = data.draw(st.one_of(
+        st.sampled_from([0.0, 1.0, 5e-324, 1 - 2.0**-53]),
+        st.floats(0.0, 1e-3),
+        st.floats(1 - 1e-3, 1.0),
+        st.floats(0.0, 1.0),
+        near.map(lambda u: b.M1 / N * (1 + u)),
+        near.map(lambda u: 1 - (N - b.M2) / N * (1 + u)),
+        # past M1 by about a window's half-width, where the rule flips
+        st.floats(1.0, 4.0).map(lambda u: min(1.0, b.M1 / N * u)),
+    ), label="p")
+    lo, hi = K._atom_window(N, p)
+    assert K._window_inside(N, p, lo_edge, hi_edge) == (lo > lo_edge and hi <= hi_edge)
 
 
 def test_mean_law_saddle_form_at_1e7():
