@@ -61,14 +61,17 @@ The same bound lets the verifier skip an atom's per-index pass altogether.
 If an atom's window lies inside the mid window (M1, M2] and inside the
 support alpha <= i <= N - k + alpha, then its terms at every index outside
 the window, and so its whole lower-tail, upper-tail, below-alpha and
-above-support sums, are below (N + 1) exp(-800) < 2^-1074 (N <= 2^53).  Its
-mid-window sums then equal its exact totals up to less than the float
-spacing, and ``harness`` takes those totals from the atom's moments
-(``model.kernel_mean``) instead of from these kernels.  The set being an
-interval around floor(Np), ``_window_inside`` decides this from N D next to
-the two edges, as the bisection does wherever the float N D is monotone.
-From about N = 1e15 it is not, near an edge, but up to N = 2^53 it errs by
-at most about 1.5 nats, so every skipped term stays below exp(-798).
+above-support sums, are below (N + 1) exp(-800) < 2^-1074 (N <= 2^76 =
+7.6e22 leaves 2.9 nats of the 55-nat margin; ``_window_inside`` refuses
+larger N).  Its mid-window sums then equal its exact totals up to less than
+the float spacing, and ``harness`` takes those totals from the atom's
+moments (``model.kernel_mean_ratios``) instead of from these kernels.  The
+set being an interval around floor(Np), ``_window_inside`` decides this
+from N D next to the two edges, as the bisection does.  ``_n_kl`` takes its
+log1p arguments as correctly rounded integer ratios, so it errs by about
+the ulp of |i - Np|: against 50-digit mpmath at window-edge indices, at
+most 1.2e-10 nats at N = 1e7, 6.4e-7 at 2^53 and 1e16 and 7.3e-5 at 1e20,
+far under that margin.
 
 Region sums add nonnegative terms with numpy's pairwise ``np.sum`` over
 contiguous slices.  numpy sums blocks of up to 128 terms in 8 interleaved
@@ -83,8 +86,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
-
 import numpy as np
 
 NEG_INF = float("-inf")
@@ -103,7 +104,9 @@ KERNEL_BACKEND = "numpy"
 #   product  0.21  0.44  0.91  1.71  2.16  2.00  2.42  2.58 s
 #   table    2.19  2.58  2.44  2.11  2.52  2.54  2.45  2.64 s
 # In three such runs the product form won k = 36 every time and lost k = 40
-# and k = 44 twice.
+# and k = 44 twice.  The table form has since been made in place: at k = 40
+# and 44 it then took 1.9 and 2.0 s against 3.4 and 3.5 s before, best of 5
+# in alternated runs on the same VM, so the crossover may now lie lower.
 PRODUCT_SCAN_MAX_K = 36
 
 # Stirling residuals of 0..RESIDUAL_TABLE_MAX come from a table, larger ones
@@ -190,18 +193,29 @@ def log_binomial_array_np(delta: np.ndarray, n: int, r: np.ndarray) -> np.ndarra
     if not np.any(inner):
         return out
     ri = r[inner]
-    mi = n - ri
-    rf = ri.astype(np.float64)
-    mf = mi.astype(np.float64)
-    nf = float(n)
-    main = (
-        rf * np.log1p(mf / rf)
-        + mf * np.log1p(rf / mf)
-        + 0.5 * np.log(nf / (2.0 * math.pi * rf * mf))
-    )
-    out[inner] = (
-        main + _residual(delta, n) - _residuals(delta, ri) - _residuals(delta, mi)
-    )
+    # one work block, evaluated in place in the order of
+    # r log1p(m / r) + m log1p(r / m) + 0.5 log(n / (2 pi r m))
+    #   + delta(n) - delta(r) - delta(m), m = n - r
+    rf, mf, acc, tmp, v = np.empty((5, ri.size), dtype=np.float64)
+    rf[:] = ri
+    np.subtract(n, ri, out=mf)   # in int64, then rounded once
+    np.divide(mf, rf, out=acc)
+    np.log1p(acc, out=acc)
+    acc *= rf
+    np.divide(rf, mf, out=tmp)
+    np.log1p(tmp, out=tmp)
+    tmp *= mf
+    acc += tmp
+    np.multiply(rf, 2.0 * math.pi, out=tmp)
+    tmp *= mf
+    np.divide(float(n), tmp, out=tmp)
+    np.log(tmp, out=tmp)
+    tmp *= 0.5
+    acc += tmp
+    acc += _residual(delta, n)
+    acc -= _residuals(delta, rf, tmp, v)
+    acc -= _residuals(delta, mf, tmp, v)
+    out[inner] = acc
     return out
 
 
@@ -263,16 +277,23 @@ def scan_log_ab(
 def _n_kl(N: int, p: float, i: int) -> float:
     """N D(i/N || p) for one index, 0 < p < 1, 0 <= i <= N: the scalar form
     of the window bisection and of ``_window_inside`` (``_n_kl_into`` is the
-    array form)."""
+    array form).  With p = num / den and t = (i - Np) den = i den - N num,
+
+        N D(i/N || p) = i log1p(t / (N num)) + (N - i) log1p(-t / (N (den - num))),
+
+    each log1p argument one correctly rounded ratio of exact integers, so
+    no term rounds to the ulp of N."""
     if i == 0:
         return -N * math.log1p(-p)
     if i == N:
         return -N * math.log(p)
-    if p < sys.float_info.min:   # subnormal p: i / Np can overflow
+    num, den = p.as_integer_ratio()
+    t = i * den - N * num
+    if p < sys.float_info.min:   # subnormal p: t / (N num) can overflow
         head = math.log(i) - math.log(N) - math.log(p)
     else:
-        head = math.log(i / (N * p))
-    return i * head + (N - i) * math.log((N - i) / (N * (1.0 - p)))
+        head = math.log1p(t / (N * num))
+    return i * head + (N - i) * math.log1p(-t / (N * (den - num)))
 
 
 def _atom_window(N: int, p: float) -> tuple[int, int]:
@@ -302,8 +323,10 @@ def _atom_window(N: int, p: float) -> tuple[int, int]:
 def _window_inside(N: int, p: float, lo_edge: int, hi_edge: int) -> bool:
     """Whether ``_atom_window(N, p)`` lies inside (lo_edge, hi_edge], given
     0 <= lo_edge and hi_edge < N: N D exceeds LOG_TERM_FLOOR at lo_edge + 2
-    and at hi_edge - 1, both on their side of floor(Np) (module docstring)."""
-    if not 0.0 < p < 1.0:
+    and at hi_edge - 1, both on their side of floor(Np).  Always False past
+    N = 2^76, where the terms left out may add up past 2^-1074 (module
+    docstring)."""
+    if not 0.0 < p < 1.0 or N > 2**76:
         return False
     c = min(N, math.floor(N * p))
     return (lo_edge + 2 < c < hi_edge - 1
@@ -314,10 +337,12 @@ def _window_inside(N: int, p: float, lo_edge: int, hi_edge: int) -> bool:
 def _n_kl_into(out, N: int, p: float, i, r, w) -> None:
     """out = N D(i/N || p) = i log1p(d / Np) + (N - i) log1p(-d / (N (1 - p)))
     at the float indices 0 < i < N, with r = N - i and d = i - Np."""
-    # Np to about twice float64 precision: m + m_err, with m = fl(Np)
+    # Np to about twice float64 precision: m + m_err, with m = fl(Np) and
+    # m_err the correctly rounded Np - m
     num, den = p.as_integer_ratio()
     m = N * num / den
-    m_err = float(Fraction(N * num, den) - Fraction(m))
+    m_num, m_den = m.as_integer_ratio()
+    m_err = (N * num * m_den - m_num * den) / (den * m_den)
     np.subtract(i, m, out=w)
     w -= m_err
     if p < sys.float_info.min:   # d / Np can overflow; take log(i / Np)

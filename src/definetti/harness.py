@@ -14,19 +14,22 @@ both backends take it from one exact function, ``mid_window_eps``, which
 certifies it from the unimodality of the ratio in a few O(k) evaluations.
 
 Every source and backend reduces to the same eight exact values (six
-region sums and two edge masses), and one function, ``_report``, turns
-them into a ``VerificationReport``: exact on the exact backend, each field
-correctly rounded and the budget rounded up on the log backend.  There, a
-measure's atoms whose windows (``_kernels._atom_window``) lie inside the
-mid window add nothing to the tails in float64, so their exact totals from
-moments are their mid sums (``_kernels._window_inside`` decides which);
-only the other atoms take the per-index kernels (``_measure_log_sums``).
+region sums and two edge masses), held as integer numerators over two
+denominators, and one function, ``_report``, turns them into a
+``VerificationReport`` in integer arithmetic: exact on the exact backend,
+each field correctly rounded and the budget rounded up on the log backend.
+There, a measure's atoms whose windows (``_kernels._atom_window``) lie
+inside the mid window add nothing to the tails in float64, so their exact
+totals from moments are their mid sums (``_kernels._window_inside`` decides
+which); only the other atoms take the per-index kernels
+(``_measure_log_sums``), whose int64 indices need N < 2^63.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,13 +43,14 @@ from .model import (
     SampleMeanLaw,
     ValidationError,
     Value,
-    kernel_mean,
+    kernel_mean_ratios,
     level_moments,
     sample_mean_law,
     _log_mean_law_array,
 )
 from .numerics import (
     RegionBounds,
+    check_index_range,
     iid_kernel,
     region_bounds,
     replacement_correction,
@@ -144,6 +148,7 @@ class ScanRows(Sequence):
 
 def scan_indices(N: int, bounds: RegionBounds, stride: int) -> np.ndarray:
     """Strided index set over 0..N with the region edges always included."""
+    check_index_range(N)
     idx = np.arange(0, N + 1, stride, dtype=np.int64)
     if stride == 1:
         return idx
@@ -417,23 +422,23 @@ def mid_window_eps(N: int, k: int, alpha: int, bounds: RegionBounds) -> Fraction
       eps = max(1 - rho(lo), 1 - rho(hi), rho(peak) - 1), where the peak is
       the first i at which rho(i+1) > rho(i) fails.  With
       rho(i) = r i^(alpha) (N-i)^(k-alpha) / (i^alpha (N-i)^(k-alpha)),
-      each test compares two cross products of integers, and only the three
-      final rho values are Fractions.
+      each test compares two cross products of integers, and so does the
+      choice among the three final deviations (``_mid_window_eps_ratio``).
     * The search gallops, then bisects, from the stationary point of the
       continuous log rho, i / (N - i) = sqrt(alpha (alpha-1) / (beta (beta-1)))
       with beta = k - alpha, a few indices from the peak at large N.
     """
+    return Fraction(*_mid_window_eps_ratio(N, k, alpha, bounds))
+
+
+def _mid_window_eps_ratio(N: int, k: int, alpha: int, bounds: RegionBounds) -> tuple[int, int]:
+    """``mid_window_eps`` as integers (num, den), den > 0."""
     lo = max(bounds.M1 + 1, alpha)
     hi = min(bounds.M2, N - k + alpha)
     if lo > hi:
-        return Fraction(1)
+        return 1, 1
     beta = k - alpha
     a_b = functools.partial(_ratio_terms, N, k, alpha)
-
-    def rho(i: int) -> Fraction:
-        num, den = a_b(i)
-        return Fraction(num * N**k, den * math.perm(N, k))
-
     # the seed N sa / (sa + sb) is the stationary point to within one index
     sa, sb = (math.isqrt(x << 2 * N.bit_length())
               for x in (alpha * (alpha - 1), beta * (beta - 1)))
@@ -451,10 +456,15 @@ def mid_window_eps(N: int, k: int, alpha: int, bounds: RegionBounds) -> Fraction
         else:
             right, i = i, i - step
         step *= 2
-    eps = max(1 - rho(lo), 1 - rho(hi), rho(left) - 1)
+    # rho(i) - 1 = (num N^k - den N^(k)) / (den N^(k)) for (num, den) = a_b(i)
+    n_k, perm_k = N**k, math.perm(N, k)
+    devs = []
+    for i, sign in ((lo, -1), (hi, -1), (left, 1)):
+        num, den = a_b(i)
+        devs.append((sign * (num * n_k - den * perm_k), den * perm_k))
     if lo > bounds.M1 + 1 or hi < bounds.M2:
-        eps = max(eps, Fraction(1))
-    return eps
+        devs.append((1, 1))
+    return functools.reduce(lambda u, v: v if v[0] * u[1] > u[0] * v[1] else u, devs)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +511,11 @@ def verify_approximation(
     ready count law.  Every source gives the same eight exact values: the
     six region sums (a-side, b-side) x (lower, mid, upper), then the b-side
     mass below alpha and above the support N - k + alpha, where the
-    conditional weight is an exact zero.  On the exact backend they come
-    from the law's integer numerators (``_exact_fields``); on the log backend
-    from float64 sums read as Fractions (``_indexed_sums``), plus exact
+    conditional weight is an exact zero.  They are held as integers, the
+    three a-side numerators over one denominator and the five b-side ones
+    over another.  On the exact backend they come from the law's integer
+    numerators (``_exact_fields``); on the log backend from float64 sums,
+    each an integer multiple of 2^-1074 (``_indexed_sums``), plus exact
     moment totals for a measure's interior atoms (``_measure_log_sums``).
     ``_report`` assembles every report from them, with the budget.
     """
@@ -542,7 +554,10 @@ def verify_approximation(
 
 
 def _report(e, N, bounds, backend, sums) -> VerificationReport:
-    """The report from the eight exact values of ``verify_approximation``.
+    """The report from the eight exact values of ``verify_approximation``,
+    given as ``sums = (a, a_den, b, b_den)``: the a-side region sums
+    a[j] / a_den (lower, mid, upper) and the b-side ones b[j] / b_den
+    (lower, mid, upper, below alpha, above the support).
 
     lhs and rhs are the sums of the a-side and b-side region sums.  The
     mid-window deviation eps_mid (``mid_window_eps``, exact) includes rows
@@ -563,37 +578,51 @@ def _report(e, N, bounds, backend, sums) -> VerificationReport:
     move tail mass below 2^-1074 into the mid sums.  Float per-index sums
     (atoms near an end, law files) carry their rounding into the mid sums,
     so there the claim holds only up to that rounding.
+
+    All of it is integer arithmetic: a float field is a correctly rounded
+    int / int division, the budget is one numerator over the product of the
+    denominators, and it is rounded up by comparing cross products.  Only an
+    exact report builds Fractions, one per field.
     """
     k, alpha = e.k, e.alpha
-    eps_mid = mid_window_eps(N, k, alpha, bounds)
-    lhs, rhs = sum(sums[:3]), sum(sums[3:6])
-    budget = eps_mid * sums[4] + sums[0] + sums[3] + sums[2] + sums[5]
+    a, a_den, b, b_den = sums
+    eps, eps_den = _mid_window_eps_ratio(N, k, alpha, bounds)
+    lhs, rhs = sum(a), sum(b[:3])
+    gap, gap_den = abs(lhs * b_den - rhs * a_den), a_den * b_den   # |lhs - rhs|
+    den = eps_den * gap_den
+    budget = (eps * b[1] + (b[0] + b[2]) * eps_den) * a_den + (a[0] + a[2]) * eps_den * b_den
     if backend == "exact":
-        show, abs_diff = Fraction, abs(lhs - rhs)
+        show, abs_diff, bound = Fraction, Fraction(gap, gap_den), Fraction(budget, den)
         pathological, label = lhs == 0, "exact zero"
-        if pathological and rhs != sums[6] + sums[7]:
+        if pathological and rhs != b[3] + b[4]:
             # impossible for nonnegative weights: lhs = 0 forces q_i = 0 at
             # every index with a positive conditional probability
             raise AssertionError("pathological run with interior kernel mass")
     else:
-        show, abs_diff = float, abs(float(lhs) - float(rhs))
-        budget += max(0, Fraction(abs_diff) - abs(lhs - rhs))
-        pathological = float(lhs) < FLOAT_PATHOLOGICAL_TOL
+        show = operator.truediv
+        abs_diff = abs(lhs / a_den - rhs / b_den)
+        f, f_den = abs_diff.as_integer_ratio()
+        over = f * gap_den - gap * f_den   # abs_diff - |lhs - rhs|, over f_den gap_den
+        if over > 0:
+            budget, den = budget * f_den + over * eps_den, den * f_den
+        bound = budget / den
+        num, num_den = bound.as_integer_ratio()
+        if num * den < budget * num_den:
+            bound = math.nextafter(bound, math.inf)
+        pathological = lhs / a_den < FLOAT_PATHOLOGICAL_TOL
         label = "numerically pathological"
-    bound = show(budget)
-    if bound < budget:
-        bound = math.nextafter(bound, math.inf)
+    fields = [show(n, a_den) for n in a] + [show(n, b_den) for n in b]
     return VerificationReport(
         N, k, alpha, bounds.M1, bounds.M2, backend,
-        show(lhs), show(rhs), abs_diff, *map(show, sums[:6]),
-        show(eps_mid), False, bound, *_tail_caps(N, k, alpha),
-        pathological, label if pathological else None, *map(show, sums[6:]),
+        show(lhs, a_den), show(rhs, b_den), abs_diff, *fields[:6],
+        show(eps, eps_den), False, bound, *_tail_caps(N, k, alpha),
+        pathological, label if pathological else None, *fields[6:],
     )
 
 
-def _exact_fields(law, e, N, bounds) -> list[Fraction]:
+def _exact_fields(law, e, N, bounds):
     """The eight exact sums of ``verify_approximation``, accumulated as
-    integers.
+    integers, in the form ``_report`` reads.
 
     With q_i = nums[i] / den and falling factorials x^(m) = x (x-1) ... (x-m+1),
     the conditional weight is a_i = C(N-k, i-alpha) / C(N, i)
@@ -621,34 +650,48 @@ def _exact_fields(law, e, N, bounds) -> list[Fraction]:
             rhs_num[3] += rhs_term
         elif i > hi:
             rhs_num[4] += rhs_term
-    lhs_den, rhs_den = den * math.perm(N, k), den * N**k
-    return [Fraction(n, lhs_den) for n in lhs_num] + [Fraction(n, rhs_den) for n in rhs_num]
+    return lhs_num, den * math.perm(N, k), rhs_num, den * N**k
 
 
-def _indexed_sums(idx, log_q, e, N, bounds) -> list[Fraction]:
+def _tiny_multiple(x: float) -> int:
+    """x as an integer multiple of 2^-1074, which every finite float is."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def _indexed_sums(idx, log_q, e, N, bounds):
     """The eight sums of a law given on the ascending indices ``idx`` by
-    log q, each float64 sum read as an exact Fraction: the six region sums,
-    then the b-side mass where the conditional weight is an exact zero,
-    i < alpha and i > N - k + alpha."""
+    log q, each float64 sum read exactly as an integer over 2^1074: the six
+    region sums, then the b-side mass where the conditional weight is an
+    exact zero, i < alpha and i > N - k + alpha."""
     k, alpha = e.k, e.alpha
     log_a, log_b = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)
     sums = _kernels.pair_region_sums(log_a, log_b, log_q, idx, bounds.M1, bounds.M2)
     below = slice(0, np.searchsorted(idx, alpha))
     above = slice(np.searchsorted(idx, N - k + alpha, side="right"), None)
     edges = [float(np.sum(np.exp(log_b[s] + log_q[s]))) for s in (below, above)]
-    return [Fraction(x) for x in (*sums.tolist(), *edges)]
+    nums = [_tiny_multiple(x) for x in (*sums.tolist(), *edges)]
+    return nums[:3], 1 << 1074, nums[3:], 1 << 1074
 
 
-def _measure_log_sums(mu, e, N, bounds) -> list[Fraction]:
+def _plus_mid(nums, den, mid, mid_den):
+    """Region sums nums / den with mid / mid_den added to the mid one."""
+    out = [n * mid_den for n in nums]
+    out[1] += mid * den
+    return out, den * mid_den
+
+
+def _measure_log_sums(mu, e, N, bounds):
     """The eight sums of a measure on the log backend, exact where they can be.
 
     An atom whose window (``_kernels._atom_window``: its binomial mass
     outside it is below exp(-800)) lies inside the mid window (M1, M2] and
     inside the support alpha <= i <= N - k + alpha has every tail and edge
     sum below (N + 1) exp(-800) < 2^-1074, so it adds its exact closed form
-    (``model.kernel_mean``) to the mid sums and nothing elsewhere; two
-    values of N D decide this (``_kernels._window_inside``).  Only the other
-    atoms take the per-index pass; the sums are linear in the atoms.
+    (``model.kernel_mean_ratios``) to the mid sums and nothing elsewhere;
+    two values of N D decide this (``_kernels._window_inside``).  Only the
+    other atoms take the per-index pass, whose int64 indices need
+    N < 2^63; the sums are linear in the atoms.
     """
     k, alpha = e.k, e.alpha
     lo_edge = max(bounds.M1, alpha - 1)          # a window must start above
@@ -657,11 +700,11 @@ def _measure_log_sums(mu, e, N, bounds) -> list[Fraction]:
     for p, w in mu.atoms:
         inside = _kernels._window_inside(N, float(p), lo_edge, hi_edge)
         (interior if inside else tail).append((p, w))
-    sums = [Fraction(0)] * 8
+    a, a_den, b, b_den = [0] * 3, 1, [0] * 5, 1
     if tail:
-        sums = _indexed_sums(*_log_mean_law_array(tail, N), e, N, bounds)
+        a, a_den, b, b_den = _indexed_sums(*_log_mean_law_array(tail, N), e, N, bounds)
     if interior:
-        lhs_mid, rhs_mid = kernel_mean(level_moments(interior, k), N, k, alpha)
-        sums[1] += lhs_mid
-        sums[4] += rhs_mid
-    return sums
+        lhs, lhs_den, rhs, rhs_den = kernel_mean_ratios(level_moments(interior, k), N, k, alpha)
+        a, a_den = _plus_mid(a, a_den, lhs, lhs_den)
+        b, b_den = _plus_mid(b, b_den, rhs, rhs_den)
+    return a, a_den, b, b_den

@@ -10,6 +10,7 @@ denominator, a float one float64 values (``_Ratios``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .numerics import binomial
+from .numerics import binomial, check_index_range
 
 Value = Union[Fraction, int, float]
 
@@ -409,7 +410,9 @@ def _log_mean_law_array(
     atoms: Sequence[tuple[Value, Value]], N: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(idx, log q_idx) of the float count law of the (p, w) atoms on its
-    support (``_kernels``); the weights need not sum to one."""
+    support (``_kernels``); the weights need not sum to one.  The indices
+    are int64, so N must fit there."""
+    check_index_range(N)
     ps = np.array([float(p) for p, _ in atoms], dtype=np.float64)
     log_ws = np.log(np.array([float(w) for _, w in atoms], dtype=np.float64))
     return _kernels.log_mean_law(_kernels.RESIDUALS, N, ps, log_ws)
@@ -422,9 +425,9 @@ def level_moments(
     numerators over one denominator.
 
     For a measure (or any (p, w) atoms, whose weights need not sum to one)
-    c_j = sum w p^j at every level; a float enters as ``Fraction(x)``, which
-    is exact, so float atoms give one power-of-two denominator.  For an
-    exact count law at level N, c_j = E[S^(j)] / N^(j) with falling
+    c_j = sum w p^j at every level; a float enters by its exact
+    ``as_integer_ratio``, so float atoms give one power-of-two denominator.
+    For an exact count law at level N, c_j = E[S^(j)] / N^(j) with falling
     factorials x^(j) = x (x-1) ... (x-j+1), and E[S^(j)] = j! B_j with the
     binomial moments B_j = sum_i C(i, j) q_i.  Since sum_i q_i x^i =
     sum_j B_j (x - 1)^j, dividing the law's polynomial by x - 1 j times
@@ -445,33 +448,34 @@ def level_moments(
         return out + [0] * (k - top), den * math.perm(N, top)
     if isinstance(source, MixingMeasure):
         source = source.atoms
-    atoms = [(Fraction(p), Fraction(w)) for p, w in source]
-    den = math.lcm(*(w.denominator * p.denominator**k for p, w in atoms))
+    atoms = [(p.as_integer_ratio(), w.as_integer_ratio()) for p, w in source]
+    den = math.lcm(*(v * b**k for (_, b), (_, v) in atoms))
     out = [0] * (k + 1)
-    for p, w in atoms:
-        a, b = p.numerator, p.denominator
-        t = w.numerator * (den // w.denominator)   # w p^0 over den
+    for (a, b), (u, v) in atoms:
+        t = u * (den // v)   # w p^0 over den
         for j in range(k + 1):
             out[j] += t
             t = t * a // b   # exact for j < k: den holds b^k
     return out, den
 
 
-def _stirling2_rows(m: int) -> list[list[int]]:
+@functools.lru_cache(maxsize=64)
+def _stirling2_rows(m: int) -> tuple[tuple[int, ...], ...]:
     """Rows n = 0..m of the Stirling numbers of the second kind S(n, j):
-    x^n = sum_j S(n, j) x^(j)."""
-    rows = [[1]]
+    x^n = sum_j S(n, j) x^(j).  Built once per m."""
+    rows = [(1,)]
     for n in range(1, m + 1):
-        prev = rows[-1] + [0]
-        rows.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, n + 1)])
-    return rows
+        prev = rows[-1] + (0,)
+        rows.append((0, *(j * prev[j] + prev[j - 1] for j in range(1, n + 1))))
+    return tuple(rows)
 
 
-def kernel_mean(
+def kernel_mean_ratios(
     moments: tuple[Sequence[int], int], N: int, k: int, alpha: int
-) -> tuple[Fraction, Fraction]:
-    """(lhs, rhs) of a pattern with alpha ones among k at level N, exactly,
-    from c_0..c_k of ``level_moments``:
+) -> tuple[int, int, int, int]:
+    """(lhs numerator, its denominator, rhs numerator, its denominator) of a
+    pattern with alpha ones among k at level N, exactly, from c_0..c_k of
+    ``level_moments``:
 
         lhs = sum_i P(prefix | count=i) q_i = sum_t (-1)^t C(k-alpha, t) c_(alpha+t),
         rhs = E[(S/N)^alpha (1 - S/N)^(k-alpha)] = sum_j t_j N^(j) c_j / N^k.
@@ -492,7 +496,15 @@ def kernel_mean(
         for j, s in enumerate(stirling[alpha + t]):
             coef[j] += scale * s
     rhs = sum(c * math.perm(N, j) * nums[j] for j, c in enumerate(coef) if c)
-    return Fraction(lhs, den), Fraction(rhs, den * N**k)
+    return lhs, den, rhs, den * N**k
+
+
+def kernel_mean(
+    moments: tuple[Sequence[int], int], N: int, k: int, alpha: int
+) -> tuple[Fraction, Fraction]:
+    """(lhs, rhs) of ``kernel_mean_ratios`` as Fractions."""
+    lhs, lhs_den, rhs, rhs_den = kernel_mean_ratios(moments, N, k, alpha)
+    return Fraction(lhs, lhs_den), Fraction(rhs, rhs_den)
 
 
 def prefix_prob_from_mean_law(law: SampleMeanLaw, e: PrefixEvent) -> Value:

@@ -37,6 +37,13 @@ class DomainError(ValueError):
     """Arguments outside the domain where a quantity is defined."""
 
 
+def check_index_range(N: int) -> None:
+    """Refuse an N whose counts 0..N do not fit the int64 index arrays of
+    the per-index kernels."""
+    if N > np.iinfo(np.int64).max:
+        raise DomainError(f"N={N} exceeds 2^63 - 1, the int64 index range of the per-index kernels")
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------

@@ -936,9 +936,9 @@ def _vanish_conditional_weights(monkeypatch):
     accumulate = harness._exact_fields
 
     def without_lhs(*args):
-        # the eight sums: a-side lower, mid, upper first
-        sums = accumulate(*args)
-        return [Fraction(0)] * 3 + sums[3:]
+        # the eight sums: a-side lower, mid, upper numerators first
+        a, a_den, b, b_den = accumulate(*args)
+        return [0] * 3, a_den, b, b_den
 
     monkeypatch.setattr(harness, "_exact_fields", without_lhs)
 
@@ -976,6 +976,35 @@ def test_exit_codes(argv, patch, code, error, fair_file, tmp_path, monkeypatch, 
     assert got == code
     if error is not None:
         assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the atom at 1 takes the per-index pass
+        ["verify", "--measure", "{endpoint}", "-N", "100000000000000000000", "--pattern", "1,0"],
+        ["ratio-scan", "-N", "100000000000000000000", "--stride", "1000000000000000000",
+         "--pattern", "1,0"],
+    ],
+)
+def test_index_arrays_past_int64_are_a_domain_error(argv, tmp_path, capsys):
+    # both once ended in an OverflowError traceback
+    endpoint = write_json(tmp_path, "endpoint.json",
+                          {"atoms": [{"p": 1.0, "w": 0.5}, {"p": 0.5, "w": 0.5}]})
+    code, out, err = run_cli([arg.format(endpoint=endpoint) for arg in argv], capsys)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "domain"
+
+
+def test_interior_measure_past_int64_verifies(tmp_path, capsys):
+    # no atom takes the per-index pass, so no index array bounds N
+    path = write_json(tmp_path, "mu.json", {"atoms": [{"p": 0.3, "w": 0.5}, {"p": 0.5, "w": 0.5}]})
+    code, out, _ = run_cli(["verify", "--measure", path, "-N", "100000000000000000000",
+                            "--pattern", "1,0,1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["backend"] == "log" and doc["abs_diff"] <= doc["sandwich_bound"]
 
 
 def test_unexpected_errors_are_not_mapped_to_exit_codes(fair_file, monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import definetti as d
-from definetti import _kernels, harness, io
+from definetti import _kernels, harness, io, model
 from definetti.cli import main
 from definetti.harness import (
     REGION_NAMES,
@@ -445,17 +445,18 @@ def _printed_sums(rep):
     return [F(getattr(rep, name)) for name in SUM_FIELDS]
 
 
-def _log_report_and_sums(monkeypatch, source, e, N=None):
-    """A log report and the eight exact values it was assembled from."""
+def _report_and_sums(monkeypatch, source, e, N=None, backend="log"):
+    """A report and the eight exact values it was assembled from."""
     seen = []
     report = harness._report
 
     def spy(e, N, bounds, backend, sums):
-        seen.append(list(sums))
+        a, a_den, b, b_den = sums
+        seen.append([F(n, a_den) for n in a] + [F(n, b_den) for n in b])
         return report(e, N, bounds, backend, sums)
 
     monkeypatch.setattr(harness, "_report", spy)
-    rep = verify_approximation(source, e, N=N, backend="log")
+    rep = verify_approximation(source, e, N=N, backend=backend)
     return rep, seen[0]
 
 
@@ -481,7 +482,7 @@ def test_verify_log_on_support_matches_dense_row(atoms, N, pattern, monkeypatch)
     ps = np.array([p for p, _ in atoms])
     lws = np.log(np.array([w for _, w in atoms]))
     want = _dense_log_verify(dense_log_mean_law(N, ps, lws), N, e)
-    rep, sums = _log_report_and_sums(monkeypatch, mu, e, N)
+    rep, sums = _report_and_sums(monkeypatch, mu, e, N)
     _assert_matches_dense(vars(rep), want, N)
     # an interior atom's exact totals make the mid sums non-floats, so the
     # rule is checked against the exact values behind the printed fields
@@ -518,7 +519,7 @@ def test_verify_log_exact_law_follows_rounding_rule(N, three_atom_mu, tmp_path, 
     assert main(["yn-law", "--measure", str(mu), "-N", str(N), "--out", str(path)]) == 0
     law = io.load_law(str(path))
     for pattern in ((1, 0), (1, 1, 0, 1), (0, 0, 0), (1, 1, 1, 1, 1, 0)):
-        rep, sums = _log_report_and_sums(monkeypatch, law, PrefixEvent(pattern))
+        rep, sums = _report_and_sums(monkeypatch, law, PrefixEvent(pattern))
         assert sums == _printed_sums(rep)
         _assert_rounding_rule(rep, sums)
         assert main(["verify", "--law", str(path), "--pattern", ",".join(map(str, pattern)),
@@ -769,6 +770,111 @@ def test_verify_log_subnormal_atom():
         rep = verify_approximation(MixingMeasure(atoms), PrefixEvent((1,)), N=N)
     lhs, rhs = kernel_mean(level_moments(atoms, 1), N, 1, 1)
     assert (rep.lhs, rep.rhs) == (float(lhs), float(rhs)) == (5e-324, 5e-324)
+
+
+def _fraction_report(e, N, bounds, backend, sums):
+    """``harness._report`` as it was before the integer form, the reference:
+    the eight exact values as Fractions, and Fraction arithmetic throughout."""
+    k, alpha = e.k, e.alpha
+    eps_mid = mid_window_eps(N, k, alpha, bounds)
+    lhs, rhs = sum(sums[:3]), sum(sums[3:6])
+    budget = eps_mid * sums[4] + sums[0] + sums[3] + sums[2] + sums[5]
+    if backend == "exact":
+        show, abs_diff = F, abs(lhs - rhs)
+        pathological, label = lhs == 0, "exact zero"
+    else:
+        show, abs_diff = float, abs(float(lhs) - float(rhs))
+        budget += max(0, F(abs_diff) - abs(lhs - rhs))
+        pathological = float(lhs) < harness.FLOAT_PATHOLOGICAL_TOL
+        label = "numerically pathological"
+    bound = show(budget)
+    if bound < budget:
+        bound = math.nextafter(bound, math.inf)
+    return harness.VerificationReport(
+        N, k, alpha, bounds.M1, bounds.M2, backend,
+        show(lhs), show(rhs), abs_diff, *map(show, sums[:6]),
+        show(eps_mid), False, bound, *harness._tail_caps(N, k, alpha),
+        pathological, label if pathological else None, *map(show, sums[6:]),
+    )
+
+
+def _assert_same_report(got, want):
+    """Field for field: floats bit-identical (the sign of a zero too),
+    everything else equal and of the same type."""
+    for name, x in vars(want).items():
+        y = getattr(got, name)
+        assert type(y) is type(x), (name, y, x)
+        assert (y.hex() == x.hex()) if isinstance(x, float) else (y == x), (name, y, x)
+
+
+def _float_atoms(data, ps):
+    raw = data.draw(st.lists(st.floats(0.5, 9.0), min_size=len(ps), max_size=len(ps)),
+                    label="raw")
+    return MixingMeasure(tuple((p, r / math.fsum(raw)) for p, r in sorted(zip(ps, raw))))
+
+
+@given(st.data())
+def test_integer_report_matches_fraction_report(data):
+    kind = data.draw(st.sampled_from(
+        ["exact law", "float law", "rational measure", "interior measure", "mixed measure"]),
+        label="kind")
+    exact_source = kind in ("exact law", "rational measure")
+    backend = data.draw(st.sampled_from(["exact", "log"] if exact_source else ["log"]),
+                        label="backend")
+    if kind == "interior measure":
+        N = data.draw(st.sampled_from([10**5, 10**7, 2**53 + 1]), label="N")
+        ps = data.draw(st.lists(st.floats(0.1, 0.9), min_size=1, max_size=4, unique=True),
+                       label="ps")
+        source = _float_atoms(data, ps)
+    elif kind == "mixed measure":
+        N = data.draw(st.sampled_from([60, 3000, 10**5]), label="N")
+        end = data.draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.999, 1.0]), label="end")
+        ps = data.draw(st.lists(st.floats(0.2, 0.8), min_size=1, max_size=3, unique=True),
+                       label="ps")
+        source = _float_atoms(data, [end, *ps])
+    elif kind == "float law":
+        N = data.draw(st.integers(8, 300), label="N")
+        q = data.draw(st.lists(st.floats(0.0, 1.0), min_size=N + 1, max_size=N + 1),
+                      label="q")
+        q[data.draw(st.integers(0, N), label="spike")] += 1.0
+        total = math.fsum(q)
+        source = SampleMeanLaw(N=N, weights=tuple(x / total for x in q))
+        N = None
+    else:
+        seed = data.draw(st.integers(0, 10**6), label="seed")
+        mu = random_rational_measure(random.Random(seed))
+        N = data.draw(st.integers(8, 300 if backend == "exact" else 3000), label="N")
+        source = mu if kind == "rational measure" else sample_mean_law(mu, N)
+        N = N if kind == "rational measure" else None
+    law_n = N if N is not None else source.N
+    k = data.draw(st.integers(1, min(law_n, 8)), label="k")
+    pattern = tuple(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                              label="pattern"))
+    e = PrefixEvent(pattern)
+    with pytest.MonkeyPatch.context() as mp:
+        rep, sums = _report_and_sums(mp, source, e, N, backend)
+    assert rep.backend == backend
+    _assert_same_report(rep, _fraction_report(e, law_n, region_bounds(law_n), backend, sums))
+
+
+def test_log_verify_of_interior_float_measure_builds_no_fraction():
+    # every atom interior: from the moment totals to the printed floats the
+    # report is integer arithmetic, with no Fraction in between
+    mu = MixingMeasure(((0.15, 0.1), (0.4, 0.2), (0.65, 0.3), (0.9, 0.4)))
+    e = PrefixEvent((1, 0, 1, 1, 0, 0))
+    N = 10**7
+    want = verify_approximation(mu, e, N=N)
+
+    class NoFraction:
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (harness, model, _kernels):
+            mp.setattr(module, "Fraction", NoFraction, raising=False)
+        got = verify_approximation(mu, e, N=N)
+    _assert_same_report(got, want)
+    assert got.backend == "log" and got.abs_diff <= got.sandwich_bound
 
 
 def test_exact_verify_uses_no_float_kernel(three_atom_mu, monkeypatch):

@@ -266,6 +266,30 @@ def test_window_inside_matches_atom_window_rule(data):
     assert K._window_inside(N, p, lo_edge, hi_edge) == (lo > lo_edge and hi <= hi_edge)
 
 
+@pytest.mark.parametrize("N", [10**7, 2**53, 2**53 + 1, 10**16, 10**20])
+def test_n_kl_matches_mpmath_at_window_edges(N):
+    # the scalar N D behind the windows and the interior test, at indices
+    # where it crosses LOG_TERM_FLOOR: the ratio (N - i) / (N (1 - p)) once
+    # rounded next to 1 before the log and lost about N 2^-53 nats
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        for p in (1e-18, 1e-9, 1e-3, 0.1, 0.37, 0.5, 0.93, 1 - 1e-6, 1 - 2.0**-40):
+            c = math.floor(N * p)
+            half = math.isqrt(math.floor(1600 * N * p * (1 - p)))   # N D near 800
+            for i in {1, c - half, c - half // 2, c + half // 2, c + half, N - 1}:
+                if not 0 < i < N:
+                    continue
+                pm = mpmath.mpf(p)
+                want = (i * mpmath.log(i / (N * pm))
+                        + (N - i) * mpmath.log((N - i) / (N * (1 - pm))))
+                if want < 2 * K.LOG_TERM_FLOOR:
+                    worst = max(worst, abs(K._n_kl(N, p, i) - float(want)))
+    assert worst <= 1e-3, worst
+    # N D(2e-18 || 1e-18) at N = 1e20: 200 log 2 - 100, not 100 more
+    assert abs(K._n_kl(10**20, 1e-18, 200) - (200 * math.log(2) - 100)) < 1e-9
+
+
 def test_mean_law_saddle_form_at_1e7():
     # 50 digits against the float atom's exact value, on 401 indices of the
     # window and its first and last 5 with log q_i >= -700
