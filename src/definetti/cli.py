@@ -4,12 +4,14 @@ Subcommands: prefix-prob, yn-law, verify, ratio-scan, recover, extend-check,
 oracle, tail-check.  All reports are JSON (exact values as "num/den"
 strings); ratio scans are CSV with a trailing summary JSON line.
 
-ratio-scan formats its CSV in SCAN_BLOCK_ROWS-row blocks and writes them in
-order.  Scans of at least SCAN_POOL_MIN_ROWS rows format them on worker
-processes, one per usable CPU, at most SCAN_MAX_WORKERS and never more than
-there are blocks; smaller scans, and one usable CPU, format in-process.  The
-bytes do not depend on the CPU count, and at most one block per worker is in
-flight.
+ratio-scan streams ``harness.scan_blocks``: each SCAN_BLOCK_ROWS-row block is
+formatted and written in order, so no process holds the whole scan, and a
+failed ratio guard (exit 3) follows the blocks before it.  Scans of at least
+SCAN_POOL_MIN_ROWS rows format on worker processes while the parent computes
+the next blocks: one per usable CPU, at most SCAN_MAX_WORKERS and never more
+than there are blocks; smaller scans, and one usable CPU, format in-process.
+The bytes do not depend on the CPU count, and at most one block per worker
+is in flight.
 
 Each subcommand declares the options it reads and those it requires
 (COMMANDS), and argparse checks every command line against that table, so
@@ -61,7 +63,8 @@ SCAN_BLOCK_ROWS = 65_536   # ratio-scan CSV rows formatted per write
 # than it saves.
 SCAN_POOL_MIN_ROWS = 6 * SCAN_BLOCK_ROWS
 # Each worker adds 25-45 MB to the process tree; 4 bound that while keeping
-# the parent (about 7 ms of its own per 245 ms block) far from saturated.
+# the parent (about 20 ms of its own per 256 ms block, 11 ms of it computing
+# the block) far from saturated.
 SCAN_MAX_WORKERS = 4
 
 
@@ -157,16 +160,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _scan_blocks(scan: harness.RatioScan):
-    """The scan's columns in SCAN_BLOCK_ROWS-row blocks, each a tuple of slices."""
-    for start in range(0, len(scan.i), SCAN_BLOCK_ROWS):
-        block = slice(start, start + SCAN_BLOCK_ROWS)
-        yield (scan.log_columns, scan.i[block], scan.a[block], scan.b[block],
-               scan.ratio[block], scan.region[block])
-
-
 def _format_block(columns) -> str:
-    """CSV rows of one block from ``_scan_blocks``, as one string."""
+    """CSV rows of one block, given as the tuple
+    (log_columns, i, a, b, ratio, region) of its columns, as one string."""
     log_columns, i, a, b, ratio, region = columns
     names = harness.REGION_NAMES
     if log_columns:
@@ -286,25 +282,30 @@ def _block_formatter(workers: int):
 
 def cmd_ratio_scan(args: argparse.Namespace) -> int:
     pattern = args.pattern
-    scan = harness.ratio_scan(
-        args.N, pattern.k, pattern.alpha, stride=args.stride, backend=args.backend
-    )
+    blocks = harness.scan_blocks(args.N, pattern.k, pattern.alpha, args.stride, args.backend,
+                                 SCAN_BLOCK_ROWS)
+    first = next(blocks)
     summary = {
-        "eps_mid": scan.eps_mid,
-        "r": scan.r,
-        "M1": scan.bounds.M1,
-        "M2": scan.bounds.M2,
-        "stride": scan.stride,
-        "sampled": scan.sampled,
-        "backend": scan.backend,
+        "eps_mid": first.eps_mid,
+        "r": first.r,
+        "M1": first.bounds.M1,
+        "M2": first.bounds.M2,
+        "stride": first.stride,
+        "sampled": first.sampled,
+        "backend": first.backend,
     }
-    workers = _scan_workers(len(scan.i))
+
+    def columns(block):
+        summary["eps_mid"] = max(summary["eps_mid"], block.eps_mid)   # running max
+        return block.log_columns, block.i, block.a, block.b, block.ratio, block.region
+
+    workers = _scan_workers(harness.scan_length(args.N, args.stride))
     with _output(args.out) as fh, _block_formatter(workers) as format_blocks:
-        if scan.log_columns:
+        if first.log_columns:
             fh.write("i,log_a,log_b,ratio,region\n")
         else:
             fh.write("i,a,b,ratio,region\n")
-        for text in format_blocks(_scan_blocks(scan)):
+        for text in format_blocks(map(columns, itertools.chain([first], blocks))):
             fh.write(text)
         fh.write(json.dumps(summary, default=_exact_text) + "\n")
     return EXIT_OK

@@ -30,8 +30,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -87,7 +87,8 @@ class ScanRow:
 
 @dataclass(frozen=True, eq=False)
 class RatioScan:
-    """Column-wise result of ``ratio_scan``, one entry per scanned index.
+    """Column-wise result of ``ratio_scan``, or one block of ``scan_blocks``,
+    one entry per scanned index.
 
     * ``i``: int64 array of the scanned counts, strictly increasing.
     * ``a``, ``b``: log backend, float64 arrays of natural logs (-inf for
@@ -96,6 +97,8 @@ class RatioScan:
       absent; exact backend, a tuple of Fractions with None where absent.
     * ``region``: int8 array of codes into ``REGION_NAMES``
       (0 lower, 1 mid, 2 upper).
+    * ``eps_mid``: the max |ratio - 1| over the mid-window rows present in
+      these columns, 0 where there are none.
 
     ``rows`` is a read-only sequence view that builds a ``ScanRow`` only
     when one is accessed; absent ratios read as None there in both backends.
@@ -146,18 +149,70 @@ class ScanRows(Sequence):
         return ScanRow(int(s.i[pos]), a, b, ratio, REGION_NAMES[s.region[pos]])
 
 
-def scan_indices(N: int, bounds: RegionBounds, stride: int) -> np.ndarray:
-    """Strided index set over 0..N with the region edges always included."""
+def _scan_edges(N: int, bounds: RegionBounds, stride: int) -> list[int]:
+    """The region edges a scan adds to the multiples of its stride, ascending."""
+    edges = {0, bounds.M1, bounds.M1 + 1, bounds.M2, min(bounds.M2 + 1, N), N}
+    return sorted(i for i in edges if i % stride)
+
+
+def scan_length(N: int, stride: int) -> int:
+    """The number of indices a scan of 0..N at ``stride`` visits."""
+    return N // stride + 1 + len(_scan_edges(N, region_bounds(N), stride))
+
+
+def scan_indices(
+    N: int, bounds: RegionBounds, stride: int, start: int = 0, rows: int | None = None
+) -> np.ndarray:
+    """The scanned indices from ``start`` on, the first ``rows`` of them (all
+    when None): the multiples of ``stride`` in 0..N with the region edges
+    always included, ascending.  N must fit int64 (``scan_blocks`` checks)."""
+    stop = N + 1 if rows is None else min(N + 1, start + rows * stride)
+    idx = np.arange(-(-start // stride) * stride, stop, stride, dtype=np.int64)
+    edges = [i for i in _scan_edges(N, bounds, stride) if start <= i < stop]
+    if edges:
+        idx = np.insert(idx, np.searchsorted(idx, edges), edges)
+    return idx[:rows]
+
+
+def scan_blocks(
+    N: int, k: int, alpha: int, stride: int, backend: str, rows: int
+) -> Iterator[RatioScan]:
+    """The scan of ``ratio_scan`` as ``RatioScan`` blocks of ``rows``
+    scanned indices each (the last may be shorter), in order, each with the
+    eps_mid of its own mid-window rows.  Each block builds only its own
+    indices, so memory does not grow with N.
+
+    Every argument is checked here, before the first block: the
+    (N, k, alpha) domain, the regions, the stride and the int64 index
+    range.  A ratio above the replacement correction raises AssertionError
+    from the block that holds it, naming the smallest offending i.
+    """
+    if not (0 <= alpha <= k <= N):
+        raise ValidationError(f"invalid (N, k, alpha) = ({N}, {k}, {alpha})")
+    if k < 1:
+        raise ValidationError("pattern length must be at least 1")
+    if min(stride, rows) < 1:
+        raise ValidationError(f"stride and block rows must be at least 1, got {stride} and {rows}")
+    bounds = region_bounds(N)
     check_index_range(N)
-    idx = np.arange(0, N + 1, stride, dtype=np.int64)
-    if stride == 1:
-        return idx
-    forced = np.unique(np.array(
-        [0, bounds.M1, bounds.M1 + 1, bounds.M2, min(bounds.M2 + 1, N), N],
-        dtype=np.int64,
-    ))
-    forced = forced[forced % stride != 0]   # the rest are already in idx
-    return np.insert(idx, np.searchsorted(idx, forced), forced)
+    backend = resolve_backend(backend, N)
+    if backend == "exact":
+        scan, r = _scan_exact, replacement_correction(N, k)
+    else:
+        scan, r = _scan_log, replacement_correction_float(N, k)
+
+    def blocks():
+        start = 0
+        while start <= N:
+            idx = scan_indices(N, bounds, stride, start, rows)
+            start = int(idx[-1]) + 1
+            region = (idx > bounds.M1).astype(np.int8)
+            region += idx > bounds.M2
+            a, b, ratio, eps_mid = scan(N, k, alpha, idx, region, r)
+            yield RatioScan(N, k, alpha, bounds, idx, a, b, ratio, region, r, eps_mid,
+                            stride, stride > 1, backend)
+
+    return blocks()
 
 
 def ratio_scan(
@@ -167,7 +222,8 @@ def ratio_scan(
     stride: int = 1,
     backend: str = "auto",
 ) -> RatioScan:
-    """Per-index scan of the two kernels and their ratio over 0..N.
+    """Per-index scan of the two kernels and their ratio over 0..N, all of
+    it in memory: the blocks of ``scan_blocks`` in one set of columns.
 
     The ratio column is absent exactly where the iid kernel vanishes or
     where the count is too small to match the pattern (i < alpha).  The
@@ -179,42 +235,25 @@ def ratio_scan(
     rounding in the log one); a violation raises AssertionError naming the
     smallest offending i.
     """
-    if not (0 <= alpha <= k <= N):
-        raise ValidationError(f"invalid (N, k, alpha) = ({N}, {k}, {alpha})")
-    if k < 1:
-        raise ValidationError("pattern length must be at least 1")
-    if stride < 1:
-        raise ValidationError("stride must be at least 1")
-    bounds = region_bounds(N)
-    backend = resolve_backend(backend, N)
-    idx = scan_indices(N, bounds, stride)
-    region = (idx > bounds.M1).astype(np.int8)
-    region += idx > bounds.M2
-    if backend == "exact":
-        a, b, ratio, eps_mid, r = _scan_exact(N, k, alpha, idx, region)
-    else:
-        a, b, ratio, eps_mid, r = _scan_log(N, k, alpha, idx, region)
-    return RatioScan(
-        N=N,
-        k=k,
-        alpha=alpha,
-        bounds=bounds,
-        i=idx,
-        a=a,
-        b=b,
-        ratio=ratio,
-        region=region,
-        r=r,
-        eps_mid=eps_mid,
-        stride=stride,
-        sampled=stride > 1,
-        backend=backend,
-    )
+    blocks = scan_blocks(N, k, alpha, stride, backend, 65_536)
+    size, log = scan_length(N, stride), resolve_backend(backend, N) == "log"
+    i, region = np.empty(size, np.int64), np.empty(size, np.int8)
+    a, b, ratio = (np.empty(size) if log else [None] * size for _ in range(3))
+    start, eps_mid = 0, []
+    for block in blocks:
+        stop = start + len(block.i)
+        for column, part in zip((i, a, b, ratio, region),
+                                (block.i, block.a, block.b, block.ratio, block.region)):
+            column[start:stop] = part
+        start = stop
+        eps_mid.append(block.eps_mid)
+    if not log:
+        a, b, ratio = tuple(a), tuple(b), tuple(ratio)
+    return replace(block, i=i, a=a, b=b, ratio=ratio, region=region, eps_mid=max(eps_mid))
 
 
-def _scan_exact(N, k, alpha, idx, region):
+def _scan_exact(N, k, alpha, idx, region, r):
     # a_i and b_i in the falling-factorial form of ``_exact_fields``
-    r = replacement_correction(N, k)
     a_den, b_den = math.perm(N, k), N**k
     a_col, b_col, ratio_col = [], [], []
     eps_mid = Fraction(0)
@@ -233,12 +272,11 @@ def _scan_exact(N, k, alpha, idx, region):
         a_col.append(a)
         b_col.append(b)
         ratio_col.append(ratio)
-    return tuple(a_col), tuple(b_col), tuple(ratio_col), eps_mid, r
+    return tuple(a_col), tuple(b_col), tuple(ratio_col), eps_mid
 
 
-def _scan_log(N, k, alpha, idx, region):
+def _scan_log(N, k, alpha, idx, region, r):
     log_a, log_b = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)
-    r = replacement_correction_float(N, k)
     log_r = math.log(r)
     a_zero = log_a == _kernels.NEG_INF
     present = (log_b != _kernels.NEG_INF) & ~(a_zero & (idx < alpha))
@@ -263,7 +301,7 @@ def _scan_log(N, k, alpha, idx, region):
     )
     mid_dev = np.abs(ratio[present & (region == 1)] - 1.0)
     eps_mid = float(mid_dev.max()) if mid_dev.size else 0.0
-    return log_a, log_b, ratio, eps_mid, r
+    return log_a, log_b, ratio, eps_mid
 
 
 # ---------------------------------------------------------------------------

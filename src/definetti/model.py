@@ -384,6 +384,7 @@ def sample_mean_law(mu: MixingMeasure, N: int) -> SampleMeanLaw:
     """
     if N < 1:
         raise ValidationError("N must be positive")
+    check_index_range(N)
     if not mu.is_exact:
         idx, log_q = _log_mean_law_array(mu.atoms, N)
         q = np.zeros(N + 1, dtype=np.float64)

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -397,6 +398,46 @@ def test_ratio_scan_failed_write_leaves_no_workers(small_blocks):
     with pytest.raises(OSError):
         main(["ratio-scan", "-N", "10000", "--pattern", "1,0", "--out", "/dev/full"])
     assert multiprocessing.active_children() == []
+
+
+def test_ratio_scan_invariant_failure_mid_stream(small_blocks, monkeypatch, capsys):
+    # for an all-ones pattern a_i / b_i = i^(k) N^k / (i^k N^(k)) with falling
+    # factorials x^(k); a correction of 1/2 is first crossed past the blocks
+    # that can be in flight, so earlier blocks are already written
+    N, k = 20000, 100
+    first = next(i for i in range(k, N + 1)
+                 if 2 * math.perm(i, k) * N**k > i**k * math.perm(N, k))
+    assert first // 997 > cli.SCAN_MAX_WORKERS
+    monkeypatch.setattr(harness, "replacement_correction_float", lambda N, k: 0.5)
+    code, out, err = run_cli(["ratio-scan", "-N", str(N), "--pattern", ",".join("1" * k)], capsys)
+    assert code == 3
+    [line] = err.splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "invariant"
+    assert doc["message"].startswith(f"ratio bound violated at i={first}: ")
+    # whole blocks before the failing one, and no summary line
+    rows = out.count("\n") - 1
+    assert rows > 0 and rows % 997 == 0 and rows <= first
+    assert out == _reference_scan_csv(N, k, k, 1, "log")[:len(out)]
+    assert multiprocessing.active_children() == []
+
+
+def test_ratio_scan_memory_does_not_grow_with_n(tmp_path, monkeypatch):
+    # in-process (below the pool threshold) in 997-row blocks: the scan
+    # holds one block at a time, where a whole scan at N = 1e5 took 8 MB
+    monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", 997)
+    N = 100_000
+    assert N + 1 < cli.SCAN_POOL_MIN_ROWS
+    out_file = tmp_path / "scan.csv"
+    tracemalloc.start()
+    try:
+        code = main(["ratio-scan", "-N", str(N), "--pattern", "1,1,0,0,0", "--out", str(out_file)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MB"
+    assert out_file.read_text().count("\n") == N + 3
 
 
 _EXIT_WITHOUT_STOPPING_WORKERS = """
@@ -995,6 +1036,18 @@ def test_index_arrays_past_int64_are_a_domain_error(argv, tmp_path, capsys):
     assert code == 2 and out == ""
     [line] = err.splitlines()
     assert json.loads(line)["error"] == "domain"
+
+
+@pytest.mark.parametrize("command", [["verify", "--backend", "exact", "--pattern", "1,0"],
+                                     ["yn-law"]])
+def test_exact_count_law_past_int64_is_a_domain_error(command, fair_file, capsys):
+    # the exact law needs p.denominator ** N and N + 1 numerators: both once
+    # ran on without bound
+    code, out, err = run_cli([*command, "--measure", fair_file, "-N", str(10**20)], capsys)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "domain" and "exceeds 2^63 - 1" in doc["message"]
 
 
 def test_interior_measure_past_int64_verifies(tmp_path, capsys):

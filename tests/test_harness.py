@@ -152,6 +152,69 @@ def test_scan_rows_view_matches_columns():
         assert row.region == ex.bounds.region_of(row.i)
 
 
+def _n_with_m2_at(position, stride):
+    """The least N >= 8 whose scan at ``stride`` has M2 as row ``position``."""
+    lo, hi = 8, 2 * stride * (position + 2) + 64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        b = region_bounds(mid)
+        if np.searchsorted(scan_indices(mid, b, stride), b.M2) < position:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _scan_cases():
+    """(backend, N, stride, rows, M2's row or None): with rows = 1 every
+    block edge falls between two region edges; with more rows, N puts M2
+    last in block 0 (M2 | M2 + 1 across the edge) or first in block 1
+    (M2 - 1 | M2).  The exact backend runs its 65,536-row blocks on one
+    short block only: a scan of that many exact rows takes seconds."""
+    for stride in (1, 13, 97):
+        for backend in ("log", "exact"):
+            yield backend, 1000, stride, 1, None
+        yield "exact", 3000, stride, 65536, None
+        for rows in (997, 65536):
+            for position in (rows - 1, rows):
+                N = _n_with_m2_at(position, stride)
+                yield "log", N, stride, rows, position
+                if rows == 997:
+                    yield "exact", N, stride, rows, position
+
+
+@pytest.mark.parametrize("backend, N, stride, rows, m2_row", list(_scan_cases()))
+@pytest.mark.parametrize("k, alpha", [(5, 2), (40, 23)])
+def test_scan_blocks_concatenate_to_ratio_scan(backend, N, stride, rows, m2_row, k, alpha):
+    # k = 40 is above PRODUCT_SCAN_MAX_K, so each log block takes the table form
+    assert 5 <= _kernels.PRODUCT_SCAN_MAX_K < 40
+    scan = ratio_scan(N, k, alpha, stride=stride, backend=backend)
+    size = harness.scan_length(N, stride)
+    [whole] = harness.scan_blocks(N, k, alpha, stride, backend, size)   # one block spans 0..N
+    blocks = list(harness.scan_blocks(N, k, alpha, stride, backend, rows))
+    assert [len(block.i) for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    assert 0 < len(blocks[-1].i) <= rows and len(scan.i) == size
+    if m2_row is not None:
+        assert scan.i[m2_row] == scan.bounds.M2 and len(blocks) > 1
+    for name in ("i", "a", "b", "ratio", "region"):
+        want = getattr(scan, name)
+        for got in (getattr(whole, name), [x for blk in blocks for x in getattr(blk, name)]):
+            if backend == "log" or name in ("i", "region"):
+                assert np.asarray(got).tobytes() == want.tobytes(), name
+            else:
+                assert tuple(got) == want, name
+    for other in (whole.eps_mid, max(blk.eps_mid for blk in blocks)):
+        assert type(other) is type(scan.eps_mid) and other == scan.eps_mid
+    assert all(blk.r == scan.r and blk.backend == scan.backend for blk in blocks)
+
+
+def test_scan_blocks_check_arguments_before_the_first_block():
+    for args in [(7, 1, 1, 1, "log", 10), (100, 3, 4, 1, "log", 10), (100, 2, 1, 0, "log", 10),
+                 (100, 2, 1, 1, "log", 0), (100, 2, 1, 1, "fast", 10), (2**63, 2, 1, 2**62, "log", 10)]:
+        with pytest.raises(ValueError):
+            harness.scan_blocks(*args)
+
+
 @pytest.mark.parametrize("stride", [1, 5])
 def test_scan_log_guard_names_smallest_violating_i(stride, monkeypatch):
     # every true ratio stays below the correction; a correction of 1/2
