@@ -4,14 +4,15 @@ Subcommands: prefix-prob, yn-law, verify, ratio-scan, recover, extend-check,
 oracle, tail-check.  All reports are JSON (exact values as "num/den"
 strings); ratio scans are CSV with a trailing summary JSON line.
 
-ratio-scan streams ``harness.scan_blocks``: each SCAN_BLOCK_ROWS-row block is
-formatted and written in order, so no process holds the whole scan, and a
-failed ratio guard (exit 3) follows the blocks before it.  Scans of at least
-SCAN_POOL_MIN_ROWS rows format on worker processes while the parent computes
-the next blocks: one per usable CPU, at most SCAN_MAX_WORKERS and never more
-than there are blocks; smaller scans, and one usable CPU, format in-process.
-The bytes do not depend on the CPU count, and at most one block per worker
-is in flight.
+ratio-scan streams ``harness.scan_blocks``: each SCAN_BLOCK_ROWS-row block
+(8,192 rows, about 0.6 MB of CSV) is formatted and written in order, so no
+process holds the whole scan or more than a few MB of it, and a failed ratio
+guard (exit 3) follows the blocks before it.  Scans of at least
+SCAN_POOL_MIN_ROWS rows, a count that does not depend on the block size,
+format on worker processes while the parent computes the next blocks: one
+per usable CPU, at most SCAN_MAX_WORKERS and never more than there are
+blocks; smaller scans, and one usable CPU, format in-process.  The bytes do
+not depend on the CPU count, and at most one block per worker is in flight.
 
 Each subcommand declares the options it reads and those it requires
 (COMMANDS), and argparse checks every command line against that table, so
@@ -57,14 +58,14 @@ ERRORS = {
     DomainError: ("domain", EXIT_INPUT),
 }
 
-SCAN_BLOCK_ROWS = 65_536   # ratio-scan CSV rows formatted per write
-# Smaller scans format in-process: below about six blocks, starting spawn or
-# forkserver workers (an interpreter and a numpy import each) costs more
-# than it saves.
-SCAN_POOL_MIN_ROWS = 6 * SCAN_BLOCK_ROWS
-# Each worker adds 25-45 MB to the process tree; 4 bound that while keeping
-# the parent (about 20 ms of its own per 256 ms block, 11 ms of it computing
-# the block) far from saturated.
+SCAN_BLOCK_ROWS = harness.SCAN_BLOCK_ROWS   # ratio-scan CSV rows formatted per write
+# Smaller scans format in-process: below about 393,216 rows, whatever the
+# block size, starting spawn or forkserver workers (an interpreter and a
+# numpy import each) costs more than it saves.
+SCAN_POOL_MIN_ROWS = 393_216
+# Each worker adds 7 (fork) to 28 MB (spawn, forkserver) to the process
+# tree; 4 bound that while keeping the parent (about 3 ms of its own per
+# 23 ms block, 0.9 ms of it computing the block) far from saturated.
 SCAN_MAX_WORKERS = 4
 
 

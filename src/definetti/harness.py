@@ -58,6 +58,9 @@ from .numerics import (
 )
 
 EXACT_BACKEND_MAX_N = 2000
+# rows per ``scan_blocks`` block wherever a whole scan is taken: the CLI's
+# stream and ``ratio_scan``'s aggregator
+SCAN_BLOCK_ROWS = 8_192
 FLOAT_PATHOLOGICAL_TOL = 1e-15
 
 
@@ -235,7 +238,7 @@ def ratio_scan(
     rounding in the log one); a violation raises AssertionError naming the
     smallest offending i.
     """
-    blocks = scan_blocks(N, k, alpha, stride, backend, 65_536)
+    blocks = scan_blocks(N, k, alpha, stride, backend, SCAN_BLOCK_ROWS)
     size, log = scan_length(N, stride), resolve_backend(backend, N) == "log"
     i, region = np.empty(size, np.int64), np.empty(size, np.int8)
     a, b, ratio = (np.empty(size) if log else [None] * size for _ in range(3))

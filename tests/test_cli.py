@@ -422,13 +422,25 @@ def test_ratio_scan_invariant_failure_mid_stream(small_blocks, monkeypatch, caps
     assert multiprocessing.active_children() == []
 
 
-def test_ratio_scan_memory_does_not_grow_with_n(tmp_path, monkeypatch):
-    # in-process (below the pool threshold) in 997-row blocks: the scan
-    # holds one block at a time, where a whole scan at N = 1e5 took 8 MB
-    monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", 997)
-    N = 100_000
-    assert N + 1 < cli.SCAN_POOL_MIN_ROWS
+@pytest.mark.parametrize("block_rows", ["default", 997])
+def test_ratio_scan_pool_threshold_is_in_rows(block_rows, tmp_path, monkeypatch):
+    # one row short of the threshold: 48 blocks at the default size and 395
+    # at 997 rows, and no worker at either
+    if block_rows != "default":
+        monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", block_rows)
+    rows = cli.SCAN_POOL_MIN_ROWS - 1
+    assert cli._scan_workers(rows) == 1
+    workers = _record_workers(monkeypatch)
     out_file = tmp_path / "scan.csv"
+    assert main(["ratio-scan", "-N", str(rows - 1), "--pattern", "1,0", "--out", str(out_file)]) == 0
+    assert out_file.read_text().count("\n") == rows + 2
+    assert workers == [1]
+    assert multiprocessing.active_children() == []
+
+
+def _in_process_scan_peak(N, out_file):
+    """The tracemalloc peak, in MB, of an in-process ``ratio-scan`` to a file."""
+    assert N + 1 < cli.SCAN_POOL_MIN_ROWS
     tracemalloc.start()
     try:
         code = main(["ratio-scan", "-N", str(N), "--pattern", "1,1,0,0,0", "--out", str(out_file)])
@@ -436,8 +448,22 @@ def test_ratio_scan_memory_does_not_grow_with_n(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MB"
     assert out_file.read_text().count("\n") == N + 3
+    return peak / 2**20
+
+
+def test_ratio_scan_memory_does_not_grow_with_n(tmp_path, monkeypatch):
+    # in-process (below the pool threshold) in 997-row blocks: the scan
+    # holds one block at a time, where a whole scan at N = 1e5 took 8 MB
+    monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", 997)
+    peak = _in_process_scan_peak(100_000, tmp_path / "scan.csv")
+    assert peak < 2, f"{peak:.2f} MB"
+
+
+def test_ratio_scan_memory_at_the_default_block_size(tmp_path):
+    # 3.8 MB at 8,192-row blocks; 65,536-row blocks took 23.3 MB
+    peak = _in_process_scan_peak(100_000, tmp_path / "scan.csv")
+    assert peak < 6, f"{peak:.2f} MB"
 
 
 _EXIT_WITHOUT_STOPPING_WORKERS = """
