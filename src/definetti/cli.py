@@ -4,15 +4,17 @@ Subcommands: prefix-prob, yn-law, verify, ratio-scan, recover, extend-check,
 oracle, tail-check.  All reports are JSON (exact values as "num/den"
 strings); ratio scans are CSV with a trailing summary JSON line.
 
-ratio-scan streams ``harness.scan_blocks``: each SCAN_BLOCK_ROWS-row block
-(8,192 rows, about 0.6 MB of CSV) is formatted and written in order, so no
-process holds the whole scan or more than a few MB of it, and a failed ratio
-guard (exit 3) follows the blocks before it.  Scans of at least
-SCAN_POOL_MIN_ROWS rows, a count that does not depend on the block size,
-format on worker processes while the parent computes the next blocks: one
-per usable CPU, at most SCAN_MAX_WORKERS and never more than there are
-blocks; smaller scans, and one usable CPU, format in-process.  The bytes do
-not depend on the CPU count, and at most one block per worker is in flight.
+ratio-scan streams the blocks of ``harness.scan_blocks``: each
+SCAN_BLOCK_ROWS-row block (8,192 rows, about 0.6 MB of CSV) is formatted and
+written in order, so no process holds the whole scan or more than a few MB
+of it, and a failed ratio guard (exit 3) follows the blocks before it.
+Scans of at least SCAN_POOL_MIN_ROWS rows, a count that does not depend on
+the block size, run on worker processes: one per usable CPU, at most
+SCAN_MAX_WORKERS and never more than there are blocks.  Each worker scans
+and formats its own share of the blocks and sends their texts on a one-way
+pipe; the parent only receives them in block order and writes them.
+Smaller scans, and one usable CPU, run in-process.  The bytes do not depend
+on the CPU count.
 
 Each subcommand declares the options it reads and those it requires
 (COMMANDS), and argparse checks every command line against that table, so
@@ -31,7 +33,6 @@ Any other exception is a bug and propagates as a traceback.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import functools
 import itertools
@@ -64,8 +65,9 @@ SCAN_BLOCK_ROWS = harness.SCAN_BLOCK_ROWS   # ratio-scan CSV rows formatted per 
 # numpy import each) costs more than it saves.
 SCAN_POOL_MIN_ROWS = 393_216
 # Each worker adds 7 (fork) to 28 MB (spawn, forkserver) to the process
-# tree; 4 bound that while keeping the parent (about 3 ms of its own per
-# 23 ms block, 0.9 ms of it computing the block) far from saturated.
+# tree; 4 bound that while keeping the parent, which only receives and
+# writes (0.7-1.2 ms of its own per block that takes a worker 23 ms), far
+# from saturated.
 SCAN_MAX_WORKERS = 4
 
 
@@ -161,30 +163,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _format_block(columns) -> str:
-    """CSV rows of one block, given as the tuple
-    (log_columns, i, a, b, ratio, region) of its columns, as one string."""
-    log_columns, i, a, b, ratio, region = columns
-    names = harness.REGION_NAMES
-    if log_columns:
+def _format_block(block: harness.RatioScan) -> str:
+    """CSV rows of one scan block as one string."""
+    if block.log_columns:
         # "{}" formats a Python float as its shortest repr; NaN marks an
         # absent ratio
-        a_col = a.tolist()
-        b_col = b.tolist()
-        ratio_col = ["" if x != x else repr(x) for x in ratio.tolist()]
+        a_col, b_col = block.a.tolist(), block.b.tolist()
+        ratio_col = ["" if x != x else repr(x) for x in block.ratio.tolist()]
     else:
         fmt = io.format_value
-        a_col = map(fmt, a)
-        b_col = map(fmt, b)
-        ratio_col = ("" if x is None else fmt(x) for x in ratio)
-    return "".join(map(
-        "{},{},{},{},{}\n".format,
-        i.tolist(),
-        a_col,
-        b_col,
-        ratio_col,
-        (names[c] for c in region.tolist()),
-    ))
+        a_col, b_col = map(fmt, block.a), map(fmt, block.b)
+        ratio_col = ("" if x is None else fmt(x) for x in block.ratio)
+    regions = (harness.REGION_NAMES[c] for c in block.region.tolist())
+    return "".join(map("{},{},{},{},{}\n".format, block.i.tolist(), a_col, b_col, ratio_col,
+                       regions))
+
+
+def _texts(plan, share=0, shares=1):
+    """(CSV text, eps_mid) of each block of a share of the scan ``plan``."""
+    for block in harness._blocks(*plan, share, shares):
+        yield _format_block(block), block.eps_mid
 
 
 def _usable_cpus() -> int:
@@ -202,113 +200,90 @@ def _scan_workers(rows: int) -> int:
     return min(_usable_cpus(), SCAN_MAX_WORKERS, -(-rows // SCAN_BLOCK_ROWS))
 
 
-def _format_worker(conn, parent_conns) -> None:
-    """Worker process: format each block received on ``conn`` and send back
-    its text, or the exception that formatting raised.  Returns quietly when
-    the parent goes away or the user interrupts: the parent reports that.
+def _format_worker(conn, readers, plan, share, shares) -> None:
+    """Worker process: send the items of ``_texts(plan, share, shares)`` on
+    ``conn``, then None; a block that raises sends the exception instead.
+    Returns quietly when the parent goes away or the user interrupts.
 
-    A forked worker holds copies of the parent's ends of the pipes made so
-    far, its own among them; it closes them, or a killed parent would leave
-    it waiting on a pipe that never reaches EOF.
+    A forked worker holds copies of the parent's reading ends of the pipes
+    made so far, its own among them; it closes them, or a killed parent
+    would leave it blocked on a pipe that never breaks.
     """
-    for parent_conn in parent_conns:
-        parent_conn.close()
+    for reader in readers:
+        reader.close()
     try:
-        while True:
-            columns = conn.recv()
-            try:
-                text = _format_block(columns)
-            except Exception as exc:
-                text = exc
-            conn.send(text)
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):
+        try:
+            for item in _texts(plan, share, shares):
+                conn.send(item)
+            item = None
+        except Exception as exc:   # a closed pipe breaks again on this send
+            item = exc
+        conn.send(item)
+    except (BrokenPipeError, KeyboardInterrupt):
         pass
 
 
-def _raised(text):
-    """A worker's reply: its text, or the exception it relayed, raised here."""
-    if isinstance(text, Exception):
-        raise text
-    return text
-
-
 @contextlib.contextmanager
-def _block_formatter(workers: int):
-    """A lazy map of ``_format_block`` over blocks, in block order, on
-    ``workers`` processes; the builtin ``map`` below 2 workers.
-
-    Block j goes to worker j mod ``workers``, which gets its next block as
-    soon as its previous text is back, so at most one block per worker is
-    in flight.  The parent receives the texts on its own thread: a helper
-    thread would unpickle them into a malloc arena of its own, which holds
-    on to its peak.  The workers are gone when the block exits, also when
-    the consumer raises.
+def _block_formatter(plan, workers: int):
+    """``_texts(plan)`` in block order: worker w of ``workers`` runs the
+    share w on its own and sends each item on a one-way pipe, waiting until
+    the parent takes it; in-process below 2 workers.  The parent reads the
+    pipes in turn, on its own thread: a helper thread would unpickle the
+    texts into a malloc arena of its own, which holds on to its peak.  The
+    workers are gone when the block exits, also when the consumer raises.
     """
     if workers < 2:
-        yield lambda blocks: map(_format_block, blocks)
+        yield _texts(plan)
         return
     import multiprocessing   # only a multi-block ratio-scan pays for this import
 
-    conns, procs = [], []
+    readers, procs = [], []
 
-    def format_blocks(blocks):
-        pending = collections.deque()
-        for columns, conn in zip(blocks, itertools.cycle(conns)):
-            text = pending.popleft().recv() if len(pending) == workers else None
-            conn.send(columns)
-            pending.append(conn)
-            if text is not None:
-                yield _raised(text)
-        while pending:
-            yield _raised(pending.popleft().recv())
+    def receive():
+        for reader in itertools.cycle(readers):
+            item = reader.recv()
+            if item is None:   # the end of the share that holds the next block
+                return
+            if isinstance(item, Exception):   # relayed from the worker
+                raise item
+            yield item
 
     try:
-        for _ in range(workers):
-            conn, child_conn = multiprocessing.Pipe()
-            conns.append(conn)
+        for share in range(workers):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            readers.append(reader)
             proc = multiprocessing.Process(
-                target=_format_worker, args=(child_conn, conns), daemon=True
+                target=_format_worker, args=(writer, readers, plan, share, workers), daemon=True
             )
             proc.start()
-            child_conn.close()
+            writer.close()
             procs.append(proc)
-        yield format_blocks
+        yield receive()
     finally:
         for proc in procs:
             proc.terminate()
             proc.join()
-        for conn in conns:
-            conn.close()
+        for reader in readers:
+            reader.close()
 
 
 def cmd_ratio_scan(args: argparse.Namespace) -> int:
     pattern = args.pattern
-    blocks = harness.scan_blocks(args.N, pattern.k, pattern.alpha, args.stride, args.backend,
-                                 SCAN_BLOCK_ROWS)
-    first = next(blocks)
-    summary = {
-        "eps_mid": first.eps_mid,
-        "r": first.r,
-        "M1": first.bounds.M1,
-        "M2": first.bounds.M2,
-        "stride": first.stride,
-        "sampled": first.sampled,
-        "backend": first.backend,
-    }
-
-    def columns(block):
-        summary["eps_mid"] = max(summary["eps_mid"], block.eps_mid)   # running max
-        return block.log_columns, block.i, block.a, block.b, block.ratio, block.region
-
-    workers = _scan_workers(harness.scan_length(args.N, args.stride))
-    with _output(args.out) as fh, _block_formatter(workers) as format_blocks:
-        if first.log_columns:
-            fh.write("i,log_a,log_b,ratio,region\n")
-        else:
-            fh.write("i,a,b,ratio,region\n")
-        for text in format_blocks(map(columns, itertools.chain([first], blocks))):
-            fh.write(text)
-        fh.write(json.dumps(summary, default=_exact_text) + "\n")
+    plan = harness._scan_plan(args.N, pattern.k, pattern.alpha, args.stride, args.backend,
+                              SCAN_BLOCK_ROWS)
+    N, _, _, stride, _, bounds, backend, r = plan
+    workers = _scan_workers(harness.scan_length(N, stride))
+    with _block_formatter(plan, workers) as texts:
+        first = next(texts)   # a first block that fails leaves no output
+        with _output(args.out) as fh:
+            fh.write("i,log_a,log_b,ratio,region\n" if backend == "log" else "i,a,b,ratio,region\n")
+            eps_mid = []
+            for text, eps in itertools.chain([first], texts):
+                fh.write(text)
+                eps_mid.append(eps)
+            summary = {"eps_mid": max(eps_mid), "r": r, "M1": bounds.M1, "M2": bounds.M2,
+                       "stride": stride, "sampled": stride > 1, "backend": backend}
+            fh.write(json.dumps(summary, default=_exact_text) + "\n")
     return EXIT_OK
 
 

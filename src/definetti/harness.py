@@ -190,6 +190,11 @@ def scan_blocks(
     range.  A ratio above the replacement correction raises AssertionError
     from the block that holds it, naming the smallest offending i.
     """
+    return _blocks(*_scan_plan(N, k, alpha, stride, backend, rows))
+
+
+def _scan_plan(N, k, alpha, stride, backend, rows):
+    """The checked arguments of ``_blocks``, with bounds, backend and r resolved."""
     if not (0 <= alpha <= k <= N):
         raise ValidationError(f"invalid (N, k, alpha) = ({N}, {k}, {alpha})")
     if k < 1:
@@ -199,23 +204,25 @@ def scan_blocks(
     bounds = region_bounds(N)
     check_index_range(N)
     backend = resolve_backend(backend, N)
-    if backend == "exact":
-        scan, r = _scan_exact, replacement_correction(N, k)
-    else:
-        scan, r = _scan_log, replacement_correction_float(N, k)
+    r = replacement_correction(N, k) if backend == "exact" else replacement_correction_float(N, k)
+    return N, k, alpha, stride, rows, bounds, backend, r
 
-    def blocks():
-        start = 0
-        while start <= N:
-            idx = scan_indices(N, bounds, stride, start, rows)
-            start = int(idx[-1]) + 1
+
+def _blocks(N, k, alpha, stride, rows, bounds, backend, r, share=0, shares=1):
+    """The block loop of every scan: the blocks j = share mod ``shares``, in
+    order; the other blocks only advance the start index."""
+    scan = _scan_exact if backend == "exact" else _scan_log
+    start, j = 0, 0
+    while start <= N:
+        idx = scan_indices(N, bounds, stride, start, rows)
+        start = int(idx[-1]) + 1
+        if j % shares == share:
             region = (idx > bounds.M1).astype(np.int8)
             region += idx > bounds.M2
             a, b, ratio, eps_mid = scan(N, k, alpha, idx, region, r)
             yield RatioScan(N, k, alpha, bounds, idx, a, b, ratio, region, r, eps_mid,
                             stride, stride > 1, backend)
-
-    return blocks()
+        j += 1
 
 
 def ratio_scan(

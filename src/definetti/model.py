@@ -22,11 +22,16 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .numerics import binomial, check_index_range
+from .numerics import DomainError, binomial, check_index_range
 
 Value = Union[Fraction, int, float]
 
 FLOAT_SUM_TOL = 1e-12
+# The most bytes of numbers a ``sample_mean_law`` law may hold.  Exact
+# numerators take about N log2(d) bits each over the atoms' denominator d:
+# exact N = 4e4 over d = 10, the largest size the README and ROADMAP use,
+# holds 0.62 GiB (700 MB RSS).  A float law, 32 bytes an entry, stops near 3.4e7.
+LAW_MAX_BYTES = 2**30
 # float results whose estimated rounding error exceeds this relative level
 # get the cancellation flag
 CANCELLATION_TOL = 1e-6
@@ -380,11 +385,19 @@ def sample_mean_law(mu: MixingMeasure, N: int) -> SampleMeanLaw:
     An atom p = a/d with weight w = u/v adds u C(N, i) a^i (d-a)^(N-i) / (v d^N)
     to q_i.  Over the lcm D of the atoms' v d^N these are integers, built
     by one multiplicative recurrence per atom, whose exact floor divisions
-    carry the binomial along: no Fractions, no gcds.
+    carry the binomial along: no Fractions, no gcds.  A law past
+    LAW_MAX_BYTES is a DomainError, raised before any of that work.
     """
     if N < 1:
         raise ValidationError("N must be positive")
     check_index_range(N)
+    size = (N + 1) * 32   # a float and its tuple slot
+    if mu.is_exact:
+        p_den, w_den = (math.lcm(*(x.denominator for x in xs)) for xs in zip(*mu.atoms))
+        size = (N + 1) * (N * math.log2(p_den) + math.log2(w_den)) / 8
+    if size > LAW_MAX_BYTES:
+        raise DomainError(f"the count law at N={N} would hold about {size / 2**30:.3g} GB, "
+                          f"more than the {LAW_MAX_BYTES / 2**30:g} GB it may take")
     if not mu.is_exact:
         idx, log_q = _log_mean_law_array(mu.atoms, N)
         q = np.zeros(N + 1, dtype=np.float64)

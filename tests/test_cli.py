@@ -151,6 +151,33 @@ def test_yn_law_float_large_n_passes_its_own_sum_check(tmp_path, capsys):
     assert len(q) == 100001 and abs(math.fsum(q) - 1.0) <= 1e-13
 
 
+_UNDER_ADDRESS_LIMIT = """
+import resource, sys
+from definetti import cli
+resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("atom, argv", [
+    pytest.param('{"p": "1/2", "w": "1"}', ["yn-law"], id="exact-yn-law"),
+    pytest.param('{"p": "1/2", "w": "1"}', ["verify", "--backend", "exact", "--pattern", "1,0"],
+                 id="exact-verify"),
+    pytest.param('{"p": 0.5, "w": 1.0}', ["yn-law"], id="float-yn-law"),
+])
+def test_count_law_too_large_to_hold_exit2(atom, argv, tmp_path):
+    # N = 1e12 fits int64, but its count law does not fit any memory: a
+    # domain error before any bignum or array work, under a 1.5 GB address
+    # limit so that a regression fails here instead of exhausting the machine
+    mu = tmp_path / "mu.json"
+    mu.write_text('{"atoms": [%s]}' % atom)
+    run = subprocess.run([sys.executable, "-c", _UNDER_ADDRESS_LIMIT, *argv, "--measure", str(mu),
+                          "-N", "1000000000000"], capture_output=True, text=True, timeout=30)
+    assert (run.returncode, run.stdout) == (2, "")
+    [line] = run.stderr.splitlines()
+    assert json.loads(line)["error"] == "domain"
+
+
 def test_verify_k1_zero_diff(fair_file, capsys):
     code, out, _ = run_cli(
         ["verify", "--measure", fair_file, "-N", "100", "--pattern", "1"], capsys
@@ -328,9 +355,9 @@ def _record_workers(monkeypatch):
     counts = []
     formatter = cli._block_formatter
 
-    def recording(workers):
+    def recording(plan, workers):
         counts.append(workers)
-        return formatter(workers)
+        return formatter(plan, workers)
 
     monkeypatch.setattr(cli, "_block_formatter", recording)
     return counts
@@ -400,7 +427,7 @@ def test_ratio_scan_failed_write_leaves_no_workers(small_blocks):
     assert multiprocessing.active_children() == []
 
 
-def test_ratio_scan_invariant_failure_mid_stream(small_blocks, monkeypatch, capsys):
+def test_ratio_scan_invariant_failure_mid_stream(start_method, small_blocks, monkeypatch, capsys):
     # for an all-ones pattern a_i / b_i = i^(k) N^k / (i^k N^(k)) with falling
     # factorials x^(k); a correction of 1/2 is first crossed past the blocks
     # that can be in flight, so earlier blocks are already written
@@ -468,8 +495,8 @@ def test_ratio_scan_memory_at_the_default_block_size(tmp_path):
 
 _EXIT_WITHOUT_STOPPING_WORKERS = """
 import multiprocessing, os, sys
-from definetti import cli
-with cli._block_formatter(2):
+from definetti import cli, harness
+with cli._block_formatter(harness._scan_plan(10**6, 2, 1, 1, "log", 997), 2):
     with open(sys.argv[1], "w") as fh:
         fh.write(" ".join(str(p.pid) for p in multiprocessing.active_children()))
     os._exit(0)
@@ -504,11 +531,12 @@ def test_workers_exit_when_the_parent_dies(tmp_path):
 
 
 def test_block_formatter_relays_worker_errors():
-    # a malformed block makes _format_block raise inside a worker
-    bad_block = (True, None, None, None, None, None)
-    with cli._block_formatter(min(2, cli._usable_cpus())) as format_blocks:
+    # a plan without its region bounds makes the block loop raise inside a worker
+    plan = harness._scan_plan(10**4, 2, 1, 1, "log", 997)
+    bad_plan = plan[:5] + (None,) + plan[6:]
+    with cli._block_formatter(bad_plan, min(2, cli._usable_cpus())) as texts:
         with pytest.raises(AttributeError):
-            list(format_blocks([bad_block, bad_block, bad_block]))
+            list(texts)
     assert multiprocessing.active_children() == []
 
 
@@ -516,14 +544,15 @@ class _ClosedConn:
     def __init__(self, exc):
         self.exc = exc
 
-    def recv(self):
+    def send(self, item):
         raise self.exc
 
 
-@pytest.mark.parametrize("exc", [EOFError, KeyboardInterrupt])
+@pytest.mark.parametrize("exc", [BrokenPipeError, KeyboardInterrupt])
 def test_format_worker_returns_quietly_when_parent_goes(exc):
     # a closed pipe or Ctrl-C ends a worker without a traceback of its own
-    assert cli._format_worker(_ClosedConn(exc()), []) is None
+    plan = harness._scan_plan(1000, 2, 1, 1, "log", 997)
+    assert cli._format_worker(_ClosedConn(exc()), [], plan, 0, 1) is None
 
 
 def test_verify_large_n_log_backend_sound(three_atom_file, capsys):

@@ -208,6 +208,32 @@ def test_scan_blocks_concatenate_to_ratio_scan(backend, N, stride, rows, m2_row,
     assert all(blk.r == scan.r and blk.backend == scan.backend for blk in blocks)
 
 
+@pytest.mark.parametrize("rows", [1, 997, 8192])
+@pytest.mark.parametrize("stride", [1, 13, 97])
+@pytest.mark.parametrize("backend", ["log", "exact"])
+def test_block_shares_partition_the_scan(backend, stride, rows):
+    # the blocks of W shares of the block loop, taken in turn, are the
+    # blocks of scan_blocks: the pool's workers scan every block once
+    N = max(1000, 5 * rows * stride // 2)   # 2.5 blocks, or 1001 one-row blocks
+    k, alpha = 5, 2
+    plan = harness._scan_plan(N, k, alpha, stride, backend, rows)
+    want = list(harness.scan_blocks(N, k, alpha, stride, backend, rows))
+    if rows > 1:   # M1 and M2 lie inside a block, not on its edge
+        bounds, i = want[0].bounds, np.concatenate([blk.i for blk in want])
+        assert all(0 < np.searchsorted(i, m) % rows < rows - 1 for m in (bounds.M1, bounds.M2))
+    for shares in range(1, 5):
+        loops = [harness._blocks(*plan, share, shares) for share in range(shares)]
+        got = [next(loops[j % shares]) for j in range(len(want))]
+        assert [next(loop, None) for loop in loops] == [None] * shares
+        for g, w in zip(got, want):
+            for name in ("i", "a", "b", "ratio", "region"):
+                if backend == "log" or name in ("i", "region"):
+                    assert getattr(g, name).tobytes() == getattr(w, name).tobytes(), name
+                else:
+                    assert getattr(g, name) == getattr(w, name), name
+            assert type(g.eps_mid) is type(w.eps_mid) and g.eps_mid == w.eps_mid
+
+
 def test_scan_blocks_check_arguments_before_the_first_block():
     for args in [(7, 1, 1, 1, "log", 10), (100, 3, 4, 1, "log", 10), (100, 2, 1, 0, "log", 10),
                  (100, 2, 1, 1, "log", 0), (100, 2, 1, 1, "fast", 10), (2**63, 2, 1, 2**62, "log", 10)]:
