@@ -84,6 +84,7 @@ the error of the exponentiated log terms themselves.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import numpy as np
@@ -464,3 +465,89 @@ def max_ratio_dev(
         np.expm1(dev, out=dev)
     np.abs(dev, out=dev)
     return float(np.max(dev, where=mask, initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# shortest decimal digits
+# ---------------------------------------------------------------------------
+
+_U64 = np.uint64
+POW10_U64 = np.array([10**j for j in range(20)], dtype=np.uint64)   # every 10^j < 2^64
+_LOW32, _LOW63 = _U64(2**32 - 1), _U64(2**63 - 1)
+_K_MAX = 292   # the decimal exponents k of finite float64 run from -324 to _K_MAX
+
+
+@functools.cache
+def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
+    """g = floor(10^-k / 2^r) + 1 with 2^125 <= 10^-k / 2^r < 2^126, for k =
+    292 down to -324, as its high and low 63-bit halves (uint64 arrays).
+    Built with Python ints on first use, not at import."""
+    g = []
+    for e in range(-_K_MAX, 325):
+        r = (e * 913_124_641_741 >> 38) - 125   # floor(log2 10^e) - 125
+        g.append(1 + ((10**e >> r if r >= 0 else 10**e << -r) if e >= 0 else (1 << -r) // 10**-e))
+    return (np.array([v >> 63 for v in g], dtype=np.uint64),
+            np.array([v & (2**63 - 1) for v in g], dtype=np.uint64))
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the products a * b (uint64), from 32-bit halves."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _U64(32), b & _LOW32, b >> _U64(32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _U64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+
+
+def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """cp g 2^-127 rounded to odd, g = g1 2^63 + g0."""
+    z = ((g1 * cp) >> _U64(1)) + _mulhi(g0, cp)
+    return (_mulhi(g1, cp) + (z >> _U64(63))) | (((z & _LOW63) + _LOW63) >> _U64(63))
+
+
+def shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e), uint64 and int64: for each finite nonzero float64 x, the
+    shortest d 10^e (d not a multiple of 10) that reads back as |x|, the
+    nearest to |x| of those, with d even on a tie: the digits of CPython's
+    ``repr``.  The tests check them against ``repr`` on random bit patterns,
+    every power of two and its neighbours, every power of ten, subnormals
+    and ties.  Schubfach (R. Giulietti, "The Schubfach way to render
+    doubles", 2020): with x = c 2^q and k = floor(log10 of the width of x's
+    rounding interval), at most one multiple of 10^(k+1) lies inside it.  x
+    and the interval's ends, scaled by 10^-k through a 126-bit table entry
+    and rounded to odd, decide exactly which of that multiple, floor(x 10^-k)
+    and the next integer are inside and which is nearest.  Every uint64
+    operand is an array or an np.uint64, so numpy 1.x and 2.x promote alike.
+    """
+    bits = np.abs(x).view(np.uint64)
+    biased = (bits >> _U64(52)).astype(np.int64)
+    c = bits & _U64(2**52 - 1)
+    normal = biased > 0
+    c[normal] |= _U64(2**52)
+    q = np.where(normal, biased - 1075, -1074)
+    # a power of two has its lower neighbour at half the distance of the upper
+    irregular = (c == _U64(2**52)) & (biased > 1)
+    # k = floor(log10 2^q), of 3/4 2^q if irregular; h (1 to 4) lines c up
+    # with the table entry's power of two
+    k = (q * 661_971_961_083 - np.where(irregular, 274_743_187_321, 0)) >> 41
+    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)
+    g1, g0 = (half[_K_MAX - k] for half in _pow10_table())
+    odd = c & _U64(1)   # an odd c leaves the interval's ends out
+    cb = c << _U64(2)
+    vb = _rop(g1, g0, cb << h)
+    vbl = _rop(g1, g0, (cb - _U64(2) + irregular.astype(np.uint64)) << h) + odd
+    vbr = _rop(g1, g0, (cb + _U64(2)) << h) - odd
+    s = vb >> _U64(2)
+    s10 = s // _U64(10)
+    up_in, wp_in = vbl <= s10 * _U64(40), (s10 + _U64(1)) * _U64(40) <= vbr
+    short = up_in != wp_in
+    mid = (s << _U64(2)) + _U64(2)
+    take_s = (vbl <= s << _U64(2)) & (((s + _U64(1)) << _U64(2) > vbr) | (vb < mid)
+                                     | ((vb == mid) & ((s & _U64(1)) == _U64(0))))
+    d = np.where(short, s10 + wp_in, s + ~take_s)
+    e = k + short
+    z = np.flatnonzero(d // _U64(10) * _U64(10) == d)
+    while z.size:
+        d[z] //= _U64(10)
+        e[z] += 1
+        z = z[d[z] % _U64(10) == _U64(0)]
+    return d, e

@@ -14,7 +14,9 @@ SCAN_MAX_WORKERS and never more than there are blocks.  Each worker scans
 and formats its own share of the blocks and sends their texts on a one-way
 pipe; the parent only receives them in block order and writes them.
 Smaller scans, and one usable CPU, run in-process.  The bytes do not depend
-on the CPU count.
+on the CPU count.  A log block prints each float as its ``repr`` without
+calling it: ``_kernels.shortest_digits`` finds the digits of a whole column
+and ``_format_block`` lays them out by ``repr``'s rules.
 
 Each subcommand declares the options it reads and those it requires
 (COMMANDS), and argparse checks every command line against that table, so
@@ -42,7 +44,9 @@ import random
 import sys
 from fractions import Fraction
 
-from . import harness, io, model, oracle, recovery
+import numpy as np
+
+from . import _kernels, harness, io, model, oracle, recovery
 from .model import ExtendabilityError, PrefixEvent, ValidationError
 from .numerics import DomainError
 
@@ -60,13 +64,14 @@ ERRORS = {
 }
 
 SCAN_BLOCK_ROWS = harness.SCAN_BLOCK_ROWS   # ratio-scan CSV rows formatted per write
-# Smaller scans format in-process: below about 393,216 rows, whatever the
+# Smaller scans format in-process: below about 850,000 rows, whatever the
 # block size, starting spawn or forkserver workers (an interpreter and a
-# numpy import each) costs more than it saves.
-SCAN_POOL_MIN_ROWS = 393_216
+# numpy import each) costs more than it saves.  Cold runs put the break-even
+# between 800,000 and 900,000 rows (fork workers pay off from 200,000).
+SCAN_POOL_MIN_ROWS = 850_000
 # Each worker adds 7 (fork) to 28 MB (spawn, forkserver) to the process
 # tree; 4 bound that while keeping the parent, which only receives and
-# writes (0.7-1.2 ms of its own per block that takes a worker 23 ms), far
+# writes (0.8-1.0 ms of its own per block that takes a worker 12-14 ms), far
 # from saturated.
 SCAN_MAX_WORKERS = 4
 
@@ -163,20 +168,76 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# each of REGION_NAMES as 5 characters, NUL-padded
+_REGION_CHARS = np.array([list(name.ljust(5, "\0").encode()) for name in harness.REGION_NAMES],
+                         np.uint8)
+
+
+def _char_col(char: str, where: np.ndarray) -> np.ndarray:
+    """A column of ``char`` where ``where`` holds, NUL elsewhere."""
+    return np.multiply(where, np.uint8(ord(char)))[:, None]
+
+
+def _digit_cols(x: np.ndarray, pad) -> np.ndarray:
+    """The decimal digits of each uint64 in ``x``, a row each, right-aligned
+    and zero-filled to at least ``pad`` digits (an int or an array)."""
+    width = max(len(str(int(x.max(initial=0)))), int(np.max(pad)))
+    cols = np.empty((len(x), width), np.uint8, order="F")
+    for t in range(width):
+        q = x // np.uint64(10)
+        col = cols[:, width - 1 - t]
+        np.subtract(x, q * np.uint64(10), out=col, casting="unsafe")
+        col += np.uint8(ord("0"))
+        col *= (x > np.uint64(0)) | (pad > t)
+        x = q
+    return cols
+
+
+def _repr_cols(x: np.ndarray, nan_text: str) -> np.ndarray:
+    """``repr`` of each float64 in ``x`` (``nan_text`` for NaN), a row each:
+    the digits d 10^e of ``_kernels.shortest_digits`` as d.ddde-XX where
+    decpt, e plus the digit count, is below -3 or above 16, else in fixed
+    notation.  NaN, the infinities and the zeros go through ``repr``."""
+    special = ~np.isfinite(x) | (x == 0)
+    d, e = _kernels.shortest_digits(np.where(special, 1.0, x))
+    n = np.searchsorted(_kernels.POW10_U64, d, side="right")
+    decpt = e + n
+    sci = (decpt < -3) | (decpt > 16)
+    u = np.where(sci, 1 - n, e)   # the point stands -u digits from the right of d
+    whole, frac = np.divmod(d, _kernels.POW10_U64[np.clip(-u, 0, 19)])
+    whole *= _kernels.POW10_U64[np.maximum(u, 0)]
+    exp = np.where(sci, decpt - 1, 0)
+    cols = np.concatenate([
+        _char_col("-", x < 0), _digit_cols(whole, 1), _char_col(".", ~sci | (n > 1)),
+        _digit_cols(frac, np.where(sci, -u, np.maximum(-u, 1))),
+        _char_col("e", sci), _char_col("+", sci & (exp >= 0)) | _char_col("-", exp < 0),
+        _digit_cols(np.abs(exp).astype(np.uint64), np.where(sci, 2, 0)),
+    ], axis=1)
+    rows = np.flatnonzero(special)
+    cols[rows] = 0
+    for row, value in zip(rows.tolist(), x[rows].tolist()):
+        text = (nan_text if value != value else repr(value)).encode()
+        cols[row, :len(text)] = np.frombuffer(text, np.uint8)
+    return cols
+
+
 def _format_block(block: harness.RatioScan) -> str:
-    """CSV rows of one scan block as one string."""
-    if block.log_columns:
-        # "{}" formats a Python float as its shortest repr; NaN marks an
-        # absent ratio
-        a_col, b_col = block.a.tolist(), block.b.tolist()
-        ratio_col = ["" if x != x else repr(x) for x in block.ratio.tolist()]
-    else:
+    """CSV rows of one scan block as one string.  A log block is one uint8
+    matrix, a row of characters per CSV row, with NUL where a row's text is
+    shorter than its field's columns; the text is the matrix without them."""
+    if not block.log_columns:
         fmt = io.format_value
-        a_col, b_col = map(fmt, block.a), map(fmt, block.b)
         ratio_col = ("" if x is None else fmt(x) for x in block.ratio)
-    regions = (harness.REGION_NAMES[c] for c in block.region.tolist())
-    return "".join(map("{},{},{},{},{}\n".format, block.i.tolist(), a_col, b_col, ratio_col,
-                       regions))
+        regions = (harness.REGION_NAMES[c] for c in block.region.tolist())
+        return "".join(map("{},{},{},{},{}\n".format, block.i.tolist(), map(fmt, block.a),
+                           map(fmt, block.b), ratio_col, regions))
+    comma = np.full((len(block.i), 1), ord(","), np.uint8)
+    chars = np.concatenate([
+        _digit_cols(block.i.view(np.uint64), 1), comma, _repr_cols(block.a, "nan"), comma,
+        _repr_cols(block.b, "nan"), comma, _repr_cols(block.ratio, ""), comma,
+        _REGION_CHARS[block.region], np.full_like(comma, ord("\n")),
+    ], axis=1)
+    return chars.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _texts(plan, share=0, shares=1):

@@ -334,6 +334,41 @@ def test_ratio_scan_csv_matches_row_writer(backend, N, stride, pattern, tmp_path
     assert out_file.read_bytes() == expected.encode()
 
 
+def _reference_format_block(block):
+    """A log block's CSV rows by str.format over repr, one row at a time."""
+    ratio = ["" if x != x else repr(x) for x in block.ratio.tolist()]
+    regions = (harness.REGION_NAMES[c] for c in block.region.tolist())
+    return "".join(map("{},{},{},{},{}\n".format, block.i.tolist(), block.a.tolist(),
+                       block.b.tolist(), ratio, regions))
+
+
+@pytest.mark.parametrize("N", [1000, 10**4, 393215])
+@pytest.mark.parametrize("pattern", ["1,1,0,0,0", "0,1", ",".join("1" * 23 + "0" * 17)],
+                         ids=["1,1,0,0,0", "0,1", "k40"])
+def test_format_block_matches_repr_rows(N, pattern):
+    bits = [int(x) for x in pattern.split(",")]
+    for stride in (1, 13, 97):
+        for block in harness.scan_blocks(N, len(bits), sum(bits), stride, "log", cli.SCAN_BLOCK_ROWS):
+            assert cli._format_block(block) == _reference_format_block(block)
+
+
+def test_format_block_matches_repr_rows_on_any_floats():
+    # random bit patterns reach scientific notation and subnormals; NaN,
+    # the infinities and the zeros take repr one at a time
+    rng = np.random.default_rng(2024)
+    rows = 5000
+    special = np.array([np.nan, -np.inf, np.inf, 0.0, -0.0, 1.0, -1.0])
+    a, b, ratio = (rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64) for _ in range(3))
+    for column in (a, b, ratio):
+        column[rng.integers(0, rows, 300)] = rng.choice(special, 300)
+    i = np.sort(rng.integers(0, 2**63 - 1, rows, dtype=np.int64))
+    i[:3] = 0, 9, 10
+    region = rng.integers(0, 3, rows).astype(np.int8)
+    block = harness.RatioScan(2**63 - 1, 2, 1, region_bounds(10**6), i, a, b, ratio, region,
+                              1.0, 0.0, 1, False, "log")
+    assert cli._format_block(block) == _reference_format_block(block)
+
+
 @pytest.fixture
 def small_blocks(monkeypatch):
     """997-row CSV blocks, so block edges fall inside regions, and workers
@@ -451,7 +486,7 @@ def test_ratio_scan_invariant_failure_mid_stream(start_method, small_blocks, mon
 
 @pytest.mark.parametrize("block_rows", ["default", 997])
 def test_ratio_scan_pool_threshold_is_in_rows(block_rows, tmp_path, monkeypatch):
-    # one row short of the threshold: 48 blocks at the default size and 395
+    # one row short of the threshold: 104 blocks at the default size and 853
     # at 997 rows, and no worker at either
     if block_rows != "default":
         monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", block_rows)

@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from definetti import _kernels as K
+from definetti import cli
 from definetti.model import MixingMeasure, PrefixEvent, SampleMeanLaw
 from definetti.model import prefix_prob_from_mean_law, sample_mean_law
 from definetti.numerics import LogFactorialTable, default_table, region_bounds
@@ -442,3 +445,54 @@ def test_region_sums_compensated_order():
     sums = K.pair_region_sums(log_a, log_b, log_q, idx, 5, 6)
     assert sums[0] == pytest.approx(1.0 + 3e-16, abs=0, rel=1e-15)
     assert sums[3] == 0.0
+
+
+def _repr_digits(v):
+    """(d, e) of repr(v) for finite nonzero v: |v| = d 10^e, d not a multiple of 10."""
+    _, digits, e = Decimal(repr(v)).as_tuple()
+    d = int("".join(map(str, digits)))
+    while d % 10 == 0:
+        d, e = d // 10, e + 1
+    return d, e
+
+
+def _repr_texts(x):
+    """The texts of cli._repr_cols for float64 x, one per entry."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in cli._repr_cols(x, "nan")]
+
+
+def _assert_repr(x):
+    assert sys.float_repr_style == "short"
+    x = np.asarray(x, dtype=np.float64)
+    assert _repr_texts(x) == [repr(v) for v in x.tolist()]
+    finite = x[np.isfinite(x) & (x != 0)]
+    d, e = K.shortest_digits(finite)
+    assert d.dtype == np.uint64 and e.dtype == np.int64
+    assert list(zip(d.tolist(), e.tolist())) == [_repr_digits(v) for v in finite.tolist()]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+def test_shortest_digits_match_repr_on_bit_patterns(patterns):
+    _assert_repr(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def test_shortest_digits_match_repr_on_edges():
+    tiny, smallest_normal, largest = 5e-324, 2.2250738585072014e-308, sys.float_info.max
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    # repr switches notation at 1e-4 and 1e16: three ulps each side
+    below = above = [np.array([1e-4, 1e16])]
+    for _ in range(3):
+        below = below + [np.nextafter(below[-1], 0.0)]
+        above = above + [np.nextafter(above[-1], np.inf)]
+    # rounding ties: x.25 and x.75 in [2^49, 2^51) are as near to x.2 and
+    # x.3 (x.7 and x.8) as to each other, and the even digit wins
+    ties = (np.ldexp(1.0, [[49], [50]]) + np.arange(64) + np.array([[[0.25]], [[0.75]]])).ravel()
+    x = np.concatenate([twos, np.nextafter(twos, np.inf), np.nextafter(twos[1:], 0), tens,
+                        *below, *above, ties, [tiny, smallest_normal, largest, 0.0, -0.0, np.inf,
+                                       -np.inf, np.nan]])
+    _assert_repr(np.concatenate([x, -x]))
+    assert _repr_texts(np.array([tiny, smallest_normal])) == ["5e-324", "2.2250738585072014e-308"]
+    assert _repr_texts(np.array([0.0001, 9.999999999999999e-05, 1e16, 9999999999999998.0])) == [
+        "0.0001", "9.999999999999999e-05", "1e+16", "9999999999999998.0"]
+    assert _repr_texts(2.0**50 + np.array([0.25, 0.75])) == ["1125899906842624.2", "1125899906842624.8"]
