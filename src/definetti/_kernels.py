@@ -473,38 +473,78 @@ def max_ratio_dev(
 
 _U64 = np.uint64
 POW10_U64 = np.array([10**j for j in range(20)], dtype=np.uint64)   # every 10^j < 2^64
-_LOW32, _LOW63 = _U64(2**32 - 1), _U64(2**63 - 1)
+_32, _LOW32, _LOW63 = _U64(32), _U64(2**32 - 1), _U64(2**63 - 1)
 _K_MAX = 292   # the decimal exponents k of finite float64 run from -324 to _K_MAX
+DIGIT_SLOTS = 15   # rows of a ``shortest_digits`` workspace
 
 
 @functools.cache
-def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
+def _pow10_table() -> tuple[np.ndarray, ...]:
     """g = floor(10^-k / 2^r) + 1 with 2^125 <= 10^-k / 2^r < 2^126, for k =
-    292 down to -324, as its high and low 63-bit halves (uint64 arrays).
-    Built with Python ints on first use, not at import."""
+    292 down to -324, split once into the 32-bit halves of its high and low
+    63-bit halves g1 and g0: (g1 low, g1 high, g0 low, g0 high), uint64
+    arrays.  Built with Python ints on first use, not at import."""
     g = []
     for e in range(-_K_MAX, 325):
         r = (e * 913_124_641_741 >> 38) - 125   # floor(log2 10^e) - 125
         g.append(1 + ((10**e >> r if r >= 0 else 10**e << -r) if e >= 0 else (1 << -r) // 10**-e))
-    return (np.array([v >> 63 for v in g], dtype=np.uint64),
-            np.array([v & (2**63 - 1) for v in g], dtype=np.uint64))
+    halves = [(v >> 63, v & (2**63 - 1)) for v in g]
+    return tuple(np.array([h[j] >> s & (2**32 - 1) for h in halves], dtype=np.uint64)
+                 for j in (0, 1) for s in (0, 32))
 
 
-def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The high 64 bits of the products a * b (uint64), from 32-bit halves."""
-    a0, a1, b0, b1 = a & _LOW32, a >> _U64(32), b & _LOW32, b >> _U64(32)
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> _U64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
-    return a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+def _mulhi(a0, a1, b0, b1, acc, t1, t2) -> None:
+    """acc += the high 64 bits of (a1 2^32 + a0)(b1 2^32 + b0), from the
+    32-bit halves a0, a1, b0, b1 (uint64 arrays); t1 and t2 are scratch."""
+    np.multiply(a0, b0, out=t1)
+    t1 >>= _32
+    np.multiply(a0, b1, out=t2)
+    t1 += t2   # at most (2^32 - 1)^2 + 2^32 - 1 < 2^64
+    np.right_shift(t1, _32, out=t2)
+    acc += t2
+    t1 &= _LOW32
+    np.multiply(a1, b0, out=t2)
+    t2 += t1
+    t2 >>= _32
+    acc += t2
+    np.multiply(a1, b1, out=t2)
+    acc += t2
 
 
-def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """cp g 2^-127 rounded to odd, g = g1 2^63 + g0."""
-    z = ((g1 * cp) >> _U64(1)) + _mulhi(g0, cp)
-    return (_mulhi(g1, cp) + (z >> _U64(63))) | (((z & _LOW63) + _LOW63) >> _U64(63))
+def _rop(g, cp, cplo, t1, t2, y, out) -> None:
+    """out = cp g 2^-127 rounded to odd, g = g1 2^63 + g0 given as the
+    halves of ``_pow10_table``; cp is split in place into its halves (cp
+    keeps the high one), and cplo, t1, t2, y are scratch."""
+    g1lo, g1hi, g0lo, g0hi = g
+    np.bitwise_and(cp, _LOW32, out=cplo)
+    cp >>= _32
+    # out = the high 64 bits of g1 cp; y = its low 64 bits, halved
+    np.multiply(g1lo, cplo, out=t1)
+    np.multiply(g1lo, cp, out=t2)
+    np.multiply(g1hi, cplo, out=out)
+    np.add(t2, out, out=y)
+    y <<= _32
+    y += t1
+    y >>= _U64(1)
+    t1 >>= _32
+    t1 += t2
+    np.bitwise_and(t1, _LOW32, out=t2)
+    out += t2
+    t1 >>= _32
+    out >>= _32
+    out += t1
+    np.multiply(g1hi, cp, out=t1)
+    out += t1
+    _mulhi(g0lo, g0hi, cplo, cp, y, t1, t2)   # y = z, below 2^64: g0 < 2^63
+    np.right_shift(y, _U64(63), out=t1)
+    out += t1
+    y &= _LOW63
+    y += _LOW63
+    y >>= _U64(63)
+    out |= y
 
 
-def shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def shortest_digits(x: np.ndarray, ws: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(d, e), uint64 and int64: for each finite nonzero float64 x, the
     shortest d 10^e (d not a multiple of 10) that reads back as |x|, the
     nearest to |x| of those, with d even on a tie: the digits of CPython's
@@ -517,37 +557,102 @@ def shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and rounded to odd, decide exactly which of that multiple, floor(x 10^-k)
     and the next integer are inside and which is nearest.  Every uint64
     operand is an array or an np.uint64, so numpy 1.x and 2.x promote alike.
+
+    ``ws`` is a uint64 workspace of DIGIT_SLOTS rows of at least len(x)
+    entries (a fresh one when None); every full-length step writes into
+    it, and d and e are views of its rows 0 and 2.  x may be row 0 itself,
+    viewed as float64.  Only the entries whose digits end in 0, about a
+    tenth, go through a loop of their own.
     """
-    bits = np.abs(x).view(np.uint64)
-    biased = (bits >> _U64(52)).astype(np.int64)
-    c = bits & _U64(2**52 - 1)
-    normal = biased > 0
-    c[normal] |= _U64(2**52)
-    q = np.where(normal, biased - 1075, -1074)
+    m = len(x)
+    if ws is None:
+        ws = np.empty((DIGIT_SLOTS, m), dtype=np.uint64)
+    c, h, k, g1lo, g1hi, g0lo, g0hi, cp, cplo, t1, t2, y, v, s, flags = (row[:m] for row in ws)
+    irregular, odd, below, tie, up_in, wp_in, above, short = flags.view(np.bool_).reshape(8, m)
+    q, ki, hi, ti = cp.view(np.int64), k.view(np.int64), h.view(np.int64), t1.view(np.int64)
+    np.bitwise_and(x.view(np.uint64), _LOW63, out=c)
+    np.right_shift(c, _U64(52), out=cp)   # the biased exponent
+    np.minimum(q, 1, out=ti)   # 1 for a normal x
+    c &= _U64(2**52 - 1)
+    np.left_shift(t1, _U64(52), out=t2)
+    c |= t2
+    q -= ti
+    q -= 1074   # x = c 2^q
     # a power of two has its lower neighbour at half the distance of the upper
-    irregular = (c == _U64(2**52)) & (biased > 1)
+    np.equal(c, _U64(2**52), out=irregular)
+    np.greater(q, -1074, out=odd)
+    irregular &= odd
     # k = floor(log10 2^q), of 3/4 2^q if irregular; h (1 to 4) lines c up
     # with the table entry's power of two
-    k = (q * 661_971_961_083 - np.where(irregular, 274_743_187_321, 0)) >> 41
-    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)
-    g1, g0 = (half[_K_MAX - k] for half in _pow10_table())
-    odd = c & _U64(1)   # an odd c leaves the interval's ends out
-    cb = c << _U64(2)
-    vb = _rop(g1, g0, cb << h)
-    vbl = _rop(g1, g0, (cb - _U64(2) + irregular.astype(np.uint64)) << h) + odd
-    vbr = _rop(g1, g0, (cb + _U64(2)) << h) - odd
-    s = vb >> _U64(2)
-    s10 = s // _U64(10)
-    up_in, wp_in = vbl <= s10 * _U64(40), (s10 + _U64(1)) * _U64(40) <= vbr
-    short = up_in != wp_in
-    mid = (s << _U64(2)) + _U64(2)
-    take_s = (vbl <= s << _U64(2)) & (((s + _U64(1)) << _U64(2) > vbr) | (vb < mid)
-                                     | ((vb == mid) & ((s & _U64(1)) == _U64(0))))
-    d = np.where(short, s10 + wp_in, s + ~take_s)
-    e = k + short
-    z = np.flatnonzero(d // _U64(10) * _U64(10) == d)
+    np.multiply(q, 661_971_961_083, out=ki)
+    np.multiply(irregular, np.int64(274_743_187_321), out=ti)
+    ki -= ti
+    ki >>= 41
+    np.multiply(ki, -913_124_641_741, out=hi)
+    hi >>= 38
+    hi += q
+    hi += 2
+    np.subtract(_K_MAX, ki, out=ti)
+    g = (g1lo, g1hi, g0lo, g0hi)
+    for half, out in zip(_pow10_table(), g):
+        np.take(half, ti, out=out, mode="clip")
+    np.bitwise_and(c, _U64(1), out=t2)
+    np.not_equal(t2, _U64(0), out=odd)   # an odd c leaves the interval's ends out
+    c <<= _U64(2)
+    # vb, x scaled; s = floor(x 10^-k); below: vb under s + 1/2, or a tie with s even
+    np.left_shift(c, h, out=cp)
+    _rop(g, cp, cplo, t1, t2, y, v)
+    np.right_shift(v, _U64(2), out=s)
+    np.left_shift(s, _U64(2), out=t1)
+    t1 += _U64(2)
+    np.less(v, t1, out=below)
+    np.equal(v, t1, out=tie)
+    np.bitwise_and(s, _U64(1), out=t1)
+    np.equal(t1, _U64(0), out=up_in)
+    tie &= up_in
+    below |= tie
+    # vbl, the lower end: is 10 floor(s / 10) inside, and s?
+    np.subtract(c, _U64(2), out=cp)
+    cp += irregular
+    cp <<= h
+    _rop(g, cp, cplo, t1, t2, y, v)
+    v += odd
+    np.floor_divide(s, _U64(10), out=t1)
+    t1 *= _U64(40)
+    np.less_equal(v, t1, out=up_in)
+    np.left_shift(s, _U64(2), out=t1)
+    np.less_equal(v, t1, out=tie)
+    # vbr, the upper end: is 10 floor(s / 10) + 10 inside, and s + 1?
+    np.add(c, _U64(2), out=cp)
+    cp <<= h
+    _rop(g, cp, cplo, t1, t2, y, v)
+    v -= odd
+    np.floor_divide(s, _U64(10), out=t1)
+    np.add(t1, _U64(1), out=t2)
+    t2 *= _U64(40)
+    np.less_equal(t2, v, out=wp_in)
+    np.left_shift(s, _U64(2), out=t2)
+    t2 += _U64(4)
+    np.greater(t2, v, out=above)
+    below |= above
+    tie &= below   # take s, not s + 1
+    np.not_equal(up_in, wp_in, out=short)
+    # d = s10 + wp_in if short else s + 1 - (take s), selected arithmetically:
+    # a ufunc's where= costs more than the rest of a step together
+    d = c
+    np.add(s, _U64(1), out=d)
+    d -= tie
+    t1 += wp_in
+    t1 -= d
+    t1 *= short
+    d += t1
+    ki += short
+    np.floor_divide(d, _U64(10), out=t1)
+    t1 *= _U64(10)
+    np.equal(t1, d, out=short)
+    z = np.flatnonzero(short)
     while z.size:
         d[z] //= _U64(10)
-        e[z] += 1
+        ki[z] += 1
         z = z[d[z] % _U64(10) == _U64(0)]
-    return d, e
+    return d, ki

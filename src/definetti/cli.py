@@ -8,15 +8,14 @@ ratio-scan streams the blocks of ``harness.scan_blocks``: each
 SCAN_BLOCK_ROWS-row block (8,192 rows, about 0.6 MB of CSV) is formatted and
 written in order, so no process holds the whole scan or more than a few MB
 of it, and a failed ratio guard (exit 3) follows the blocks before it.
-Scans of at least SCAN_POOL_MIN_ROWS rows, a count that does not depend on
-the block size, run on worker processes: one per usable CPU, at most
-SCAN_MAX_WORKERS and never more than there are blocks.  Each worker scans
-and formats its own share of the blocks and sends their texts on a one-way
-pipe; the parent only receives them in block order and writes them.
-Smaller scans, and one usable CPU, run in-process.  The bytes do not depend
-on the CPU count.  A log block prints each float as its ``repr`` without
-calling it: ``_kernels.shortest_digits`` finds the digits of a whole column
-and ``_format_block`` lays them out by ``repr``'s rules.
+Scans of at least SCAN_POOL_MIN_ROWS rows for the start method (a count
+that does not depend on the block size) run on worker processes: one per
+usable CPU, at most SCAN_MAX_WORKERS and never more than there are blocks.
+Each worker scans and formats its own share of the blocks and sends their
+texts as raw bytes on a one-way pipe; the parent only receives them in
+block order and writes them.  Smaller scans, and one usable CPU, run
+in-process.  The bytes do not depend on the CPU count.  ``_blocktext``
+makes the texts; only ratio-scan imports it.
 
 Each subcommand declares the options it reads and those it requires
 (COMMANDS), and argparse checks every command line against that table, so
@@ -44,9 +43,7 @@ import random
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import _kernels, harness, io, model, oracle, recovery
+from . import harness, io, model, oracle, recovery
 from .model import ExtendabilityError, PrefixEvent, ValidationError
 from .numerics import DomainError
 
@@ -64,16 +61,22 @@ ERRORS = {
 }
 
 SCAN_BLOCK_ROWS = harness.SCAN_BLOCK_ROWS   # ratio-scan CSV rows formatted per write
-# Smaller scans format in-process: below about 850,000 rows, whatever the
-# block size, starting spawn or forkserver workers (an interpreter and a
-# numpy import each) costs more than it saves.  Cold runs put the break-even
-# between 800,000 and 900,000 rows (fork workers pay off from 200,000).
-SCAN_POOL_MIN_ROWS = 850_000
+# Smaller scans format in-process, whatever the block size: below these row
+# counts, per start method, starting workers costs more than it saves.  A
+# forked worker has the parent's imports; a spawn or forkserver one starts
+# an interpreter and imports numpy.  Cold runs on 2 CPUs put the break-even
+# near 150,000 rows for fork and 1,300,000 for spawn and forkserver.
+SCAN_POOL_MIN_ROWS = {"fork": 200_000, "forkserver": 1_300_000, "spawn": 1_300_000}
 # Each worker adds 7 (fork) to 28 MB (spawn, forkserver) to the process
-# tree; 4 bound that while keeping the parent, which only receives and
-# writes (0.8-1.0 ms of its own per block that takes a worker 12-14 ms), far
-# from saturated.
+# tree, and its block workspace about 4 MB more; 4 bound that while keeping
+# the parent, which only receives and writes (about 1 ms of its own per
+# block that takes a worker 7-9 ms), far from saturated.
 SCAN_MAX_WORKERS = 4
+# A worker sends each text in pieces this long, which the parent receives
+# into one buffer: Connection reads a message with reads as long as the
+# rest of it, and each read of most of a 0.6 MB text allocated fresh pages
+# (20,000 minor faults a pooled N = 1e6 scan in the parent, 1,400 in pieces)
+_PIECE_BYTES = 1 << 16
 
 
 class _ReaderGone(Exception):
@@ -81,21 +84,25 @@ class _ReaderGone(Exception):
 
 
 class _Stdout:
-    """sys.stdout, flushed after every write, so that a closed pipe shows up
-    here as ``_ReaderGone``: not at interpreter exit, and not as a
-    ``BrokenPipeError`` that a block worker's pipe could also raise."""
+    """sys.stdout, or its binary buffer, flushed after every write, so that a
+    closed pipe shows up here as ``_ReaderGone``: not at interpreter exit,
+    and not as a ``BrokenPipeError`` that a block worker's pipe could also
+    raise."""
 
-    def write(self, text: str) -> None:
+    def __init__(self, binary: bool):
+        self.stream = sys.stdout.buffer if binary else sys.stdout
+
+    def write(self, data) -> None:
         try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            self.stream.write(data)
+            self.stream.flush()
         except BrokenPipeError as exc:
             raise _ReaderGone from exc
 
 
 @contextlib.contextmanager
-def _output(out_path: str | None):
-    """The --out file opened for writing, or stdout.
+def _output(out_path: str | None, binary: bool = False):
+    """The --out file opened for writing, or stdout; binary for bytes.
 
     A path that cannot be opened is an input error.  A reader that closes
     stdout early ends the command quietly: the rest of its output is
@@ -103,7 +110,7 @@ def _output(out_path: str | None):
     """
     if not out_path:
         try:
-            yield _Stdout()
+            yield _Stdout(binary)
         except _ReaderGone:
             # what is left in stdout's buffer goes to devnull at exit
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -111,7 +118,7 @@ def _output(out_path: str | None):
             os.close(devnull)
         return
     try:
-        fh = open(out_path, "w")
+        fh = open(out_path, "wb" if binary else "w")
     except OSError as exc:
         raise io.InputFormatError(f"cannot write {out_path}: {exc}") from exc
     with fh:
@@ -168,114 +175,51 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# each of REGION_NAMES as 5 characters, NUL-padded
-_REGION_CHARS = np.array([list(name.ljust(5, "\0").encode()) for name in harness.REGION_NAMES],
-                         np.uint8)
-
-
-def _char_col(char: str, where: np.ndarray) -> np.ndarray:
-    """A column of ``char`` where ``where`` holds, NUL elsewhere."""
-    return np.multiply(where, np.uint8(ord(char)))[:, None]
-
-
-def _digit_cols(x: np.ndarray, pad) -> np.ndarray:
-    """The decimal digits of each uint64 in ``x``, a row each, right-aligned
-    and zero-filled to at least ``pad`` digits (an int or an array)."""
-    width = max(len(str(int(x.max(initial=0)))), int(np.max(pad)))
-    cols = np.empty((len(x), width), np.uint8, order="F")
-    for t in range(width):
-        q = x // np.uint64(10)
-        col = cols[:, width - 1 - t]
-        np.subtract(x, q * np.uint64(10), out=col, casting="unsafe")
-        col += np.uint8(ord("0"))
-        col *= (x > np.uint64(0)) | (pad > t)
-        x = q
-    return cols
-
-
-def _repr_cols(x: np.ndarray, nan_text: str) -> np.ndarray:
-    """``repr`` of each float64 in ``x`` (``nan_text`` for NaN), a row each:
-    the digits d 10^e of ``_kernels.shortest_digits`` as d.ddde-XX where
-    decpt, e plus the digit count, is below -3 or above 16, else in fixed
-    notation.  NaN, the infinities and the zeros go through ``repr``."""
-    special = ~np.isfinite(x) | (x == 0)
-    d, e = _kernels.shortest_digits(np.where(special, 1.0, x))
-    n = np.searchsorted(_kernels.POW10_U64, d, side="right")
-    decpt = e + n
-    sci = (decpt < -3) | (decpt > 16)
-    u = np.where(sci, 1 - n, e)   # the point stands -u digits from the right of d
-    whole, frac = np.divmod(d, _kernels.POW10_U64[np.clip(-u, 0, 19)])
-    whole *= _kernels.POW10_U64[np.maximum(u, 0)]
-    exp = np.where(sci, decpt - 1, 0)
-    cols = np.concatenate([
-        _char_col("-", x < 0), _digit_cols(whole, 1), _char_col(".", ~sci | (n > 1)),
-        _digit_cols(frac, np.where(sci, -u, np.maximum(-u, 1))),
-        _char_col("e", sci), _char_col("+", sci & (exp >= 0)) | _char_col("-", exp < 0),
-        _digit_cols(np.abs(exp).astype(np.uint64), np.where(sci, 2, 0)),
-    ], axis=1)
-    rows = np.flatnonzero(special)
-    cols[rows] = 0
-    for row, value in zip(rows.tolist(), x[rows].tolist()):
-        text = (nan_text if value != value else repr(value)).encode()
-        cols[row, :len(text)] = np.frombuffer(text, np.uint8)
-    return cols
-
-
-def _format_block(block: harness.RatioScan) -> str:
-    """CSV rows of one scan block as one string.  A log block is one uint8
-    matrix, a row of characters per CSV row, with NUL where a row's text is
-    shorter than its field's columns; the text is the matrix without them."""
-    if not block.log_columns:
-        fmt = io.format_value
-        ratio_col = ("" if x is None else fmt(x) for x in block.ratio)
-        regions = (harness.REGION_NAMES[c] for c in block.region.tolist())
-        return "".join(map("{},{},{},{},{}\n".format, block.i.tolist(), map(fmt, block.a),
-                           map(fmt, block.b), ratio_col, regions))
-    comma = np.full((len(block.i), 1), ord(","), np.uint8)
-    chars = np.concatenate([
-        _digit_cols(block.i.view(np.uint64), 1), comma, _repr_cols(block.a, "nan"), comma,
-        _repr_cols(block.b, "nan"), comma, _repr_cols(block.ratio, ""), comma,
-        _REGION_CHARS[block.region], np.full_like(comma, ord("\n")),
-    ], axis=1)
-    return chars.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _texts(plan, share=0, shares=1):
-    """(CSV text, eps_mid) of each block of a share of the scan ``plan``."""
-    for block in harness._blocks(*plan, share, shares):
-        yield _format_block(block), block.eps_mid
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
+def _pool_min_rows() -> int:
+    """SCAN_POOL_MIN_ROWS for the start method workers would take: the one
+    set, else the platform's default, which this leaves unset."""
+    import multiprocessing   # only a scan of many rows pays for this import
+
+    method = multiprocessing.get_start_method(allow_none=True)
+    return SCAN_POOL_MIN_ROWS[method or multiprocessing.get_all_start_methods()[0]]
+
+
 def _scan_workers(rows: int) -> int:
     """Block workers for a ``rows``-row scan: 1 (in-process) below
-    SCAN_POOL_MIN_ROWS, else one per usable CPU, at most SCAN_MAX_WORKERS
+    ``_pool_min_rows()``, else one per usable CPU, at most SCAN_MAX_WORKERS
     and never more than there are blocks."""
-    if rows < SCAN_POOL_MIN_ROWS:
+    if rows < min(SCAN_POOL_MIN_ROWS.values()) or rows < _pool_min_rows():
         return 1
     return min(_usable_cpus(), SCAN_MAX_WORKERS, -(-rows // SCAN_BLOCK_ROWS))
 
 
 def _format_worker(conn, readers, plan, share, shares) -> None:
-    """Worker process: send the items of ``_texts(plan, share, shares)`` on
-    ``conn``, then None; a block that raises sends the exception instead.
-    Returns quietly when the parent goes away or the user interrupts.
+    """Worker process: send the items of ``_blocktext.texts(plan, share,
+    shares)`` on ``conn``, each as (eps_mid, text length) and then the text
+    as raw bytes in pieces, then None; a block that raises sends the
+    exception instead.  Returns quietly when the parent goes away or the
+    user interrupts.
 
     A forked worker holds copies of the parent's reading ends of the pipes
     made so far, its own among them; it closes them, or a killed parent
     would leave it blocked on a pipe that never breaks.
     """
+    from . import _blocktext
+
     for reader in readers:
         reader.close()
     try:
         try:
-            for item in _texts(plan, share, shares):
-                conn.send(item)
+            for text, eps in _blocktext.texts(plan, share, shares):
+                conn.send((eps, len(text)))
+                for start in range(0, len(text), _PIECE_BYTES):
+                    conn.send_bytes(text[start:start + _PIECE_BYTES])
             item = None
         except Exception as exc:   # a closed pipe breaks again on this send
             item = exc
@@ -286,19 +230,25 @@ def _format_worker(conn, readers, plan, share, shares) -> None:
 
 @contextlib.contextmanager
 def _block_formatter(plan, workers: int):
-    """``_texts(plan)`` in block order: worker w of ``workers`` runs the
-    share w on its own and sends each item on a one-way pipe, waiting until
-    the parent takes it; in-process below 2 workers.  The parent reads the
-    pipes in turn, on its own thread: a helper thread would unpickle the
-    texts into a malloc arena of its own, which holds on to its peak.  The
-    workers are gone when the block exits, also when the consumer raises.
+    """``_blocktext.texts(plan)`` in block order: worker w of ``workers``
+    runs the share w on its own and sends each item on a one-way pipe,
+    waiting until the parent takes it; in-process below 2 workers.  The
+    parent reads the pipes in turn, on its own thread, each text into one
+    buffer, and yields a view of it that holds until the next: a helper
+    thread would receive the texts into a malloc arena of its own, which
+    holds on to its peak.  The workers are gone when the block exits, also
+    when the consumer raises.
     """
+    from . import _blocktext   # before any worker forks
+
     if workers < 2:
-        yield _texts(plan)
+        yield _blocktext.texts(plan)
         return
-    import multiprocessing   # only a multi-block ratio-scan pays for this import
+    import multiprocessing
 
     readers, procs = [], []
+    # one buffer for every text: no block's text is longer than this
+    received = memoryview(bytearray(plan[4] * _blocktext.ROW_MAX))
 
     def receive():
         for reader in itertools.cycle(readers):
@@ -307,7 +257,11 @@ def _block_formatter(plan, workers: int):
                 return
             if isinstance(item, Exception):   # relayed from the worker
                 raise item
-            yield item
+            eps, size = item
+            end = 0
+            while end < size:
+                end += reader.recv_bytes_into(received, end)
+            yield received[:size], eps
 
     try:
         for share in range(workers):
@@ -336,15 +290,15 @@ def cmd_ratio_scan(args: argparse.Namespace) -> int:
     workers = _scan_workers(harness.scan_length(N, stride))
     with _block_formatter(plan, workers) as texts:
         first = next(texts)   # a first block that fails leaves no output
-        with _output(args.out) as fh:
-            fh.write("i,log_a,log_b,ratio,region\n" if backend == "log" else "i,a,b,ratio,region\n")
+        with _output(args.out, binary=True) as fh:
+            fh.write(b"i,log_a,log_b,ratio,region\n" if backend == "log" else b"i,a,b,ratio,region\n")
             eps_mid = []
             for text, eps in itertools.chain([first], texts):
                 fh.write(text)
                 eps_mid.append(eps)
             summary = {"eps_mid": max(eps_mid), "r": r, "M1": bounds.M1, "M2": bounds.M2,
                        "stride": stride, "sampled": stride > 1, "backend": backend}
-            fh.write(json.dumps(summary, default=_exact_text) + "\n")
+            fh.write((json.dumps(summary, default=_exact_text) + "\n").encode())
     return EXIT_OK
 
 

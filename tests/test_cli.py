@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from definetti import _kernels, cli, harness, io
+from definetti import _blocktext, _kernels, cli, harness, io
 from definetti.cli import main
 from definetti.numerics import (
     conditional_prefix_prob,
@@ -342,31 +343,85 @@ def _reference_format_block(block):
                        block.b.tolist(), ratio, regions))
 
 
+def _formats_as_reference(block, ws=None):
+    return bytes(_blocktext._format_block(block, ws)) == _reference_format_block(block).encode()
+
+
 @pytest.mark.parametrize("N", [1000, 10**4, 393215])
 @pytest.mark.parametrize("pattern", ["1,1,0,0,0", "0,1", ",".join("1" * 23 + "0" * 17)],
                          ids=["1,1,0,0,0", "0,1", "k40"])
 def test_format_block_matches_repr_rows(N, pattern):
+    # one workspace for every block, as a scan stream has
     bits = [int(x) for x in pattern.split(",")]
+    ws = _blocktext._Workspace(cli.SCAN_BLOCK_ROWS)
     for stride in (1, 13, 97):
         for block in harness.scan_blocks(N, len(bits), sum(bits), stride, "log", cli.SCAN_BLOCK_ROWS):
-            assert cli._format_block(block) == _reference_format_block(block)
+            assert _formats_as_reference(block, ws)
+
+
+def _float_block(rng, rows, specials):
+    """A log block of random float64 bit patterns with ``specials`` entries
+    of each column drawn from NaN, the infinities, the zeros and +-1."""
+    special = np.array([np.nan, -np.inf, np.inf, 0.0, -0.0, 1.0, -1.0])
+    a, b, ratio = (rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64) for _ in range(3))
+    for column in (a, b, ratio):
+        column[rng.integers(0, rows, specials)] = rng.choice(special, specials)
+    i = np.sort(rng.integers(0, 2**63 - 1, rows, dtype=np.int64))
+    i[:3] = [0, 9, 10][:rows]
+    region = rng.integers(0, 3, rows).astype(np.int8)
+    return harness.RatioScan(2**63 - 1, 2, 1, region_bounds(10**6), i, a, b, ratio, region,
+                             1.0, 0.0, 1, False, "log")
 
 
 def test_format_block_matches_repr_rows_on_any_floats():
     # random bit patterns reach scientific notation and subnormals; NaN,
-    # the infinities and the zeros take repr one at a time
+    # the infinities and the zeros take repr one at a time.  One workspace
+    # formats blocks of several sizes in turn
     rng = np.random.default_rng(2024)
-    rows = 5000
-    special = np.array([np.nan, -np.inf, np.inf, 0.0, -0.0, 1.0, -1.0])
-    a, b, ratio = (rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64) for _ in range(3))
-    for column in (a, b, ratio):
-        column[rng.integers(0, rows, 300)] = rng.choice(special, 300)
-    i = np.sort(rng.integers(0, 2**63 - 1, rows, dtype=np.int64))
-    i[:3] = 0, 9, 10
-    region = rng.integers(0, 3, rows).astype(np.int8)
-    block = harness.RatioScan(2**63 - 1, 2, 1, region_bounds(10**6), i, a, b, ratio, region,
-                              1.0, 0.0, 1, False, "log")
-    assert cli._format_block(block) == _reference_format_block(block)
+    ws = _blocktext._Workspace(5000)
+    for rows, specials in ((5000, 300), (37, 5), (4999, 3000), (1, 1), (5000, 10)):
+        assert _formats_as_reference(_float_block(rng, rows, specials), ws)
+
+
+def _edge_block(rows):
+    """A log block whose rows are NaN, the infinities and the zeros only."""
+    column = np.resize(np.array([np.nan, np.inf, -np.inf, 0.0, -0.0]), rows)
+    return harness.RatioScan(10**6, 2, 1, region_bounds(10**6), np.arange(rows, dtype=np.int64),
+                             column, column[::-1].copy(), np.roll(column, 2), np.ones(rows, np.int8),
+                             1.0, 0.0, 1, False, "log")
+
+
+def test_format_block_reuses_its_workspace_without_stale_bytes():
+    # long fields, then a short last block, then rows that print as
+    # nan/inf/-inf/0.0/-0.0 or nothing, then a full block again: each text
+    # equals the reference, so nothing of an earlier block shows through
+    ws = _blocktext._Workspace(cli.SCAN_BLOCK_ROWS)
+    full, _, last = harness.scan_blocks(20_000, 40, 23, 1, "log", cli.SCAN_BLOCK_ROWS)
+    # 19-digit counts and 24-character floats such as -1.2345678901234567e-150
+    wide = -1.2345678901234567e-150 * (1 + np.arange(cli.SCAN_BLOCK_ROWS) * 2.0**-40)
+    long_fields = dataclasses.replace(full, i=full.i + 10**18, a=wide, b=wide[::-1].copy())
+    assert len(last.i) < cli.SCAN_BLOCK_ROWS
+    for block in (long_fields, last, _edge_block(cli.SCAN_BLOCK_ROWS), full):
+        assert _formats_as_reference(block, ws)
+
+
+def test_format_block_allocates_little_after_its_first_block():
+    # the workspace is allocated with the first block; after it, formatting
+    # an 8,192-row block raises the traced peak by under 1.5 times the text
+    blocks = harness.scan_blocks(10**6, 5, 2, 1, "log", cli.SCAN_BLOCK_ROWS)
+    ws = _blocktext._Workspace(cli.SCAN_BLOCK_ROWS)
+    _blocktext._format_block(next(blocks), ws)
+    block = next(blocks)
+    assert len(block.i) == 8192
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        size = len(_blocktext._format_block(block, ws))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size, (peak, size)
 
 
 @pytest.fixture
@@ -374,7 +429,7 @@ def small_blocks(monkeypatch):
     """997-row CSV blocks, so block edges fall inside regions, and workers
     for scans of any size."""
     monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", 997)
-    monkeypatch.setattr(cli, "SCAN_POOL_MIN_ROWS", 0)
+    monkeypatch.setattr(cli, "SCAN_POOL_MIN_ROWS", dict.fromkeys(cli.SCAN_POOL_MIN_ROWS, 0))
 
 
 @pytest.fixture(params=sorted(multiprocessing.get_all_start_methods()))
@@ -422,20 +477,28 @@ def test_ratio_scan_csv_multi_block(backend, N, cpus, small_blocks, tmp_path, mo
 def test_scan_workers_threshold_and_cap(monkeypatch):
     # only counts: no process starts here, so the CPU count may exceed the machine's
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
-    below = cli.SCAN_POOL_MIN_ROWS - 1
-    assert cli._scan_workers(below) == 1
-    assert cli._scan_workers(cli.SCAN_POOL_MIN_ROWS) == min(
-        cli.SCAN_MAX_WORKERS, -(-cli.SCAN_POOL_MIN_ROWS // cli.SCAN_BLOCK_ROWS)
+    threshold = cli._pool_min_rows()
+    assert cli._scan_workers(threshold - 1) == 1
+    assert cli._scan_workers(threshold) == min(
+        cli.SCAN_MAX_WORKERS, -(-threshold // cli.SCAN_BLOCK_ROWS)
     )
     assert cli._scan_workers(10**8) == cli.SCAN_MAX_WORKERS
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     assert cli._scan_workers(10**8) == 1
 
 
+def test_scan_workers_threshold_follows_the_start_method(start_method, monkeypatch):
+    # forked workers start cheaply and pay off at far fewer rows; counts only
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    threshold = cli.SCAN_POOL_MIN_ROWS[start_method]
+    assert cli._pool_min_rows() == threshold
+    assert (cli._scan_workers(threshold - 1), cli._scan_workers(threshold)) == (1, 2)
+
+
 def test_ratio_scan_below_pool_threshold_starts_no_workers(tmp_path, monkeypatch):
     # two blocks, but too few rows to repay starting workers
     N = cli.SCAN_BLOCK_ROWS + 10
-    assert N + 1 < cli.SCAN_POOL_MIN_ROWS
+    assert N + 1 < cli._pool_min_rows()
     workers = _record_workers(monkeypatch)
     out_file = tmp_path / "scan.csv"
     argv = ["ratio-scan", "-N", str(N), "--pattern", "1,0", "--out", str(out_file)]
@@ -486,11 +549,11 @@ def test_ratio_scan_invariant_failure_mid_stream(start_method, small_blocks, mon
 
 @pytest.mark.parametrize("block_rows", ["default", 997])
 def test_ratio_scan_pool_threshold_is_in_rows(block_rows, tmp_path, monkeypatch):
-    # one row short of the threshold: 104 blocks at the default size and 853
-    # at 997 rows, and no worker at either
+    # one row short of the default start method's threshold: with fork, 25
+    # blocks at the default size and 201 at 997 rows, and no worker at either
     if block_rows != "default":
         monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", block_rows)
-    rows = cli.SCAN_POOL_MIN_ROWS - 1
+    rows = cli._pool_min_rows() - 1
     assert cli._scan_workers(rows) == 1
     workers = _record_workers(monkeypatch)
     out_file = tmp_path / "scan.csv"
@@ -502,7 +565,7 @@ def test_ratio_scan_pool_threshold_is_in_rows(block_rows, tmp_path, monkeypatch)
 
 def _in_process_scan_peak(N, out_file):
     """The tracemalloc peak, in MB, of an in-process ``ratio-scan`` to a file."""
-    assert N + 1 < cli.SCAN_POOL_MIN_ROWS
+    assert N + 1 < cli._pool_min_rows()
     tracemalloc.start()
     try:
         code = main(["ratio-scan", "-N", str(N), "--pattern", "1,1,0,0,0", "--out", str(out_file)])
@@ -523,7 +586,8 @@ def test_ratio_scan_memory_does_not_grow_with_n(tmp_path, monkeypatch):
 
 
 def test_ratio_scan_memory_at_the_default_block_size(tmp_path):
-    # 3.8 MB at 8,192-row blocks; 65,536-row blocks took 23.3 MB
+    # 5.0 MB at 8,192-row blocks, 4 MB of it the formatting workspace;
+    # 65,536-row blocks took 23.3 MB
     peak = _in_process_scan_peak(100_000, tmp_path / "scan.csv")
     assert peak < 6, f"{peak:.2f} MB"
 
@@ -581,6 +645,8 @@ class _ClosedConn:
 
     def send(self, item):
         raise self.exc
+
+    send_bytes = send
 
 
 @pytest.mark.parametrize("exc", [BrokenPipeError, KeyboardInterrupt])
@@ -1391,7 +1457,7 @@ _SCAN_INTO_CLOSED_PIPE = """
 import multiprocessing, sys
 from definetti import cli
 if sys.argv[2] == "workers":
-    cli.SCAN_BLOCK_ROWS, cli.SCAN_POOL_MIN_ROWS = 997, 0
+    cli.SCAN_BLOCK_ROWS, cli.SCAN_POOL_MIN_ROWS = 997, dict.fromkeys(cli.SCAN_POOL_MIN_ROWS, 0)
 code = cli.main(["ratio-scan", "-N", "100000", "--pattern", "1,0"])
 with open(sys.argv[1], "w") as fh:
     fh.write(f"{code} {len(multiprocessing.active_children())}")

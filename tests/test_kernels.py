@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from definetti import _kernels as K
-from definetti import cli
+from definetti import _blocktext
+from definetti.harness import RatioScan
 from definetti.model import MixingMeasure, PrefixEvent, SampleMeanLaw
 from definetti.model import prefix_prob_from_mean_law, sample_mean_law
 from definetti.numerics import LogFactorialTable, default_table, region_bounds
@@ -457,8 +458,12 @@ def _repr_digits(v):
 
 
 def _repr_texts(x):
-    """The texts of cli._repr_cols for float64 x, one per entry."""
-    return [row.tobytes().replace(b"\0", b"").decode() for row in cli._repr_cols(x, "nan")]
+    """The texts _blocktext._format_block gives float64 x, one per entry, in the
+    log_a column of a block."""
+    rows = len(x)
+    block = RatioScan(10**6, 2, 1, region_bounds(10**6), np.arange(rows, dtype=np.int64), x, x, x,
+                      np.zeros(rows, np.int8), 1.0, 0.0, 1, False, "log")
+    return [line.split(",")[1] for line in bytes(_blocktext._format_block(block)).decode().splitlines()]
 
 
 def _assert_repr(x):
