@@ -7,16 +7,19 @@ finds the digits of the three float columns stacked, in one pass, and
 four digits to a table lookup.  Each scan stream (the in-process loop, or a
 worker) formats in one ``_Workspace``, allocated with its first block: the
 kernel's scratch, which the layout reuses, and the matrix, whose NULs are
-squeezed out into its own start.  So a block allocates nothing of its size
-and its pages stay mapped: at N = 1e6 (2-core x86-64 VM) a block formats in
-about 4.8 ms, and the two workers of a pooled scan take about 11,000 minor
-page faults, where fresh temporaries for each block took 7.6 ms and 57,000.
+squeezed out into its own start.  So a block allocates little (only the
+digit counts, one int64 a float, come from ``np.searchsorted``) and its
+pages stay mapped: at N = 1e6 (2-core x86-64 VM) a block formats in about
+4.9 ms, and the two workers of a pooled scan take about 11,000 minor page
+faults, where fresh temporaries for each block took 7 ms and 57,000 to
+67,000.
 
 Only ratio-scan imports this module, so no other command compiles it.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 from typing import NamedTuple
 
@@ -37,8 +40,6 @@ _U8 = np.uint8
 _REGION4 = np.array([int.from_bytes(name[:4].ljust(4, "\0").encode(), "little")
                      for name in harness.REGION_NAMES], "<u4")
 _REGION5 = np.array([ord(name[4:5] or "\0") for name in harness.REGION_NAMES], np.uint8)
-# indexed by the biased exponent of a float64 2^E, E < 64: the digits of 2^E
-_POW2_DIGITS = np.array([1] * 1023 + [len(str(2**e)) for e in range(64)], np.int64)
 
 
 @functools.cache
@@ -50,14 +51,21 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     return chars.view("<u4").ravel(), chars.T.copy()
 
 
+# A workspace's rows for one block: views of their first entries, the three
+# float columns stacked.  ``digits`` is the ``shortest_digits`` workspace,
+# which reads x from its row 0 and returns d and e in its rows 0 and 1.  The
+# layout's own rows are the kernel's scratch rows after those, free once it
+# returns: n to ed as int64, pw to tmp as uint64.  Then five boolean rows.
+_Rows = collections.namedtuple("_Rows", "digits n decpt u p wd expv ed pw whole frac q r tmp"
+                                        " special neg sci exp_neg flag")
+
+
 class _Workspace:
     """The buffers that format log scan blocks of up to ``rows`` rows,
     allocated once per scan stream; a shorter block uses views of them.
 
-    * ``slots``: the ``_kernels.shortest_digits`` workspace for the three
-      float columns stacked (3 rows entries a slot), which the layout
-      reuses;
-    * ``flags``: five boolean rows of as many entries;
+    * ``digits`` and ``flags``: the rows that ``rows`` names (``_Rows``),
+      3 rows entries each;
     * ``chars``: the block's character matrix (``_format_block``), into
       whose start the CSV text is compacted.  A block with more than
       ``ROW_MAX`` columns (NUL padding in a float column that mixes
@@ -65,21 +73,24 @@ class _Workspace:
     """
 
     def __init__(self, rows: int):
-        self.slots = np.empty((_kernels.DIGIT_SLOTS, 3 * rows), np.uint64)
+        self.digits = np.empty((_kernels.DIGIT_SLOTS, 3 * rows), np.uint64)
         self.flags = np.empty((5, 3 * rows), np.bool_)
         self.chars = np.empty(rows * ROW_MAX, np.uint8)
 
+    def rows(self, m: int) -> _Rows:
+        """The rows of the first m entries."""
+        digits = self.digits[:, :m]
+        signed = (row.view(np.int64) for row in digits[2:9])
+        return _Rows(digits, *signed, *digits[9:], *self.flags[:, :m])
+
 
 class _Field(NamedTuple):
-    """The columns of one float column's CSV field: the widths of its "-",
-    of its digits left of the point, of the point, of its digits right of
-    it, and of the exponent's digits, with ``sci`` for the "e" and the
-    exponent's sign; and the text of its NaN, infinities and zeros, as
-    (row, bytes) pairs."""
+    """The columns of one float column's CSV field besides its "-" and its
+    point: the widths of its digits left and right of the point and of the
+    exponent's digits, with ``sci`` for the "e" and the exponent's sign;
+    and the text of its NaN, infinities and zeros, as (row, bytes) pairs."""
 
-    sign: int
     whole: int
-    point: int
     frac: int
     sci: bool
     exp: int
@@ -87,20 +98,13 @@ class _Field(NamedTuple):
 
     @property
     def width(self) -> int:
-        return self.sign + self.whole + self.point + self.frac + (2 + self.exp if self.sci else 0)
+        return 2 + self.whole + self.frac + (2 + self.exp if self.sci else 0)
 
 
-def _digit_count(x: np.ndarray, out: np.ndarray, tmp: np.ndarray, flag: np.ndarray) -> None:
-    """out (int64) = the decimal digits of each uint64 in x, 1 for 0: those
-    of 2^E, x's float64 exponent, plus one where x reaches the next power
-    of ten.  Above 2^53 the conversion may round x up to 2^(E+1), never
-    across a power of ten."""
-    np.copyto(tmp.view(np.float64), x, casting="unsafe")
-    tmp >>= _U64(52)
-    np.take(_POW2_DIGITS, tmp.view(np.int64), out=out, mode="clip")
-    np.take(_kernels.POW10_U64, out, out=tmp, mode="clip")
-    np.greater_equal(x, tmp, out=flag)
-    out += flag
+def _digit_count(x: np.ndarray, out: np.ndarray) -> None:
+    """out (int64) = the decimal digits of each uint64 in x, 1 for 0."""
+    out[:] = np.searchsorted(_kernels.POW10_U64, x, side="right")
+    np.maximum(out, 1, out=out)
 
 
 def _u32_col(mat: np.ndarray, col: int) -> np.ndarray:
@@ -144,23 +148,23 @@ def _digit_cols(x, runs, mat, scratch) -> None:
             np.multiply(mat[:, col + w - 1 - t], present.view(_U8), out=mat[:, col + w - 1 - t])
 
 
-def _repr_cols(columns, nan_texts, ws: _Workspace) -> list[_Field]:
+def _repr_cols(columns, nan_texts, w: _Rows) -> list[_Field]:
     """Lay out ``repr`` of each float64 in the equal-length columns, stacked
-    in ws: the digits d 10^e of ``_kernels.shortest_digits`` as d.ddde-XX
+    in w: the digits d 10^e of ``_kernels.shortest_digits`` as d.ddde-XX
     where decpt, e plus the digit count, is below -3 or above 16, else in
     fixed notation.  NaN, the infinities and the zeros take 1.0's place and
     go through ``repr`` one at a time (NaN as its column's nan_text).
 
-    Leaves in ws, per entry: whole and frac, the digits left and right of
-    the point, with their counts wd and p; the exponent expv with its count
-    ed (where some entry is in scientific notation); the flags.  Returns
-    each column's field.
+    Leaves in w, per entry: whole and frac, the digits left and right of the
+    point, with their counts wd and p; the exponent expv with its count ed
+    (where some entry is in scientific notation); neg, sci and exp_neg.
+    Returns each column's field.
     """
+    n, decpt, u, p, wd, expv, ed = w.n, w.decpt, w.u, w.p, w.wd, w.expv, w.ed
+    pw, whole, frac, tmp, special, sci, flag = w.pw, w.whole, w.frac, w.tmp, w.special, w.sci, w.flag
+    tmp_i = tmp.view(np.int64)
     rows = len(columns[0])
-    m = len(columns) * rows
-    d, n, e, decpt, u, p, pw, whole, frac, wd, expv, ed, q, r, tmp = ws.slots[:, :m]
-    special, neg, sci, exp_neg, flag = ws.flags[:, :m]
-    x = d.view(np.float64)
+    x = w.digits[0].view(np.float64)
     for j, column in enumerate(columns):
         x[j * rows:(j + 1) * rows] = column
     np.isfinite(x, out=special)
@@ -169,11 +173,9 @@ def _repr_cols(columns, nan_texts, ws: _Workspace) -> list[_Field]:
     np.logical_not(special, out=special)
     entries = np.flatnonzero(special)
     x[entries] = 1.0
-    np.less(x, 0.0, out=neg)
-    _kernels.shortest_digits(x, ws.slots[:, :m])   # d and e
-    n, e, decpt, u, p, wd, expv, ed, tmp_i = (
-        a.view(np.int64) for a in (n, e, decpt, u, p, wd, expv, ed, tmp))
-    _digit_count(d, n, tmp, flag)
+    np.less(x, 0.0, out=w.neg)
+    d, e = _kernels.shortest_digits(x, w.digits)
+    _digit_count(d, n)
     np.add(e, n, out=decpt)
     np.add(decpt, 3, out=tmp_i)
     np.greater(tmp, _U64(19), out=sci)   # decpt < -3 or decpt > 16
@@ -198,7 +200,7 @@ def _repr_cols(columns, nan_texts, ws: _Workspace) -> list[_Field]:
     any_sci = bool(sci.any())
     if any_sci:
         np.subtract(decpt, 1, out=expv)
-        np.less(expv, 0, out=exp_neg)
+        np.less(expv, 0, out=w.exp_neg)
         np.abs(expv, out=expv)
         np.greater_equal(expv, 100, out=ed)
         ed += 2
@@ -212,9 +214,8 @@ def _repr_cols(columns, nan_texts, ws: _Workspace) -> list[_Field]:
     for j, field_texts in enumerate(texts):
         part = slice(j * rows, (j + 1) * rows)
         has_sci = any_sci and bool(sci[part].any())
-        frac_width = int(p[part].max())
-        field = _Field(int(neg[part].any()), int(wd[part].max()), int(frac_width > 0), frac_width,
-                       has_sci, int(ed[part].max()) if has_sci else 0, field_texts)
+        field = _Field(int(wd[part].max()), int(p[part].max()), has_sci,
+                       int(ed[part].max()) if has_sci else 0, field_texts)
         short = max((len(text) for _, text in field_texts), default=0) - field.width
         if short > 0:   # NUL columns left of the digits
             field = field._replace(whole=field.whole + short)
@@ -241,13 +242,10 @@ def _format_block(block: harness.RatioScan, ws: _Workspace | None = None):
                            map(fmt, block.b), ratio_col, regions)).encode()
     rows = len(block.i)
     ws = _Workspace(rows) if ws is None else ws
-    fields = _repr_cols((block.a, block.b, block.ratio), (b"nan", b"nan", b""), ws)
-    d, n, e, decpt, u, p, pw, whole, frac, wd, expv, ed, q, r, tmp = ws.slots[:, :3 * rows]
-    special, neg, sci, exp_neg, flag = ws.flags[:, :3 * rows]
-    p, wd, ed = p.view(np.int64), wd.view(np.int64), ed.view(np.int64)
+    w = ws.rows(3 * rows)
+    fields = _repr_cols((block.a, block.b, block.ratio), (b"nan", b"nan", b""), w)
     i_width = len(str(int(block.i[-1])))
-    region_width = 3 if block.region.min() == block.region.max() == 1 else 5
-    width = i_width + 1 + sum(field.width + 1 for field in fields) + region_width + 1
+    width = i_width + 1 + sum(field.width + 1 for field in fields) + 6
     if rows * width > len(ws.chars):
         ws.chars = np.empty(rows * width, np.uint8)
     mat = ws.chars[:rows * width].reshape(rows, width)
@@ -257,48 +255,47 @@ def _format_block(block: harness.RatioScan, ws: _Workspace | None = None):
     for j, field in enumerate(fields):
         part = slice(j * rows, (j + 1) * rows)
         starts.append(col)
-        if field.sign:
-            np.multiply(neg[part].view(_U8), _U8(ord("-")), out=mat[:, col])
-        runs[0].append((part, col + field.sign, field.whole, wd))
-        col += field.sign + field.whole
-        if field.point:
-            np.greater(p[part], 0, out=flag[part])
-            np.multiply(flag[part].view(_U8), _U8(ord(".")), out=mat[:, col])
-            runs[1].append((part, col + 1, field.frac, p))
-        col += field.point + field.frac
+        np.multiply(w.neg[part].view(_U8), _U8(ord("-")), out=mat[:, col])
+        runs[0].append((part, col + 1, field.whole, w.wd))
+        col += 1 + field.whole
+        point = w.flag[part]
+        np.greater(w.p[part], 0, out=point)
+        np.multiply(point.view(_U8), _U8(ord(".")), out=mat[:, col])
+        runs[1].append((part, col + 1, field.frac, w.p))
+        col += 1 + field.frac
         if field.sci:
-            np.multiply(sci[part].view(_U8), _U8(ord("e")), out=mat[:, col])
+            sci = w.sci[part].view(_U8)
+            np.multiply(sci, _U8(ord("e")), out=mat[:, col])
             exp_sign = mat[:, col + 1]   # "+" or "-" where scientific
-            np.multiply(exp_neg[part].view(_U8), _U8(2), out=exp_sign)
+            np.multiply(w.exp_neg[part].view(_U8), _U8(2), out=exp_sign)
             exp_sign += _U8(ord("+"))
-            exp_sign *= sci[part].view(_U8)
-            runs[2].append((part, col + 2, field.exp, ed))
+            exp_sign *= sci
+            runs[2].append((part, col + 2, field.exp, w.ed))
             col += 2 + field.exp
         mat[:, col] = ord(",")
         col += 1
-    for x, kind in zip((whole, frac, expv), runs):
+    scratch = (w.q, w.r, w.pw, w.flag)
+    for x, kind in zip((w.whole, w.frac, w.expv.view(np.uint64)), runs):
         if kind:
-            _digit_cols(x, kind, mat, (q, r, d, flag))
+            _digit_cols(x, kind, mat, scratch)
     for start, field in zip(starts, fields):
         for row, text in field.texts:
             mat[row, start:start + field.width] = 0
             mat[row, start:start + len(text)] = np.frombuffer(text, np.uint8)
     # i, its digits counted only where they vary in the block
-    i = tmp[:rows]
+    i = w.tmp[:rows]
     i[:] = block.i.view(np.uint64)
     length = None
     if len(str(int(block.i[0]))) < i_width:
-        length = wd[:rows]
-        _digit_count(i, length, pw[:rows], flag[:rows])
-    _digit_cols(i, [(slice(0, rows), 0, i_width, length)], mat,
-                (q[:rows], r[:rows], d[:rows], flag[:rows]))
+        length = w.wd[:rows]
+        _digit_count(i, length)
+    _digit_cols(i, [(slice(0, rows), 0, i_width, length)], mat, [a[:rows] for a in scratch])
     mat[:, i_width] = ord(",")
-    region = tmp[:rows].view(np.int64)
+    region = w.tmp[:rows].view(np.int64)
     region[:] = block.region
     np.take(_REGION4, region, out=_u32_col(mat, col), mode="clip")
-    if region_width == 5:
-        np.take(_REGION5, region, out=mat[:, col + 4], mode="clip")
-    mat[:, -1] = ord("\n")   # after the region, whose 4 characters can reach it
+    np.take(_REGION5, region, out=mat[:, col + 4], mode="clip")
+    mat[:, -1] = ord("\n")
     return _compact(ws.chars, rows * width)
 
 

@@ -475,7 +475,9 @@ _U64 = np.uint64
 POW10_U64 = np.array([10**j for j in range(20)], dtype=np.uint64)   # every 10^j < 2^64
 _32, _LOW32, _LOW63 = _U64(32), _U64(2**32 - 1), _U64(2**63 - 1)
 _K_MAX = 292   # the decimal exponents k of finite float64 run from -324 to _K_MAX
-DIGIT_SLOTS = 15   # rows of a ``shortest_digits`` workspace
+# rows of a ``shortest_digits`` workspace: it returns d and e in rows 0 and
+# 1, and the other rows are scratch, free for the caller once it returns
+DIGIT_SLOTS = 15
 
 
 @functools.cache
@@ -560,14 +562,14 @@ def shortest_digits(x: np.ndarray, ws: np.ndarray | None = None) -> tuple[np.nda
 
     ``ws`` is a uint64 workspace of DIGIT_SLOTS rows of at least len(x)
     entries (a fresh one when None); every full-length step writes into
-    it, and d and e are views of its rows 0 and 2.  x may be row 0 itself,
+    it, and d and e are views of its rows 0 and 1.  x may be row 0 itself,
     viewed as float64.  Only the entries whose digits end in 0, about a
     tenth, go through a loop of their own.
     """
     m = len(x)
     if ws is None:
         ws = np.empty((DIGIT_SLOTS, m), dtype=np.uint64)
-    c, h, k, g1lo, g1hi, g0lo, g0hi, cp, cplo, t1, t2, y, v, s, flags = (row[:m] for row in ws)
+    c, k, h, g1lo, g1hi, g0lo, g0hi, cp, cplo, t1, t2, y, v, s, flags = (row[:m] for row in ws)
     irregular, odd, below, tie, up_in, wp_in, above, short = flags.view(np.bool_).reshape(8, m)
     q, ki, hi, ti = cp.view(np.int64), k.view(np.int64), h.view(np.int64), t1.view(np.int64)
     np.bitwise_and(x.view(np.uint64), _LOW63, out=c)

@@ -13,9 +13,10 @@ that does not depend on the block size) run on worker processes: one per
 usable CPU, at most SCAN_MAX_WORKERS and never more than there are blocks.
 Each worker scans and formats its own share of the blocks and sends their
 texts as raw bytes on a one-way pipe; the parent only receives them in
-block order and writes them.  Smaller scans, and one usable CPU, run
-in-process.  The bytes do not depend on the CPU count.  ``_blocktext``
-makes the texts; only ratio-scan imports it.
+block order and writes them, as bytes to an --out file and as text to
+stdout.  Smaller scans, and one usable CPU, run in-process.  The bytes do
+not depend on the CPU count.  ``_blocktext`` makes the texts; only
+ratio-scan imports it.
 
 Each subcommand declares the options it reads and those it requires
 (COMMANDS), and argparse checks every command line against that table, so
@@ -84,25 +85,25 @@ class _ReaderGone(Exception):
 
 
 class _Stdout:
-    """sys.stdout, or its binary buffer, flushed after every write, so that a
-    closed pipe shows up here as ``_ReaderGone``: not at interpreter exit,
-    and not as a ``BrokenPipeError`` that a block worker's pipe could also
-    raise."""
-
-    def __init__(self, binary: bool):
-        self.stream = sys.stdout.buffer if binary else sys.stdout
+    """sys.stdout, flushed after every write, so that a closed pipe shows up
+    here as ``_ReaderGone``: not at interpreter exit, and not as a
+    ``BrokenPipeError`` that a block worker's pipe could also raise.  Bytes
+    (ratio-scan's ASCII CSV) are written as text, so a caller that swaps
+    sys.stdout for a text stream captures them."""
 
     def write(self, data) -> None:
+        if not isinstance(data, str):
+            data = str(data, "ascii")
         try:
-            self.stream.write(data)
-            self.stream.flush()
+            sys.stdout.write(data)
+            sys.stdout.flush()
         except BrokenPipeError as exc:
             raise _ReaderGone from exc
 
 
 @contextlib.contextmanager
 def _output(out_path: str | None, binary: bool = False):
-    """The --out file opened for writing, or stdout; binary for bytes.
+    """The --out file opened for writing, binary for bytes, or stdout.
 
     A path that cannot be opened is an input error.  A reader that closes
     stdout early ends the command quietly: the rest of its output is
@@ -110,7 +111,7 @@ def _output(out_path: str | None, binary: bool = False):
     """
     if not out_path:
         try:
-            yield _Stdout(binary)
+            yield _Stdout()
         except _ReaderGone:
             # what is left in stdout's buffer goes to devnull at exit
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -184,7 +185,7 @@ def _usable_cpus() -> int:
 def _pool_min_rows() -> int:
     """SCAN_POOL_MIN_ROWS for the start method workers would take: the one
     set, else the platform's default, which this leaves unset."""
-    import multiprocessing   # only a scan of many rows pays for this import
+    import multiprocessing
 
     method = multiprocessing.get_start_method(allow_none=True)
     return SCAN_POOL_MIN_ROWS[method or multiprocessing.get_all_start_methods()[0]]
@@ -194,7 +195,7 @@ def _scan_workers(rows: int) -> int:
     """Block workers for a ``rows``-row scan: 1 (in-process) below
     ``_pool_min_rows()``, else one per usable CPU, at most SCAN_MAX_WORKERS
     and never more than there are blocks."""
-    if rows < min(SCAN_POOL_MIN_ROWS.values()) or rows < _pool_min_rows():
+    if rows < _pool_min_rows():
         return 1
     return min(_usable_cpus(), SCAN_MAX_WORKERS, -(-rows // SCAN_BLOCK_ROWS))
 
@@ -247,10 +248,11 @@ def _block_formatter(plan, workers: int):
     import multiprocessing
 
     readers, procs = [], []
-    # one buffer for every text: no block's text is longer than this
-    received = memoryview(bytearray(plan[4] * _blocktext.ROW_MAX))
 
     def receive():
+        # one buffer for every text, as long as a log block's can be; an
+        # exact block's "num/den" fields can be longer, and grow it
+        received = memoryview(bytearray(plan[4] * _blocktext.ROW_MAX))
         for reader in itertools.cycle(readers):
             item = reader.recv()
             if item is None:   # the end of the share that holds the next block
@@ -258,6 +260,8 @@ def _block_formatter(plan, workers: int):
             if isinstance(item, Exception):   # relayed from the worker
                 raise item
             eps, size = item
+            if size > len(received):
+                received = memoryview(bytearray(size))
             end = 0
             while end < size:
                 end += reader.recv_bytes_into(received, end)

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -14,6 +15,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -453,17 +455,24 @@ def _record_workers(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("backend, N", [("log", 10**4), ("exact", 3000)])
+# at k = 5 the "num/den" fields of an exact block take more than ROW_MAX
+# bytes a row, the longest log row, and the pooled parent's buffer grows
+@pytest.mark.parametrize("backend, N, pattern", [
+    pytest.param("log", 10**4, "1,1,0,1", id="log-10000"),
+    pytest.param("exact", 3000, "1,1,0,1", id="exact-3000"),
+    pytest.param("exact", 3000, "1,1,0,0,0", id="exact-3000-k5"),
+])
 @pytest.mark.parametrize("cpus", ["one", "all"])
-def test_ratio_scan_csv_multi_block(backend, N, cpus, small_blocks, tmp_path, monkeypatch,
+def test_ratio_scan_csv_multi_block(backend, N, pattern, cpus, small_blocks, tmp_path, monkeypatch,
                                     capsys):
     # the real CPU count or 1, never more: a test starts no more processes
     # than the machine has CPUs
     usable = cli._usable_cpus() if cpus == "all" else 1
     monkeypatch.setattr(cli, "_usable_cpus", lambda: usable)
     workers = _record_workers(monkeypatch)
-    expected = _reference_scan_csv(N, 4, 3, 1, backend)
-    argv = ["ratio-scan", "--backend", backend, "-N", str(N), "--pattern", "1,1,0,1"]
+    bits = [int(x) for x in pattern.split(",")]
+    expected = _reference_scan_csv(N, len(bits), sum(bits), 1, backend)
+    argv = ["ratio-scan", "--backend", backend, "-N", str(N), "--pattern", pattern]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == expected
@@ -472,6 +481,16 @@ def test_ratio_scan_csv_multi_block(backend, N, cpus, small_blocks, tmp_path, mo
     assert out_file.read_bytes() == expected.encode()
     assert workers == [min(usable, cli.SCAN_MAX_WORKERS, -(-(N + 1) // 997))] * 2
     assert multiprocessing.active_children() == []
+
+
+def test_ratio_scan_to_a_text_only_stdout(small_blocks):
+    # a caller that swaps sys.stdout for a text stream captures the CSV, in
+    # order after text written before it
+    expected = _reference_scan_csv(10**4, 3, 1, 1, "log")
+    with contextlib.redirect_stdout(StringIO()) as captured:
+        print("before")
+        assert main(["ratio-scan", "-N", "10000", "--pattern", "0,1,0"]) == 0
+    assert captured.getvalue() == "before\n" + expected
 
 
 def test_scan_workers_threshold_and_cap(monkeypatch):
