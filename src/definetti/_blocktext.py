@@ -7,12 +7,13 @@ finds the digits of the three float columns stacked, in one pass, and
 four digits to a table lookup.  Each scan stream (the in-process loop, or a
 worker) formats in one ``_Workspace``, allocated with its first block: the
 kernel's scratch, which the layout reuses, and the matrix, whose NULs are
-squeezed out into its own start.  So a block allocates little (only the
-digit counts, one int64 a float, come from ``np.searchsorted``) and its
-pages stay mapped: at N = 1e6 (2-core x86-64 VM) a block formats in about
-4.9 ms, and the two workers of a pooled scan take about 11,000 minor page
-faults, where fresh temporaries for each block took 7 ms and 57,000 to
-67,000.
+squeezed out into its own start.  So a block allocates nothing of its size
+and its pages stay mapped: at N = 1e6 (2-core x86-64 VM) a block formats in
+about 3.2 ms, and the two workers of a pooled scan take about 11,000 minor
+page faults, where fresh temporaries for each block took 7 ms and 57,000 to
+67,000.  The matrix leaves out the columns no row uses (a "-" where no
+entry is negative, the region's last two where every row is "mid"), because
+``_compact`` pays for each NUL it squeezes out.
 
 Only ratio-scan imports this module, so no other command compiles it.
 """
@@ -40,6 +41,12 @@ _U8 = np.uint8
 _REGION4 = np.array([int.from_bytes(name[:4].ljust(4, "\0").encode(), "little")
                      for name in harness.REGION_NAMES], "<u4")
 _REGION5 = np.array([ord(name[4:5] or "\0") for name in harness.REGION_NAMES], np.uint8)
+# indexed by [g // 4, n]: the "<u4" that keeps the characters of digits g
+# to g + 3 (from the right, in a 4-digit lane) that lie within n digits
+_LANE_MASKS = np.array([[(2**32 - 1) << 8 * (4 - min(max(n - g, 0), 4)) & (2**32 - 1)
+                         for n in range(21)] for g in range(0, 20, 4)], "<u4")
+# indexed by the biased exponent of a float64 2^E, E < 64: the digits of 2^E
+_POW2_DIGITS = np.array([1] * 1023 + [len(str(2**e)) for e in range(64)], np.int64)
 
 
 @functools.cache
@@ -85,11 +92,13 @@ class _Workspace:
 
 
 class _Field(NamedTuple):
-    """The columns of one float column's CSV field besides its "-" and its
-    point: the widths of its digits left and right of the point and of the
-    exponent's digits, with ``sci`` for the "e" and the exponent's sign;
-    and the text of its NaN, infinities and zeros, as (row, bytes) pairs."""
+    """The columns of one float column's CSV field besides its point: the
+    widths of its "-" (0 where no entry is negative), of its digits left
+    and right of the point and of the exponent's digits, with ``sci`` for
+    the "e" and the exponent's sign; and the text of its NaN, infinities
+    and zeros, as (row, bytes) pairs."""
 
+    sign: int
     whole: int
     frac: int
     sci: bool
@@ -98,13 +107,20 @@ class _Field(NamedTuple):
 
     @property
     def width(self) -> int:
-        return 2 + self.whole + self.frac + (2 + self.exp if self.sci else 0)
+        return self.sign + 1 + self.whole + self.frac + (2 + self.exp if self.sci else 0)
 
 
-def _digit_count(x: np.ndarray, out: np.ndarray) -> None:
-    """out (int64) = the decimal digits of each uint64 in x, 1 for 0."""
-    out[:] = np.searchsorted(_kernels.POW10_U64, x, side="right")
-    np.maximum(out, 1, out=out)
+def _digit_count(x: np.ndarray, out: np.ndarray, tmp: np.ndarray, flag: np.ndarray) -> None:
+    """out (int64) = the decimal digits of each uint64 in x, 1 for 0: those
+    of 2^E, x's float64 exponent, plus one where x reaches the next power
+    of ten.  Above 2^53 the conversion may round x up to 2^(E+1), never
+    across a power of ten.  tmp (uint64) and flag (bool) are scratch."""
+    np.copyto(tmp.view(np.float64), x, casting="unsafe")
+    tmp >>= _U64(52)
+    np.take(_POW2_DIGITS, tmp.view(np.int64), out=out, mode="clip")
+    np.take(_kernels.POW10_U64, out, out=tmp, mode="clip")
+    np.greater_equal(x, tmp, out=flag)
+    out += flag
 
 
 def _u32_col(mat: np.ndarray, col: int) -> np.ndarray:
@@ -120,10 +136,12 @@ def _digit_cols(x, runs, mat, scratch) -> None:
     zero-filled to length (int64, one per entry) digits and NUL to the left
     of that; length None means w digits each.  x is consumed; scratch holds
     three uint64 buffers as long as x and a boolean one.  Four digits at a
-    time, through a table of their characters."""
+    time, through a table of their characters, masked with ``_LANE_MASKS``
+    where a lane reaches past some entry's length."""
     quads, digits = _digit_tables()
     q, r, buf, flag = scratch
-    quad_chars = buf.view("<u4")[:len(x)]
+    quad_chars, masks = buf.view("<u4").reshape(2, -1)
+    shortest = [w if length is None else int(length[entries].min()) for entries, _, w, length in runs]
     for g in range(0, max(w for _, _, w, _ in runs), 4):   # g digits are written
         np.floor_divide(x, _U64(10_000), out=q)
         np.multiply(q, _U64(10_000), out=r)
@@ -132,20 +150,20 @@ def _digit_cols(x, runs, mat, scratch) -> None:
         quad = r.view(np.int64)
         if any(w - g >= 4 for _, _, w, _ in runs):
             np.take(quads, quad, out=quad_chars, mode="clip")
-        for entries, col, w, _ in runs:
+        for (entries, col, w, length), low in zip(runs, shortest):
             end = col + w - g   # the quad's digits end at this column
-            if w - g >= 4:
+            if w - g >= 4 and low >= g + 4:
                 np.copyto(_u32_col(mat, end - 4), quad_chars[entries])
+            elif w - g >= 4:
+                np.take(_LANE_MASKS[g // 4], length[entries], out=masks[entries], mode="clip")
+                np.bitwise_and(quad_chars[entries], masks[entries], out=_u32_col(mat, end - 4))
             else:   # the last digits of a run that is not a multiple of 4 wide
                 for j in range(max(w - g, 0)):
-                    np.take(digits[3 - j], quad[entries], out=mat[:, end - 1 - j], mode="clip")
-    for entries, col, w, length in runs:
-        if length is None:
-            continue
-        present = flag[entries]
-        for t in range(int(length[entries].min()), w):   # NUL where t >= length
-            np.greater(length[entries], t, out=present)
-            np.multiply(mat[:, col + w - 1 - t], present.view(_U8), out=mat[:, col + w - 1 - t])
+                    column = mat[:, end - 1 - j]
+                    np.take(digits[3 - j], quad[entries], out=column, mode="clip")
+                    if low <= g + j:   # NUL where g + j >= length
+                        np.greater(length[entries], g + j, out=flag[entries])
+                        column *= flag[entries].view(_U8)
 
 
 def _repr_cols(columns, nan_texts, w: _Rows) -> list[_Field]:
@@ -175,7 +193,7 @@ def _repr_cols(columns, nan_texts, w: _Rows) -> list[_Field]:
     x[entries] = 1.0
     np.less(x, 0.0, out=w.neg)
     d, e = _kernels.shortest_digits(x, w.digits)
-    _digit_count(d, n)
+    _digit_count(d, n, tmp, flag)
     np.add(e, n, out=decpt)
     np.add(decpt, 3, out=tmp_i)
     np.greater(tmp, _U64(19), out=sci)   # decpt < -3 or decpt > 16
@@ -214,7 +232,7 @@ def _repr_cols(columns, nan_texts, w: _Rows) -> list[_Field]:
     for j, field_texts in enumerate(texts):
         part = slice(j * rows, (j + 1) * rows)
         has_sci = any_sci and bool(sci[part].any())
-        field = _Field(int(wd[part].max()), int(p[part].max()), has_sci,
+        field = _Field(int(w.neg[part].any()), int(wd[part].max()), int(p[part].max()), has_sci,
                        int(ed[part].max()) if has_sci else 0, field_texts)
         short = max((len(text) for _, text in field_texts), default=0) - field.width
         if short > 0:   # NUL columns left of the digits
@@ -229,9 +247,10 @@ def _format_block(block: harness.RatioScan, ws: _Workspace | None = None):
     good until ws formats the next block.
 
     The matrix has a row of characters per CSV row: i; then per float, a
-    "-" column, the digits left of the point, the point, those right of
-    it, and "e", the exponent's sign and its digits where some entry is in
-    scientific notation; the region.  Each run of digits is right-aligned
+    "-" column where some entry is negative, the digits left of the point,
+    the point, those right of it, and "e", the exponent's sign and its
+    digits where some entry is in scientific notation; the region, in 3
+    columns where every row is "mid".  Each run of digits is right-aligned
     in its columns, zero-filled to its length and NUL left of that.  The
     text is the matrix without its NULs."""
     if not block.log_columns:
@@ -245,7 +264,8 @@ def _format_block(block: harness.RatioScan, ws: _Workspace | None = None):
     w = ws.rows(3 * rows)
     fields = _repr_cols((block.a, block.b, block.ratio), (b"nan", b"nan", b""), w)
     i_width = len(str(int(block.i[-1])))
-    width = i_width + 1 + sum(field.width + 1 for field in fields) + 6
+    region_width = 3 if block.region.min() == block.region.max() == 1 else 5
+    width = i_width + 1 + sum(field.width + 1 for field in fields) + region_width + 1
     if rows * width > len(ws.chars):
         ws.chars = np.empty(rows * width, np.uint8)
     mat = ws.chars[:rows * width].reshape(rows, width)
@@ -255,9 +275,10 @@ def _format_block(block: harness.RatioScan, ws: _Workspace | None = None):
     for j, field in enumerate(fields):
         part = slice(j * rows, (j + 1) * rows)
         starts.append(col)
-        np.multiply(w.neg[part].view(_U8), _U8(ord("-")), out=mat[:, col])
-        runs[0].append((part, col + 1, field.whole, w.wd))
-        col += 1 + field.whole
+        if field.sign:
+            np.multiply(w.neg[part].view(_U8), _U8(ord("-")), out=mat[:, col])
+        runs[0].append((part, col + field.sign, field.whole, w.wd))
+        col += field.sign + field.whole
         point = w.flag[part]
         np.greater(w.p[part], 0, out=point)
         np.multiply(point.view(_U8), _U8(ord(".")), out=mat[:, col])
@@ -288,14 +309,15 @@ def _format_block(block: harness.RatioScan, ws: _Workspace | None = None):
     length = None
     if len(str(int(block.i[0]))) < i_width:
         length = w.wd[:rows]
-        _digit_count(i, length)
+        _digit_count(i, length, w.pw[:rows], w.flag[:rows])
     _digit_cols(i, [(slice(0, rows), 0, i_width, length)], mat, [a[:rows] for a in scratch])
     mat[:, i_width] = ord(",")
     region = w.tmp[:rows].view(np.int64)
     region[:] = block.region
     np.take(_REGION4, region, out=_u32_col(mat, col), mode="clip")
-    np.take(_REGION5, region, out=mat[:, col + 4], mode="clip")
-    mat[:, -1] = ord("\n")
+    if region_width == 5:
+        np.take(_REGION5, region, out=mat[:, col + 4], mode="clip")
+    mat[:, -1] = ord("\n")   # after the region, whose 4 characters can reach it
     return _compact(ws.chars, rows * width)
 
 

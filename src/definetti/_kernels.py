@@ -474,76 +474,95 @@ def max_ratio_dev(
 _U64 = np.uint64
 POW10_U64 = np.array([10**j for j in range(20)], dtype=np.uint64)   # every 10^j < 2^64
 _32, _LOW32, _LOW63 = _U64(32), _U64(2**32 - 1), _U64(2**63 - 1)
-_K_MAX = 292   # the decimal exponents k of finite float64 run from -324 to _K_MAX
+# the decimal exponents k of phi_k that finite float64 need
+_K_MIN, _K_MAX = -292, 326
 # rows of a ``shortest_digits`` workspace: it returns d and e in rows 0 and
 # 1, and the other rows are scratch, free for the caller once it returns
 DIGIT_SLOTS = 15
 
 
 @functools.cache
-def _pow10_table() -> tuple[np.ndarray, ...]:
-    """g = floor(10^-k / 2^r) + 1 with 2^125 <= 10^-k / 2^r < 2^126, for k =
-    292 down to -324, split once into the 32-bit halves of its high and low
-    63-bit halves g1 and g0: (g1 low, g1 high, g0 low, g0 high), uint64
+def _phi_table() -> tuple[np.ndarray, np.ndarray]:
+    """phi_k = ceil(10^k 2^(127 - floor(log2 10^k))), in [2^127, 2^128), for
+    k = _K_MIN .. _K_MAX: its high and its low 64 bits, as two uint64
     arrays.  Built with Python ints on first use, not at import."""
-    g = []
-    for e in range(-_K_MAX, 325):
-        r = (e * 913_124_641_741 >> 38) - 125   # floor(log2 10^e) - 125
-        g.append(1 + ((10**e >> r if r >= 0 else 10**e << -r) if e >= 0 else (1 << -r) // 10**-e))
-    halves = [(v >> 63, v & (2**63 - 1)) for v in g]
-    return tuple(np.array([h[j] >> s & (2**32 - 1) for h in halves], dtype=np.uint64)
-                 for j in (0, 1) for s in (0, 32))
+    phi = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        r = (k * 1_741_647 >> 19) - 127   # floor(log2 10^k) - 127
+        num, den = 10**max(k, 0) << max(-r, 0), 10**max(-k, 0) << max(r, 0)
+        phi.append(-(-num // den))
+    return (np.array([v >> 64 for v in phi], dtype=np.uint64),
+            np.array([v & (2**64 - 1) for v in phi], dtype=np.uint64))
 
 
-def _mulhi(a0, a1, b0, b1, acc, t1, t2) -> None:
-    """acc += the high 64 bits of (a1 2^32 + a0)(b1 2^32 + b0), from the
-    32-bit halves a0, a1, b0, b1 (uint64 arrays); t1 and t2 are scratch."""
-    np.multiply(a0, b0, out=t1)
-    t1 >>= _32
-    np.multiply(a0, b1, out=t2)
-    t1 += t2   # at most (2^32 - 1)^2 + 2^32 - 1 < 2^64
-    np.right_shift(t1, _32, out=t2)
-    acc += t2
-    t1 &= _LOW32
-    np.multiply(a1, b0, out=t2)
-    t2 += t1
-    t2 >>= _32
-    acc += t2
-    np.multiply(a1, b1, out=t2)
-    acc += t2
+def _mulhi(a0, a1, b, out, b0, t) -> None:
+    """out = the high 64 bits of a b, from the 32-bit halves a0 and a1 of a
+    (uint64 arrays); b is split in place into its high half, and b0 and t
+    are scratch."""
+    np.bitwise_and(b, _LOW32, out=b0)
+    b >>= _32
+    np.multiply(a0, b0, out=t)
+    t >>= _32
+    np.multiply(a0, b, out=out)
+    t += out   # at most (2^32 - 1)^2 + 2^32 - 1 < 2^64
+    np.right_shift(t, _32, out=out)
+    t &= _LOW32
+    b0 *= a1
+    t += b0
+    t >>= _32
+    out += t
+    b *= a1
+    out += b
 
 
-def _rop(g, cp, cplo, t1, t2, y, out) -> None:
-    """out = cp g 2^-127 rounded to odd, g = g1 2^63 + g0 given as the
-    halves of ``_pow10_table``; cp is split in place into its halves (cp
-    keeps the high one), and cplo, t1, t2, y are scratch."""
-    g1lo, g1hi, g0lo, g0hi = g
-    np.bitwise_and(cp, _LOW32, out=cplo)
-    cp >>= _32
-    # out = the high 64 bits of g1 cp; y = its low 64 bits, halved
-    np.multiply(g1lo, cplo, out=t1)
-    np.multiply(g1lo, cp, out=t2)
-    np.multiply(g1hi, cplo, out=out)
-    np.add(t2, out, out=y)
-    y <<= _32
-    y += t1
-    y >>= _U64(1)
-    t1 >>= _32
-    t1 += t2
-    np.bitwise_and(t1, _LOW32, out=t2)
-    out += t2
-    t1 >>= _32
-    out >>= _32
-    out += t1
-    np.multiply(g1hi, cp, out=t1)
-    out += t1
-    _mulhi(g0lo, g0hi, cplo, cp, y, t1, t2)   # y = z, below 2^64: g0 < 2^63
-    np.right_shift(y, _U64(63), out=t1)
-    out += t1
-    y &= _LOW63
-    y += _LOW63
-    y >>= _U64(63)
-    out |= y
+def _dragonbox(c: int, q: int) -> tuple[int, int]:
+    """(d, e) for c 2^q, by every branch of Dragonbox's nearest-to-even
+    path, in Python ints: the entries ``shortest_digits`` leaves out of its
+    common case.  d may end in zeros."""
+    if c == 2**52:   # a power of two: its lower neighbour is half as far
+        e = (q * 631_305 - 261_663) >> 21   # floor(log10(3/4 2^q))
+        beta = q + (-e * 1_741_647 >> 19)
+        hi = int(_phi_table()[0][-e - _K_MIN])   # phi_-e's high 64 bits
+        # the scaled left end, rounded up: it is an integer only at q = 2
+        # and 3 (2^54 and 2^55), where that gives the same digits
+        left = ((hi - (hi >> 54)) >> (11 - beta)) + 1
+        right = (hi + (hi >> 53)) >> (11 - beta)
+        if right // 10 * 10 >= left:
+            return right // 10, e + 1
+        d = ((hi >> (10 - beta)) + 1) // 2
+        if d % 2 and q == -77:   # the only tie: to even
+            return d - 1, e
+        return d + (d < left), e
+    e = (q * 315_653 >> 20) - 2   # floor(log10 2^q) - 2
+    beta = q + (-e * 1_741_647 >> 19)
+    hi, lo = _phi_table()
+    phi = int(hi[-e - _K_MIN]) << 64 | int(lo[-e - _K_MIN])
+    delta = phi >> (127 - beta)
+
+    def parity_and_integer(f):
+        # floor(f phi 2^beta / 2^128) mod 2, and whether the 64 bits after it are 0
+        p = f * phi
+        return p >> (128 - beta) & 1, not p >> (64 - beta) & (2**64 - 1)
+
+    # Dragonbox's x, y and z: the left end, c 2^q itself and the right end
+    # of the rounding interval, scaled by 10^-e
+    z = ((2 * c + 1) << beta) * phi
+    s, r = divmod(z >> 128, 1000)
+    if r == 0 and c % 2 and not z >> 64 & (2**64 - 1):
+        s, r = s - 1, 1000   # the right end is out, and it is s 10^(e + 3)
+    elif r < delta:
+        return s, e + 3
+    elif r == delta:
+        x_odd, x_integer = parity_and_integer(2 * c - 1)
+        if x_odd or x_integer and c % 2 == 0:
+            return s, e + 3
+    dist = r - delta // 2 + 50
+    d = 10 * s + dist // 100
+    if dist % 100 == 0:
+        y_odd, y_integer = parity_and_integer(2 * c)
+        if y_odd != dist % 2 or y_integer and d % 2:
+            d -= 1
+    return d, e + 2
 
 
 def shortest_digits(x: np.ndarray, ws: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -551,110 +570,131 @@ def shortest_digits(x: np.ndarray, ws: np.ndarray | None = None) -> tuple[np.nda
     shortest d 10^e (d not a multiple of 10) that reads back as |x|, the
     nearest to |x| of those, with d even on a tie: the digits of CPython's
     ``repr``.  The tests check them against ``repr`` on random bit patterns,
-    every power of two and its neighbours, every power of ten, subnormals
-    and ties.  Schubfach (R. Giulietti, "The Schubfach way to render
-    doubles", 2020): with x = c 2^q and k = floor(log10 of the width of x's
-    rounding interval), at most one multiple of 10^(k+1) lies inside it.  x
-    and the interval's ends, scaled by 10^-k through a 126-bit table entry
-    and rounded to odd, decide exactly which of that multiple, floor(x 10^-k)
-    and the next integer are inside and which is nearest.  Every uint64
-    operand is an array or an np.uint64, so numpy 1.x and 2.x promote alike.
+    every power of two and its neighbours, every power of ten, subnormals,
+    ties and a frozen input for each rare branch.
+
+    Dragonbox's nearest-to-even path (J. Jeon, "Dragonbox: A New
+    Floating-Point Binary-to-Decimal Conversion Algorithm", 2020): with
+    x = c 2^q, e = floor(log10 2^q) - 2 and beta = q + floor(-e log2 10),
+    one 64 x 128-bit product gives z = floor((2c + 1) 2^beta phi_-e / 2^128),
+    the right end of x's rounding interval scaled by 10^-e, and
+    delta = floor(phi_-e 2^beta / 2^127), its width.  With z = 1000 s + r,
+    s is the answer (exponent e + 3) when r < delta, or when r = delta and
+    the scaled left end z - 2 phi_-e 2^beta / 2^128 has an odd floor.
+    Otherwise it is 10 s + floor((r - delta/2 + 50) / 100) (exponent e + 2),
+    one less when that remainder is a multiple of 100 and the scaled x,
+    z - phi_-e 2^beta / 2^128, has its floor one below z - floor(delta/2).
+    The top 64 bits of z's fraction against those of phi_-e 2^beta / 2^128
+    and of twice it decide both floors.  Only the rare entries go to
+    ``_dragonbox``: where those bits leave a floor or an integer open, r = 0
+    with z an integer, and powers of two, whose interval is shorter below.
+    Every uint64 operand is an array or an np.uint64, so numpy 1.x and 2.x
+    promote alike.
 
     ``ws`` is a uint64 workspace of DIGIT_SLOTS rows of at least len(x)
     entries (a fresh one when None); every full-length step writes into
     it, and d and e are views of its rows 0 and 1.  x may be row 0 itself,
-    viewed as float64.  Only the entries whose digits end in 0, about a
-    tenth, go through a loop of their own.
+    viewed as float64: it is read once, first.  Only the entries whose
+    digits end in 0 go through a loop of their own.
     """
     m = len(x)
     if ws is None:
         ws = np.empty((DIGIT_SLOTS, m), dtype=np.uint64)
-    c, k, h, g1lo, g1hi, g0lo, g0hi, cp, cplo, t1, t2, y, v, s, flags = (row[:m] for row in ws)
-    irregular, odd, below, tie, up_in, wp_in, above, short = flags.view(np.bool_).reshape(8, m)
-    q, ki, hi, ti = cp.view(np.int64), k.view(np.int64), h.view(np.int64), t1.view(np.int64)
+    d, e, c, q, beta, hi, lo, u0, u1, delta, mid, s, t, acc, flags = (row[:m] for row in ws)
+    carry, below, open_y, open_x, big, rare, flag, flag2 = flags.view(np.bool_).reshape(8, m)
+    qi, ei, bi, ti = q.view(np.int64), e.view(np.int64), beta.view(np.int64), t.view(np.int64)
     np.bitwise_and(x.view(np.uint64), _LOW63, out=c)
-    np.right_shift(c, _U64(52), out=cp)   # the biased exponent
-    np.minimum(q, 1, out=ti)   # 1 for a normal x
+    np.right_shift(c, _U64(52), out=q)   # the biased exponent
+    np.minimum(qi, 1, out=ti)   # 1 for a normal x
     c &= _U64(2**52 - 1)
-    np.left_shift(t1, _U64(52), out=t2)
-    c |= t2
-    q -= ti
-    q -= 1074   # x = c 2^q
-    # a power of two has its lower neighbour at half the distance of the upper
-    np.equal(c, _U64(2**52), out=irregular)
-    np.greater(q, -1074, out=odd)
-    irregular &= odd
-    # k = floor(log10 2^q), of 3/4 2^q if irregular; h (1 to 4) lines c up
-    # with the table entry's power of two
-    np.multiply(q, 661_971_961_083, out=ki)
-    np.multiply(irregular, np.int64(274_743_187_321), out=ti)
-    ki -= ti
-    ki >>= 41
-    np.multiply(ki, -913_124_641_741, out=hi)
-    hi >>= 38
-    hi += q
-    hi += 2
-    np.subtract(_K_MAX, ki, out=ti)
-    g = (g1lo, g1hi, g0lo, g0hi)
-    for half, out in zip(_pow10_table(), g):
+    np.left_shift(t, _U64(52), out=acc)
+    c |= acc
+    qi -= ti
+    qi -= 1074   # x = c 2^q
+    np.multiply(qi, 315_653, out=ei)
+    ei >>= 20
+    ei -= 2
+    np.subtract(-_K_MIN, ei, out=ti)
+    for half, out in zip(_phi_table(), (hi, lo)):
         np.take(half, ti, out=out, mode="clip")
-    np.bitwise_and(c, _U64(1), out=t2)
-    np.not_equal(t2, _U64(0), out=odd)   # an odd c leaves the interval's ends out
-    c <<= _U64(2)
-    # vb, x scaled; s = floor(x 10^-k); below: vb under s + 1/2, or a tie with s even
-    np.left_shift(c, h, out=cp)
-    _rop(g, cp, cplo, t1, t2, y, v)
-    np.right_shift(v, _U64(2), out=s)
-    np.left_shift(s, _U64(2), out=t1)
-    t1 += _U64(2)
-    np.less(v, t1, out=below)
-    np.equal(v, t1, out=tie)
-    np.bitwise_and(s, _U64(1), out=t1)
-    np.equal(t1, _U64(0), out=up_in)
-    tie &= up_in
-    below |= tie
-    # vbl, the lower end: is 10 floor(s / 10) inside, and s?
-    np.subtract(c, _U64(2), out=cp)
-    cp += irregular
-    cp <<= h
-    _rop(g, cp, cplo, t1, t2, y, v)
-    v += odd
-    np.floor_divide(s, _U64(10), out=t1)
-    t1 *= _U64(40)
-    np.less_equal(v, t1, out=up_in)
-    np.left_shift(s, _U64(2), out=t1)
-    np.less_equal(v, t1, out=tie)
-    # vbr, the upper end: is 10 floor(s / 10) + 10 inside, and s + 1?
-    np.add(c, _U64(2), out=cp)
-    cp <<= h
-    _rop(g, cp, cplo, t1, t2, y, v)
-    v -= odd
-    np.floor_divide(s, _U64(10), out=t1)
-    np.add(t1, _U64(1), out=t2)
-    t2 *= _U64(40)
-    np.less_equal(t2, v, out=wp_in)
-    np.left_shift(s, _U64(2), out=t2)
-    t2 += _U64(4)
-    np.greater(t2, v, out=above)
-    below |= above
-    tie &= below   # take s, not s + 1
-    np.not_equal(up_in, wp_in, out=short)
-    # d = s10 + wp_in if short else s + 1 - (take s), selected arithmetically:
-    # a ufunc's where= costs more than the rest of a step together
-    d = c
-    np.add(s, _U64(1), out=d)
-    d -= tie
-    t1 += wp_in
-    t1 -= d
-    t1 *= short
-    d += t1
-    ki += short
-    np.floor_divide(d, _U64(10), out=t1)
-    t1 *= _U64(10)
-    np.equal(t1, d, out=short)
-    z = np.flatnonzero(short)
+    np.multiply(ei, -1_741_647, out=bi)
+    bi >>= 19
+    bi += qi
+    # u = (2c + 1) 2^beta, below 2^63; mid = its product's low 64 bits with phi_hi
+    np.left_shift(c, _U64(1), out=acc)
+    acc |= _U64(1)
+    acc <<= beta
+    np.multiply(acc, hi, out=mid)
+    np.bitwise_and(acc, _LOW32, out=u0)
+    np.right_shift(acc, _32, out=u1)
+    np.subtract(_U64(63), beta, out=delta)
+    np.right_shift(hi, delta, out=delta)
+    # d = the top 64 bits of the fraction of phi 2^beta / 2^128
+    np.left_shift(hi, beta, out=d)
+    np.subtract(_U64(64), beta, out=t)
+    np.right_shift(lo, t, out=t)
+    d |= t
+    # z = u phi / 2^128: mid becomes the top 64 bits of its fraction
+    _mulhi(u0, u1, lo, acc, s, t)
+    mid += acc
+    np.less(mid, acc, out=carry)
+    _mulhi(u0, u1, hi, acc, s, t)
+    acc += carry
+    # below: the scaled x has its floor at z - floor(delta / 2) - 1;
+    # open_y: its fraction may be under 2^-64
+    np.less(mid, d, out=below)
+    np.subtract(mid, d, out=t)
+    np.less(t, _U64(2), out=open_y)
+    # the same for the scaled left end, floor z - delta - 1 (odd where
+    # r = delta), against the bits of twice the fraction, to within 2^-63
+    d <<= _U64(1)
+    left_odd = carry   # carry's row, free again
+    np.less(mid, d, out=left_odd)
+    np.subtract(mid, d, out=t)
+    np.less(t, _U64(3), out=open_x)
+    np.equal(mid, _U64(0), out=flag2)   # z may be an integer
+    np.floor_divide(acc, _U64(1000), out=s)
+    np.multiply(s, _U64(1000), out=t)
+    np.subtract(acc, t, out=mid)   # r
+    np.less(mid, delta, out=big)
+    np.equal(mid, delta, out=rare)
+    left_odd &= rare
+    big |= left_odd
+    rare &= open_x
+    np.equal(mid, _U64(0), out=flag)
+    flag &= flag2
+    rare |= flag
+    np.equal(c, _U64(2**52), out=flag)
+    rare |= flag
+    # the smaller divisor: t = 10 s + floor(dist / 100), dist = r - delta/2 + 50
+    delta >>= _U64(1)
+    np.add(mid, _U64(50), out=acc)
+    acc -= delta
+    np.floor_divide(acc, _U64(100), out=t)
+    np.multiply(t, _U64(100), out=lo)
+    np.equal(acc, lo, out=flag)
+    open_y &= flag
+    rare |= open_y
+    flag &= below
+    np.multiply(s, _U64(10), out=acc)
+    t += acc
+    t -= flag
+    # d = s if big else t, selected arithmetically: a ufunc's where= costs
+    # more than the rest of a step together
+    np.subtract(s, t, out=acc)
+    acc *= big
+    np.add(t, acc, out=d)
+    ei += 2
+    ei += big
+    z = np.flatnonzero(rare)
+    if z.size:
+        d[z], ei[z] = zip(*map(_dragonbox, c[z].tolist(), qi[z].tolist()))
+    np.floor_divide(d, _U64(10), out=t)
+    t *= _U64(10)
+    np.equal(t, d, out=flag)
+    z = np.flatnonzero(flag)
     while z.size:
         d[z] //= _U64(10)
-        ki[z] += 1
+        ei[z] += 1
         z = z[d[z] % _U64(10) == _U64(0)]
-    return d, ki
+    return d, ei

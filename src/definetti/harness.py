@@ -304,14 +304,62 @@ def _scan_log(N, k, alpha, idx, region, r):
         )
     ratio = np.full(idx.shape, np.nan)
     ratio[present] = 0.0
-    # math.exp, not np.exp: the two differ in the last ulp on some inputs,
-    # and the CSV prints every digit
-    ratio[finite] = np.fromiter(
-        map(math.exp, log_ratio.tolist()), dtype=np.float64, count=log_ratio.size
-    )
+    ratio[finite] = _exp(log_ratio)
     mid_dev = np.abs(ratio[present & (region == 1)] - 1.0)
     eps_mid = float(mid_dev.max()) if mid_dev.size else 0.0
     return log_a, log_b, ratio, eps_mid
+
+
+# _exp takes its series for |x| <= EXP_SERIES_MAX and keeps the values that
+# no exp within EXP_ULP_BOUND ulp can round otherwise; glibc states its exp
+# within about 0.51 ulp
+EXP_SERIES_MAX = 2.0**-10
+EXP_ULP_BOUND = 0.52
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """exp of each float64 in x, as a new array, equal to ``math.exp`` bit
+    for bit: the CSV prints every digit of the ratio, and ``np.exp``
+    differs from ``math.exp`` in the last ulp on some inputs.  Most ratios
+    lie near 1, where ``_exp_series`` gives the value; the rest take
+    ``math.exp`` one at a time."""
+    y, kept = _exp_series(x)
+    rest = np.flatnonzero(~kept)
+    y[rest] = np.fromiter(map(math.exp, x[rest].tolist()), dtype=np.float64, count=rest.size)
+    return y
+
+
+def _exp_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y, kept): y = fl(1 + t) with t = x + x^2/2 + x^3/6 + x^4/24 + x^5/120,
+    and kept where |x| <= EXP_SERIES_MAX and y is exp(x) with room to spare.
+
+    For |x| <= 2^-10, t is within 2^-60 of exp(x) - 1: Horner's rule errs
+    by at most half an ulp of t (2^-63) plus about 2^-71, and the terms left
+    out sum to below 2^-69.  Fast2Sum makes r = (1 - y) + t the exact
+    1 + t - y (|t| < 1).  Where |r| < (1 - EXP_ULP_BOUND) ulp(y) - 2^-60,
+    exp(x) lies within half an ulp of y and more than (EXP_ULP_BOUND - 1/2)
+    ulp from a rounding midpoint: y is exp(x) correctly rounded, and an exp
+    within EXP_ULP_BOUND ulp, as glibc's is, can return only y.  y = 1 is
+    never kept, because the ulp below 1 is half the ulp above it."""
+    xs = np.clip(x, -EXP_SERIES_MAX, EXP_SERIES_MAX)
+    t = xs / 120.0
+    t += 1.0 / 24.0
+    t *= xs
+    t += 1.0 / 6.0
+    t *= xs
+    t += 0.5
+    t *= xs
+    t *= xs
+    t += xs
+    y = t + 1.0
+    r = np.subtract(1.0, y)
+    r += t
+    np.abs(r, out=r)
+    room = 1.0 - EXP_ULP_BOUND
+    kept = r < np.where(y > 1.0, room * 2.0**-52 - 2.0**-60, room * 2.0**-53 - 2.0**-60)
+    kept &= xs == x
+    kept &= y != 1.0
+    return y, kept
 
 
 # ---------------------------------------------------------------------------

@@ -1017,3 +1017,36 @@ def test_alpha_k_shortcut_row_identity():
         assert a / b == factors.product()
         if i >= k:
             assert factors.product() == closed
+
+
+@given(st.lists(st.floats(-2.0**-9, 2.0**-9), min_size=1, max_size=200))
+def test_ratio_exp_matches_math_exp(xs):
+    # the interval straddles the series' threshold, 2^-10
+    got = harness._exp(np.array(xs, dtype=np.float64))
+    assert got.view(np.uint64).tolist() == np.array([math.exp(x) for x in xs]).view(np.uint64).tolist()
+
+
+def test_ratio_exp_near_rounding_midpoints():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2020)
+    # exp(x) within about 2^-66 of the midpoint between two floats near 1,
+    # above 1 (ulp 2^-52) and below it (ulp 2^-53), out to |x| = 2^-10
+    mids = []
+    with mpmath.workprec(200):
+        for j in [1, 2, 3, 1000] + [rng.randrange(1, 2**42) for _ in range(40)]:
+            mids.append(mpmath.mpf(1) + mpmath.mpf(2) ** -52 * (j + mpmath.mpf(1) / 2))
+            mids.append(mpmath.mpf(1) - mpmath.mpf(2) ** -53 * (j + mpmath.mpf(1) / 2))
+        near = np.array([float(mpmath.log(m)) for m in mids])
+    near = near[np.abs(near) <= harness.EXP_SERIES_MAX]
+    assert near.size > 60
+    y, kept = harness._exp_series(near)
+    assert not kept.any()
+    # a seeded draw across the threshold takes both paths
+    spread = np.random.default_rng(2020).uniform(-2.0**-9, 2.0**-9, 10_000)
+    y, kept = harness._exp_series(spread)
+    assert 0 < kept.sum() < spread.size
+    assert kept.sum() > 0.4 * spread.size
+    x = np.concatenate([near, spread])
+    reference = np.array([math.exp(v) for v in x.tolist()])
+    assert harness._exp(x).view(np.uint64).tolist() == reference.view(np.uint64).tolist()
+    assert y[kept].view(np.uint64).tolist() == reference[near.size:][kept].view(np.uint64).tolist()

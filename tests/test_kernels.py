@@ -1,6 +1,5 @@
 import math
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -450,11 +449,11 @@ def test_region_sums_compensated_order():
 
 def _repr_digits(v):
     """(d, e) of repr(v) for finite nonzero v: |v| = d 10^e, d not a multiple of 10."""
-    _, digits, e = Decimal(repr(v)).as_tuple()
-    d = int("".join(map(str, digits)))
-    while d % 10 == 0:
-        d, e = d // 10, e + 1
-    return d, e
+    mantissa, _, exponent = repr(abs(v)).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits = (whole + frac).lstrip("0")
+    d = digits.rstrip("0")
+    return int(d), int(exponent or 0) - len(frac) + len(digits) - len(d)
 
 
 def _repr_texts(x):
@@ -501,3 +500,69 @@ def test_shortest_digits_match_repr_on_edges():
     assert _repr_texts(np.array([0.0001, 9.999999999999999e-05, 1e16, 9999999999999998.0])) == [
         "0.0001", "9.999999999999999e-05", "1e+16", "9999999999999998.0"]
     assert _repr_texts(2.0**50 + np.array([0.25, 0.75])) == ["1125899906842624.2", "1125899906842624.8"]
+
+
+# Float64 bit patterns that reach the rare branches of the Dragonbox kernel,
+# found by search with an instrumented copy of _kernels._dragonbox.  There
+# the float is c 2^q, and z = 1000 s + r is the right end of its rounding
+# interval scaled by 10^-e, delta the interval's scaled width.
+RARE_BRANCHES = [
+    # r = delta, the scaled left end's floor odd: the left end is in, and s
+    # is the answer
+    0x651CE836FE1B4CA6,   # 1.171390784733721e+179
+    0x0E587CAD8F305E53,   # 1.46892443330588e-239
+    # r = delta, that floor even: the smaller divisor decides
+    0x3EBF5FD67275CE17,   # 1.8700579376946391e-06
+    0x16B0198555788374,   # 2.1032960850812752e-199
+    # a step-3 remainder divisible by 100, the scaled float's floor one
+    # below the estimate: the digits step down (settled in the vector path,
+    # from z's fraction bits)
+    0x487A9C0712B2A414,   # 1.4487580532162595e+41
+    0x2219CE08D4652689,   # 2.0665359344393783e-144
+    # a step-3 remainder divisible by 100, the scaled float an integer and
+    # the digits odd: a tie, rounded down to even
+    0x42DD6F60A3EEC348,   # 129456799726349.12
+    0x43116ABDD11F2E2D,   # 1225609523481483.2
+    # the same with the digits even: kept
+    0x431FCF3FA9796823,   # 2238399152806408.8
+    # r = 0 with z an integer and c odd: the right end is excluded
+    0x436DB2B0D8B3346B,   # 6.6873975553762136e+16
+    0x438007F68A00699B,   # 1.4439536275208278e+17
+    # the shorter interval of a power of two: the tie at binary exponent
+    # q = -77 (2^-25), and the integer left end at q = 2 and 3 (2^54, 2^55),
+    # which the kernel rounds up as it does every other left end
+    0x3E60000000000000,
+    0x4350000000000000,
+    0x4360000000000000,
+]
+# of those, the ones the vector path settles from z's fraction bits
+VECTOR_SETTLED = {0x651CE836FE1B4CA6, 0x0E587CAD8F305E53, 0x3EBF5FD67275CE17,
+                  0x16B0198555788374, 0x487A9C0712B2A414, 0x2219CE08D4652689}
+
+
+def test_shortest_digits_rare_branches(monkeypatch):
+    x = np.array(RARE_BRANCHES, dtype=np.uint64).view(np.float64)
+    for v in x:
+        _assert_repr([v])
+    # the scalar kernel takes every branch itself; every pattern is normal,
+    # (2^52 + fraction) 2^(biased exponent - 1075)
+    cq = [(b & (2**52 - 1) | 2**52, (b >> 52) - 1075) for b in RARE_BRANCHES]
+    for (c, q), v in zip(cq, x.tolist()):
+        d, e = K._dragonbox(c, q)
+        while d % 10 == 0:
+            d, e = d // 10, e + 1
+        assert (d, e) == _repr_digits(v)
+    scalar = []
+    dragonbox = K._dragonbox
+    monkeypatch.setattr(K, "_dragonbox", lambda c, q: scalar.append((c, q)) or dragonbox(c, q))
+    K.shortest_digits(x)
+    assert set(scalar) == {pair for pair, b in zip(cq, RARE_BRANCHES) if b not in VECTOR_SETTLED}
+
+
+def test_shortest_digits_match_repr_on_a_million_patterns():
+    # Hypothesis draws at most 20,000 floats a run; this sweep is seeded
+    rng = np.random.default_rng(20_201_216)
+    x = rng.integers(0, 2**63, size=10**6, dtype=np.uint64).view(np.float64)
+    x = x[np.isfinite(x) & (x != 0)]
+    d, e = K.shortest_digits(x)
+    assert list(zip(d.tolist(), e.tolist())) == [_repr_digits(v) for v in x.tolist()]
