@@ -182,13 +182,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_min_rows() -> int:
-    """SCAN_POOL_MIN_ROWS for the start method workers would take: the one
-    set, else the platform's default, which this leaves unset."""
+def _start_method() -> str:
+    """The start method workers would take: the one set, else the
+    platform's default, which this leaves unset."""
     import multiprocessing
 
-    method = multiprocessing.get_start_method(allow_none=True)
-    return SCAN_POOL_MIN_ROWS[method or multiprocessing.get_all_start_methods()[0]]
+    return multiprocessing.get_start_method(allow_none=True) or multiprocessing.get_all_start_methods()[0]
+
+
+def _pool_min_rows() -> int:
+    """SCAN_POOL_MIN_ROWS for the start method workers would take."""
+    return SCAN_POOL_MIN_ROWS[_start_method()]
 
 
 def _scan_workers(rows: int) -> int:
@@ -240,13 +244,18 @@ def _block_formatter(plan, workers: int):
     holds on to its peak.  The workers are gone when the block exits, also
     when the consumer raises.
     """
-    from . import _blocktext   # before any worker forks
+    from . import _blocktext, _kernels   # before any worker forks
 
     if workers < 2:
         yield _blocktext.texts(plan)
         return
     import multiprocessing
 
+    if plan[6] == "log" and _start_method() == "fork":
+        # forked workers inherit the parent's caches: build the digit
+        # kernel's tables once here, not in each worker
+        _kernels._phi_table()
+        _blocktext._digit_tables()
     readers, procs = [], []
 
     def receive():

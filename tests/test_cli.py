@@ -658,6 +658,34 @@ def test_block_formatter_relays_worker_errors():
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_forked_workers_inherit_the_digit_tables(monkeypatch):
+    # the parent builds the digit kernel's tables before the first worker
+    # forks, so that no worker builds them again
+    filled = []
+    start = multiprocessing.Process.start
+
+    def recording(proc):
+        filled.append((_kernels._phi_table.cache_info().currsize,
+                       _blocktext._digit_tables.cache_info().currsize))
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", recording)
+    original = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    _kernels._phi_table.cache_clear()
+    _blocktext._digit_tables.cache_clear()
+    try:
+        with cli._block_formatter(harness._scan_plan(10**4, 2, 1, 1, "log", 997), 2) as texts:
+            rows = b"".join(bytes(text) for text, _ in texts).decode()
+    finally:
+        multiprocessing.set_start_method(original, force=True)
+    # the CSV between its header and its summary line
+    assert rows == _reference_scan_csv(10**4, 2, 1, 1, "log").split("\n", 1)[1].rsplit("\n", 2)[0] + "\n"
+    assert filled == [(1, 1), (1, 1)]
+    assert multiprocessing.active_children() == []
+
+
 class _ClosedConn:
     def __init__(self, exc):
         self.exc = exc

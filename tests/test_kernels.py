@@ -502,10 +502,11 @@ def test_shortest_digits_match_repr_on_edges():
     assert _repr_texts(2.0**50 + np.array([0.25, 0.75])) == ["1125899906842624.2", "1125899906842624.8"]
 
 
-# Float64 bit patterns that reach the rare branches of the Dragonbox kernel,
-# found by search with an instrumented copy of _kernels._dragonbox.  There
-# the float is c 2^q, and z = 1000 s + r is the right end of its rounding
-# interval scaled by 10^-e, delta the interval's scaled width.
+# Float64 bit patterns that reach the rare branches of Dragonbox's
+# nearest-to-even path, found by search with an instrumented scalar
+# Dragonbox that took every branch in Python ints.  There the float is
+# c 2^q, and z = 1000 s + r is the right end of its rounding interval scaled
+# by 10^-e, delta the interval's scaled width.
 RARE_BRANCHES = [
     # r = delta, the scaled left end's floor odd: the left end is in, and s
     # is the answer
@@ -544,19 +545,16 @@ def test_shortest_digits_rare_branches(monkeypatch):
     x = np.array(RARE_BRANCHES, dtype=np.uint64).view(np.float64)
     for v in x:
         _assert_repr([v])
-    # the scalar kernel takes every branch itself; every pattern is normal,
-    # (2^52 + fraction) 2^(biased exponent - 1075)
-    cq = [(b & (2**52 - 1) | 2**52, (b >> 52) - 1075) for b in RARE_BRANCHES]
-    for (c, q), v in zip(cq, x.tolist()):
-        d, e = K._dragonbox(c, q)
-        while d % 10 == 0:
-            d, e = d // 10, e + 1
-        assert (d, e) == _repr_digits(v)
-    scalar = []
-    dragonbox = K._dragonbox
-    monkeypatch.setattr(K, "_dragonbox", lambda c, q: scalar.append((c, q)) or dragonbox(c, q))
-    K.shortest_digits(x)
-    assert set(scalar) == {pair for pair, b in zip(cq, RARE_BRANCHES) if b not in VECTOR_SETTLED}
+    # the vector path leaves the others open, to repr of c 2^q; every
+    # pattern is normal, (2^52 + fraction) 2^(biased exponent - 1075)
+    fallback = []
+    repr_digits = K._repr_digits
+    monkeypatch.setattr(K, "_repr_digits", lambda c, q: fallback.append((c, q)) or repr_digits(c, q))
+    d, e = K.shortest_digits(x)
+    assert list(zip(d.tolist(), e.tolist())) == [_repr_digits(v) for v in x.tolist()]
+    assert fallback == [(b & (2**52 - 1) | 2**52, (b >> 52) - 1075)
+                        for b in RARE_BRANCHES if b not in VECTOR_SETTLED]
+    assert len(fallback) == 8
 
 
 def test_shortest_digits_match_repr_on_a_million_patterns():
