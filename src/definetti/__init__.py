@@ -10,7 +10,6 @@ from .harness import (
     TailBounds,
     VerificationReport,
     ratio_scan,
-    sandwich_bound,
     tail_bounds_check,
     verify_approximation,
 )
@@ -22,14 +21,12 @@ from .model import (
     SampleMeanLaw,
     ValidationError,
     check_complete_monotonicity,
-    exchangeable_law_from_counts,
     mean_law_from_moments,
     mixture_prefix_prob,
     moments_from_measure,
     prefix_prob_from_mean_law,
     prefix_prob_from_moments,
     sample_mean_law,
-    support_consistency_check,
 )
 from .numerics import (
     DomainError,
@@ -50,14 +47,7 @@ from .oracle import (
     brute_prefix_prob,
     word_law_from_mixture,
 )
-from .recovery import (
-    RecoveredMeasure,
-    WeakConvergenceDiagnostic,
-    cdf_distance,
-    recover_from_mean_law,
-    recover_from_moments,
-    weak_convergence_gap,
-)
+from .recovery import RecoveredMeasure, recover_from_moments
 
 __version__ = "0.1.0"
 
@@ -75,15 +65,12 @@ __all__ = [
     "TailBounds",
     "ValidationError",
     "VerificationReport",
-    "WeakConvergenceDiagnostic",
     "WordLaw",
     "binomial",
     "brute_conditional_prefix",
     "brute_prefix_prob",
-    "cdf_distance",
     "check_complete_monotonicity",
     "conditional_prefix_prob",
-    "exchangeable_law_from_counts",
     "iid_kernel",
     "mean_law_from_moments",
     "mixture_prefix_prob",
@@ -93,16 +80,12 @@ __all__ = [
     "ratio_factors",
     "ratio_scan",
     "ratio_within_correction",
-    "recover_from_mean_law",
     "recover_from_moments",
     "region_bounds",
     "replacement_correction",
     "replacement_correction_float",
     "sample_mean_law",
-    "sandwich_bound",
-    "support_consistency_check",
     "tail_bounds_check",
     "verify_approximation",
-    "weak_convergence_gap",
     "word_law_from_mixture",
 ]

@@ -4,10 +4,11 @@ Subcommands: prefix-prob, yn-law, verify, ratio-scan, recover, extend-check,
 oracle, tail-check.  All reports are JSON (exact values as "num/den"
 strings); ratio scans are CSV with a trailing summary JSON line.
 
-ratio-scan streams the blocks of ``harness.scan_blocks``: each
-SCAN_BLOCK_ROWS-row block (8,192 rows, about 0.6 MB of CSV) is formatted and
-written in order, so no process holds the whole scan or more than a few MB
-of it, and a failed ratio guard (exit 3) follows the blocks before it.
+ratio-scan checks its arguments once into ``harness._scan_plan`` and
+streams that plan's blocks as ``_blocktext.texts`` scans and formats them:
+each SCAN_BLOCK_ROWS-row block (8,192 rows, about 0.6 MB of CSV) is written
+in order, so no process holds the whole scan or more than a few MB of it,
+and a failed ratio guard (exit 3) follows the blocks before it.
 Scans of at least SCAN_POOL_MIN_ROWS rows for the start method (a count
 that does not depend on the block size) run on worker processes: one per
 usable CPU, at most SCAN_MAX_WORKERS and never more than there are blocks.

@@ -363,45 +363,6 @@ def _exp_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# sandwich bound
-# ---------------------------------------------------------------------------
-
-def sandwich_bound(
-    terms_a: Sequence[Value], terms_b: Sequence[Value], eps: Value
-) -> tuple[Value, Value]:
-    """Certified two-sided bound (1-eps) sum(b) <= sum(a) <= (1+eps) sum(b).
-
-    Checks the premises term by term: everything nonnegative, a_j = 0
-    wherever b_j = 0, and |a_j/b_j - 1| <= eps elsewhere; raises on any
-    violation, returns the (lower, upper) bound for sum(a).
-    """
-    if len(terms_a) != len(terms_b):
-        raise ValidationError("term vectors must have equal length")
-    if eps < 0:
-        raise ValidationError("eps must be nonnegative")
-    exact = all(
-        isinstance(x, (Fraction, int)) for x in (*terms_a, *terms_b, eps)
-    )
-    # float inputs get an ulp-scale slack so representable-boundary cases
-    # like |1.01/1.0 - 1| <= 0.01 certify; exact inputs are compared exactly
-    slack = 0 if exact else eps * 1e-12 + 1e-15
-    for j, (a, b) in enumerate(zip(terms_a, terms_b)):
-        if a < 0 or b < 0:
-            raise ValidationError(f"negative term at position {j}")
-        if b == 0:
-            if a != 0:
-                raise ValidationError(
-                    f"term {j}: a={a} nonzero where b=0, ratio unbounded"
-                )
-        elif abs(a / b - 1) > eps + slack:
-            raise ValidationError(
-                f"term {j}: ratio {a / b} deviates more than eps={eps}"
-            )
-    total_b = sum(terms_b)
-    return (1 - eps) * total_b, (1 + eps) * total_b
-
-
-# ---------------------------------------------------------------------------
 # tail bounds
 # ---------------------------------------------------------------------------
 

@@ -645,29 +645,3 @@ def check_complete_monotonicity(c: MomentVector) -> MonotonicityCheck:
             return MonotonicityCheck(ok=False, order=m, index=j, value=value)
     return MonotonicityCheck(ok=True)
 
-
-def exchangeable_law_from_counts(q: Sequence[Value]) -> SampleMeanLaw:
-    """Wrap a simplex vector over 0..N as the count law of an exchangeable
-    word law (uniform arrangement within each count class)."""
-    if len(q) < 2:
-        raise ValidationError("count law needs at least two entries (N >= 1)")
-    return SampleMeanLaw(N=len(q) - 1, weights=tuple(q))
-
-
-def support_consistency_check(law: SampleMeanLaw, e: PrefixEvent) -> int | None:
-    """If the prefix probability vanishes, every count i >= alpha must carry
-    zero mass; returns the first offending index, or None when consistent.
-
-    Vacuously passes when the prefix probability is nonzero.  Counts above
-    N - k + alpha have vanishing conditional probability, so for laws
-    supported there this check can flag exchangeable-consistent input; it
-    implements the stated implication verbatim as a diagnostic.
-    """
-    p = prefix_prob_from_mean_law(law, e)
-    zero = p == 0 if law.is_exact else abs(p) < 1e-15
-    if not zero:
-        return None
-    for i in range(e.alpha, law.N + 1):
-        if law.weights[i] > 0:
-            return i
-    return None

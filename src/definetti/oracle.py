@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .model import MixingMeasure, PrefixEvent, ValidationError, is_exact
+from .model import MixingMeasure, PrefixEvent, ValidationError
 
 WORD_CAP = 20
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 import definetti as d
-from definetti import _kernels
+from definetti import _kernels, model
 
 settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
 settings.load_profile("suite")
@@ -42,6 +42,15 @@ def random_rational_measure(rng: random.Random, max_atoms: int = 4,
     raw = [Fraction(rng.randint(1, 9)) for _ in locs]
     total = sum(raw)
     return d.MixingMeasure(tuple((p, w / total) for p, w in zip(locs, raw)))
+
+
+def kernel_gap(law, target, a, k):
+    """E[(S/N)^a (1 - S/N)^(k-a)] under an exact count law minus
+    E[p^a (1-p)^(k-a)] under a measure, exactly; the monomial p^m is the
+    a = k = m kernel.  The law's side is ``kernel_mean``'s rhs over its
+    ``level_moments``, the measure's a direct sum over its atoms."""
+    law_side = model.kernel_mean(model.level_moments(law, k), law.N, k, a)[1]
+    return law_side - sum(w * p**a * (1 - p) ** (k - a) for p, w in target.atoms)
 
 
 def dense_log_mean_law(N, ps, log_ws):

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Every tolerance is pinned here; the eps ceilings in CRITERION4_EPS
-and the recovery distance ceiling are frozen calibration values.
+are frozen calibration values.
 """
 
 import itertools
@@ -17,7 +17,7 @@ from definetti.model import (
     MixingMeasure,
     MomentVector,
     PrefixEvent,
-    exchangeable_law_from_counts,
+    SampleMeanLaw,
     mixture_prefix_prob,
     moments_from_measure,
     prefix_prob_from_mean_law,
@@ -25,9 +25,9 @@ from definetti.model import (
 )
 from definetti.numerics import ratio_bound_holds_all
 from definetti.oracle import all_prefix_probs, word_law_from_mixture
-from definetti.recovery import cdf_distance, recover_from_moments, weak_convergence_gap
+from definetti.recovery import recover_from_moments
 
-from conftest import random_rational_measure
+from conftest import kernel_gap, random_rational_measure
 
 F = Fraction
 
@@ -40,8 +40,6 @@ CRITERION4_EPS = {
     4: 0.058340,
     5: 0.095640,
 }
-# frozen calibration value for criterion 9b (exact value is 0)
-CRITERION9_CDF_CEILING = 0.02
 
 
 def report(num, ok, detail=""):
@@ -218,7 +216,7 @@ def test_criterion_7_convergence(three_atom):
 
 
 def test_criterion_8_pathological_path():
-    law = exchangeable_law_from_counts([F(1)] + [F(0)] * 100)
+    law = SampleMeanLaw(N=100, weights=[F(1)] + [F(0)] * 100)
     for pattern in [(1,), (1, 1), (1, 0, 1), (1, 1, 1, 1)]:
         rep = d.verify_approximation(law, PrefixEvent(pattern), backend="exact")
         assert rep.lhs == 0
@@ -252,10 +250,7 @@ def test_criterion_9_moment_recovery():
     # (b) uniform-mixing vector at level 64 vs the 65-atom uniform grid
     polya = MomentVector(tuple(F(1, j + 1) for j in range(65)))
     rec = recover_from_moments(polya, 64)
-    grid = MixingMeasure(tuple((F(i, 64), F(1, 65)) for i in range(65)))
-    dist = cdf_distance(rec.measure, grid)
-    assert dist == 0
-    assert float(dist) <= CRITERION9_CDF_CEILING
+    assert rec.measure.atoms == tuple((F(i, 64), F(1, 65)) for i in range(65))
     # (c) non-extendable vector rejected with its certificate
     with pytest.raises(d.ExtendabilityError) as err:
         recover_from_moments(MomentVector((F(1), F(1, 2), F(0), F(0))), 3)
@@ -263,19 +258,20 @@ def test_criterion_9_moment_recovery():
     report(
         9,
         True,
-        "round trips exact to level 64, uniform-mixing recovery at CDF "
-        f"distance {float(dist)} (ceiling {CRITERION9_CDF_CEILING}), "
-        "non-extendable vector rejected with certificate -1/2",
+        "round trips exact to level 64, uniform-mixing recovery equal to the "
+        "65-atom uniform grid, non-extendable vector rejected with certificate -1/2",
     )
 
 
 def test_criterion_10_weak_convergence(three_atom):
-    small = weak_convergence_gap(sample_mean_law(three_atom, 10**2), three_atom, 6)
-    big = weak_convergence_gap(sample_mean_law(three_atom, 10**4), three_atom, 6)
-    assert small.gap("p^1") == 0
-    assert big.gap("p^1") == 0
+    small, big = (
+        [abs(kernel_gap(law, three_atom, m, m)) for m in range(7)]
+        for law in (sample_mean_law(three_atom, 10**2), sample_mean_law(three_atom, 10**4))
+    )
+    assert small[1] == 0
+    assert big[1] == 0
     for m in range(2, 7):
-        assert big.gap(f"p^{m}") < small.gap(f"p^{m}"), m
+        assert big[m] < small[m], m
     report(
         10,
         True,

@@ -2,7 +2,7 @@
 
 Every exact ``SampleMeanLaw`` is integer numerators over one denominator,
 and ``sample_mean_law``, ``prefix_prob_from_mean_law`` and
-``weak_convergence_gap`` sum those integers.  The references below evaluate
+``level_moments`` sum those integers.  The references below evaluate
 the same quantities term by term in ``Fraction`` arithmetic: the mixture
 sum w C(N, i) p^i (1-p)^(N-i), the conditional prefix probability times
 q_i, and the kernel expectation over reduced weights.  A float law holds
@@ -24,14 +24,12 @@ from definetti.model import (
     PrefixEvent,
     SampleMeanLaw,
     ValidationError,
-    exchangeable_law_from_counts,
     kernel_mean,
     level_moments,
     prefix_prob_from_mean_law,
     sample_mean_law,
 )
 from definetti.numerics import conditional_prefix_prob
-from definetti.recovery import recover_from_mean_law, weak_convergence_gap
 
 F = Fraction
 
@@ -116,12 +114,15 @@ def test_prefix_prob_from_mixture_law_matches_reference(mu, data):
 
 @given(count_vectors(), st.data())
 def test_prefix_prob_from_counts_matches_reference(q, data):
-    law = exchangeable_law_from_counts(q)
+    law = SampleMeanLaw(N=len(q) - 1, weights=q)
     assert law.weights == tuple(F(x) for x in q)
     e = data.draw(patterns(law.N))
     got = prefix_prob_from_mean_law(law, e)
     assert isinstance(got, Fraction)
     assert got == reference_prefix_prob(law, e)
+    # a count law that is no mixture's law: the kernel expectation too
+    want = (got, reference_kernel_expectation(law, e.alpha, e.k))
+    assert kernel_mean(level_moments(law, e.k), law.N, e.k, e.alpha) == want
 
 
 @given(rational_measures(), st.data())
@@ -134,21 +135,6 @@ def test_kernel_mean_of_a_measure_and_of_its_law_agree(mu, data):
     want = (reference_prefix_prob(law, e), reference_kernel_expectation(law, e.alpha, e.k))
     assert kernel_mean(level_moments(law, e.k), N, e.k, e.alpha) == want
     assert kernel_mean(level_moments(mu, e.k), N, e.k, e.alpha) == want
-
-
-@given(count_vectors(), rational_measures(), st.integers(0, 4))
-def test_weak_convergence_gap_matches_fraction_sum(q, target, k_max):
-    law = exchangeable_law_from_counts(q)
-    gaps = dict(weak_convergence_gap(law, target, k_max).gaps)
-    for m in range(k_max + 1):
-        want = reference_kernel_expectation(law, m, m) - sum(w * p**m for p, w in target.atoms)
-        assert gaps[f"p^{m}"] == abs(want)
-    for k in range(1, k_max + 1):
-        for a in range(k + 1):
-            want = reference_kernel_expectation(law, a, k) - sum(
-                w * p**a * (1 - p) ** (k - a) for p, w in target.atoms
-            )
-            assert gaps[f"p^{a}(1-p)^{k - a}"] == abs(want)
 
 
 def _over_lcm(q):
@@ -167,15 +153,15 @@ def _over_lcm(q):
 )
 def test_exact_weights_are_validated(q, message):
     with pytest.raises(ValidationError, match=message):
-        exchangeable_law_from_counts(q)
+        SampleMeanLaw(N=len(q) - 1, weights=q)
     with pytest.raises(ValidationError, match=message):
         SampleMeanLaw.from_integer_ratios(*_over_lcm(q))
 
 
 def test_integer_form_is_none_only_for_float_laws():
-    exact = exchangeable_law_from_counts([F(1, 6), F(1, 3), F(1, 2)])
+    exact = SampleMeanLaw(N=2, weights=[F(1, 6), F(1, 3), F(1, 2)])
     assert exact.integer_form() == ((1, 2, 3), 6)
-    floats = exchangeable_law_from_counts([0.25, 0.25, 0.5])
+    floats = SampleMeanLaw(N=2, weights=[0.25, 0.25, 0.5])
     assert floats.integer_form() is None and not floats.is_exact
 
 
@@ -186,7 +172,7 @@ def test_law_mixing_fractions_and_a_float_holds_only_floats(tmp_path):
     assert not law.is_exact and law.integer_form() is None
     assert law.weights == (0.25, 0.5, 0.25)
     assert all(type(q) is float for q in law.weights)
-    atoms = recover_from_mean_law(law).measure.atoms
+    atoms = MixingMeasure.from_count_law(law).atoms
     assert atoms == ((0.0, 0.25), (0.5, 0.5), (1.0, 0.25))
     assert all(type(x) is float for atom in atoms for x in atom)
 

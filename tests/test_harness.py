@@ -16,7 +16,6 @@ from definetti.harness import (
     REGION_NAMES,
     mid_window_eps,
     ratio_scan,
-    sandwich_bound,
     scan_indices,
     tail_bounds_check,
     verify_approximation,
@@ -26,7 +25,6 @@ from definetti.model import (
     PrefixEvent,
     SampleMeanLaw,
     ValidationError,
-    exchangeable_law_from_counts,
     kernel_mean,
     level_moments,
     sample_mean_law,
@@ -269,34 +267,10 @@ def test_eps_mid_shrinks_with_n():
 # sandwich bound
 # ---------------------------------------------------------------------------
 
-def test_sandwich_trivial():
-    lo, hi = sandwich_bound((1, 2, 3), (1, 2, 3), 0)
-    assert lo == hi == 6
-
-
-def test_sandwich_contains_sum():
-    lo, hi = sandwich_bound((1.01, 1.99), (1.0, 2.0), 0.01)
-    assert lo <= 3.0 <= hi
-    assert lo == pytest.approx(0.99 * 3) and hi == pytest.approx(1.01 * 3)
-
-
-def test_sandwich_rejects_violations():
-    with pytest.raises(ValidationError):
-        sandwich_bound((1.1, 2.0), (1.0, 2.0), 0.01)   # ratio too far
-    with pytest.raises(ValidationError):
-        sandwich_bound((1.0,), (0.0,), 0.5)            # a > 0 where b = 0
-    with pytest.raises(ValidationError):
-        sandwich_bound((-1.0,), (1.0,), 0.5)
-    with pytest.raises(ValidationError):
-        sandwich_bound((1.0, 2.0), (1.0,), 0.1)
-    # a = 0 where b = 0 is fine
-    lo, hi = sandwich_bound((0, 1), (0, 1), 0)
-    assert lo == hi == 1
-
-
 def test_sandwich_self_test_on_verify_runs():
-    # the mid-region terms of any exact verification must satisfy the
-    # sandwich premises at eps = eps_mid, and the bound must contain lhs_mid
+    # the mid-region terms of any exact verification satisfy the sandwich
+    # premises at eps = eps_mid, |a_i / b_i - 1| <= eps_mid, so lhs_mid lies
+    # within (1 +- eps_mid) rhs_mid
     rng = random.Random(17)
     for _ in range(4):
         mu = random_rational_measure(rng)
@@ -310,8 +284,11 @@ def test_sandwich_self_test_on_verify_runs():
             q = law.weights[i]
             terms_a.append(conditional_prefix_prob(N, 3, 2, i) * q)
             terms_b.append(iid_kernel(N, 3, 2, i) * q)
-        lo, hi = sandwich_bound(terms_a, terms_b, rep.eps_mid)
-        assert lo <= rep.lhs_mid <= hi
+        pairs = list(zip(terms_a, terms_b))
+        assert all(abs(x / y - 1) <= rep.eps_mid for x, y in pairs if y)
+        assert all(x == 0 for x, y in pairs if not y)
+        assert sum(terms_a) == rep.lhs_mid and sum(terms_b) == rep.rhs_mid
+        assert (1 - rep.eps_mid) * rep.rhs_mid <= rep.lhs_mid <= (1 + rep.eps_mid) * rep.rhs_mid
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +345,7 @@ def test_verify_k1_identity(fair_coin):
 
 
 def test_verify_pathological_all_zeros():
-    law = exchangeable_law_from_counts([F(1)] + [F(0)] * 100)
+    law = SampleMeanLaw(N=100, weights=[F(1)] + [F(0)] * 100)
     rep = verify_approximation(law, PrefixEvent((1, 1)))
     assert rep.pathological
     assert rep.lhs == 0
@@ -380,7 +357,7 @@ def test_verify_pathological_above_support():
     # all mass above the matchable range: lhs = 0 but rhs > 0, carried
     # entirely by the above-support partial sum
     N = 20
-    law = exchangeable_law_from_counts([F(0)] * (N - 1) + [F(1), F(0)])
+    law = SampleMeanLaw(N=N, weights=[F(0)] * (N - 1) + [F(1), F(0)])
     rep = verify_approximation(law, PrefixEvent((1, 0, 0)))
     assert rep.pathological
     assert rep.lhs == 0
@@ -994,7 +971,7 @@ def test_pathological_decomposition_for_random_edge_laws():
         for s in chosen:
             q[s] = F(1, len(chosen))
         rep = verify_approximation(
-            exchangeable_law_from_counts(q), e, backend="exact"
+            SampleMeanLaw(N=N, weights=q), e, backend="exact"
         )
         assert rep.pathological and rep.lhs == 0
         assert rep.rhs == rep.rhs_below_alpha + rep.rhs_above_support

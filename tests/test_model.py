@@ -15,14 +15,12 @@ from definetti.model import (
     SampleMeanLaw,
     ValidationError,
     check_complete_monotonicity,
-    exchangeable_law_from_counts,
     mean_law_from_moments,
     mixture_prefix_prob,
     moments_from_measure,
     prefix_prob_from_mean_law,
     prefix_prob_from_moments,
     sample_mean_law,
-    support_consistency_check,
 )
 
 from conftest import random_rational_measure
@@ -85,10 +83,10 @@ def test_measure_validation():
 
 def test_count_law_validation():
     with pytest.raises(ValidationError):
-        exchangeable_law_from_counts([0.5, 0.6, -0.1])
+        SampleMeanLaw(N=2, weights=[0.5, 0.6, -0.1])
     with pytest.raises(ValidationError):
-        exchangeable_law_from_counts([F(1, 2), F(1, 4)])  # mass 3/4
-    law = exchangeable_law_from_counts([0, 1, 0])
+        SampleMeanLaw(N=1, weights=[F(1, 2), F(1, 4)])  # mass 3/4
+    law = SampleMeanLaw(N=2, weights=[0, 1, 0])
     assert law.N == 2
     assert prefix_prob_from_mean_law(law, PrefixEvent((1,))) == F(1, 2)
 
@@ -197,7 +195,7 @@ def test_lazy_weights_and_integer_form(three_atom_mu):
 def test_prefix_prob_from_mean_law_examples(fair_coin):
     binom4 = sample_mean_law(fair_coin, 4)
     assert prefix_prob_from_mean_law(binom4, PrefixEvent((1,))) == F(1, 2)
-    top = exchangeable_law_from_counts([F(0)] * 4 + [F(1)])
+    top = SampleMeanLaw(N=4, weights=[F(0)] * 4 + [F(1)])
     assert prefix_prob_from_mean_law(top, PrefixEvent((1, 1))) == 1
     law6 = sample_mean_law(fair_coin, 6)
     assert prefix_prob_from_mean_law(law6, PrefixEvent((1, 0))) == F(1, 4)
@@ -299,7 +297,7 @@ def test_mean_law_from_moments_float_cancellation_flag():
 
 
 # ---------------------------------------------------------------------------
-# support consistency
+# prefix probabilities of arbitrary count laws
 # ---------------------------------------------------------------------------
 
 def test_mean_law_prefix_partition_of_unity():
@@ -309,7 +307,7 @@ def test_mean_law_prefix_partition_of_unity():
     raw = [F(rng.randint(0, 9)) for _ in range(12)]
     raw[3] += 1  # guarantee positive mass
     total = sum(raw)
-    law = exchangeable_law_from_counts([w / total for w in raw])
+    law = SampleMeanLaw(N=len(raw) - 1, weights=[w / total for w in raw])
     for k in (1, 3, 5):
         assert (
             sum(
@@ -319,12 +317,3 @@ def test_mean_law_prefix_partition_of_unity():
             == 1
         )
 
-
-def test_support_consistency_examples():
-    law = exchangeable_law_from_counts([F(1)] + [F(0)] * 4)
-    assert support_consistency_check(law, PrefixEvent((1,))) is None
-    polya = exchangeable_law_from_counts([F(1, 3)] * 3)
-    assert support_consistency_check(polya, PrefixEvent((1, 0))) is None  # vacuous
-    # inconsistent vector: prefix probability 0 but mass at count 2
-    bad = exchangeable_law_from_counts([F(1, 2), F(0), F(1, 2)])
-    assert support_consistency_check(bad, PrefixEvent((1, 0))) == 2

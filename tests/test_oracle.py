@@ -8,8 +8,8 @@ import definetti as d
 from definetti.model import (
     MixingMeasure,
     PrefixEvent,
+    SampleMeanLaw,
     ValidationError,
-    exchangeable_law_from_counts,
     mixture_prefix_prob,
     prefix_prob_from_mean_law,
     sample_mean_law,
@@ -178,7 +178,7 @@ def test_permutation_invariance_sampled_larger():
 
 
 def test_word_law_from_count_law_exchangeable_and_invariant():
-    counts = exchangeable_law_from_counts([F(1, 6), F(1, 3), F(1, 3), F(1, 6)])
+    counts = SampleMeanLaw(N=3, weights=[F(1, 6), F(1, 3), F(1, 3), F(1, 6)])
     law = word_law_from_count_law(counts)
     assert law.is_exchangeable()
     for sigma in itertools.permutations(range(3)):

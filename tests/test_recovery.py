@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,14 +12,9 @@ from definetti.model import (
     moments_from_measure,
     sample_mean_law,
 )
-from definetti.recovery import (
-    cdf_distance,
-    recover_from_mean_law,
-    recover_from_moments,
-    weak_convergence_gap,
-)
+from definetti.recovery import recover_from_moments
 
-from conftest import random_rational_measure
+from conftest import kernel_gap, random_rational_measure
 
 F = Fraction
 
@@ -33,7 +29,7 @@ def polya_vector(n):
 
 def test_recover_polya_level2():
     rec = recover_from_moments(polya_vector(2), 2)
-    assert rec.level == 2 and rec.source == "moments"
+    assert rec.level == 2
     assert rec.measure.atoms == (
         (F(0), F(1, 3)),
         (F(1, 2), F(1, 3)),
@@ -99,13 +95,6 @@ def test_moment_matching_improves_with_level():
             assert gaps[-1] == 0  # the mean is matched exactly at every level
 
 
-def test_recover_from_mean_law_source(fair_coin):
-    law = sample_mean_law(fair_coin, 4)
-    rec = recover_from_mean_law(law)
-    assert rec.source == "mean-law" and rec.level == 4
-    assert rec.measure.atoms[0] == (F(0), F(1, 16))
-
-
 # ---------------------------------------------------------------------------
 # weak convergence diagnostics
 # ---------------------------------------------------------------------------
@@ -115,62 +104,51 @@ def test_monomial_gap_m1_always_zero():
     for _ in range(4):
         mu = random_rational_measure(rng)
         N = rng.randint(8, 120)
-        diag = weak_convergence_gap(sample_mean_law(mu, N), mu, 3)
-        assert diag.gap("p^0") == 0
-        assert diag.gap("p^1") == 0
+        law = sample_mean_law(mu, N)
+        assert kernel_gap(law, mu, 0, 0) == 0
+        assert kernel_gap(law, mu, 1, 1) == 0
 
 
 def test_variance_gap_point_mass(fair_coin):
-    diag = weak_convergence_gap(sample_mean_law(fair_coin, 100), fair_coin, 2)
-    assert diag.gap("p^2") == F(1, 400)
+    assert kernel_gap(sample_mean_law(fair_coin, 100), fair_coin, 2, 2) == F(1, 400)
 
 
 def test_gaps_shrink_with_n(three_atom_mu):
-    small = weak_convergence_gap(sample_mean_law(three_atom_mu, 100), three_atom_mu, 4)
-    big = weak_convergence_gap(sample_mean_law(three_atom_mu, 1000), three_atom_mu, 4)
+    small = sample_mean_law(three_atom_mu, 100)
+    big = sample_mean_law(three_atom_mu, 1000)
     for m in range(2, 5):
-        assert big.gap(f"p^{m}") < small.gap(f"p^{m}")
+        assert abs(kernel_gap(big, three_atom_mu, m, m)) < abs(kernel_gap(small, three_atom_mu, m, m))
 
 
 def test_kernel_gaps_present_and_nonnegative(three_atom_mu):
-    diag = weak_convergence_gap(sample_mean_law(three_atom_mu, 50), three_atom_mu, 3)
-    names = [name for name, _ in diag.gaps]
-    assert "p^1(1-p)^2" in names and "p^3(1-p)^0" in names
-    assert all(g >= 0 for _, g in diag.gaps)
-    assert diag.max_gap() >= diag.gap("p^2")
+    # the kernels C(k, a) p^a (1-p)^(k-a) sum to one over a under both the
+    # law and the measure, so their weighted gaps cancel at every k
+    law = sample_mean_law(three_atom_mu, 50)
+    for k in range(1, 4):
+        gaps = [kernel_gap(law, three_atom_mu, a, k) for a in range(k + 1)]
+        assert all(isinstance(g, Fraction) for g in gaps)
+        assert sum(math.comb(k, a) * g for a, g in enumerate(gaps)) == 0
+        assert any(gaps) == (k >= 2)
 
 
 def test_gap_float_law_close_to_exact(three_atom_mu):
     mu_f = MixingMeasure(tuple((float(p), float(w)) for p, w in three_atom_mu.atoms))
-    exact = weak_convergence_gap(sample_mean_law(three_atom_mu, 40), three_atom_mu, 3)
-    approx = weak_convergence_gap(sample_mean_law(mu_f, 40), mu_f, 3)
-    for (name, g_ex), (_, g_fl) in zip(exact.gaps, approx.gaps):
-        assert abs(g_fl - float(g_ex)) < 1e-12, name
+    exact = sample_mean_law(three_atom_mu, 40)
+    approx = sample_mean_law(mu_f, 40)
+    for k in range(4):
+        for a in range(k + 1):
+            law_side = math.fsum(
+                (i / 40) ** a * (1 - i / 40) ** (k - a) * q for i, q in enumerate(approx.weights)
+            )
+            mu_side = math.fsum(w * p**a * (1 - p) ** (k - a) for p, w in mu_f.atoms)
+            want = float(kernel_gap(exact, three_atom_mu, a, k))
+            assert abs(law_side - mu_side - want) < 1e-12, (a, k)
 
 
 # ---------------------------------------------------------------------------
-# CDF distance
+# level-n recovery of the uniform mixing measure
 # ---------------------------------------------------------------------------
-
-def test_cdf_distance_identical_and_extremes():
-    a = MixingMeasure(((F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))))
-    assert cdf_distance(a, a) == 0
-    d0 = MixingMeasure.point_mass(F(0))
-    d1 = MixingMeasure.point_mass(F(1))
-    assert cdf_distance(d0, d1) == 1
-    assert cdf_distance(d1, d0) == 1
-
-
-def test_cdf_distance_simple_hand_value():
-    a = MixingMeasure.point_mass(F(1, 4))
-    b = MixingMeasure.point_mass(F(3, 4))
-    # F_a = 1 on [1/4, 1), F_b = 0 there
-    assert cdf_distance(a, b) == 1
-    c = MixingMeasure(((F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))))
-    assert cdf_distance(a, c) == F(1, 2)
-
 
 def test_polya_recovery_close_to_uniform_grid():
     rec = recover_from_moments(polya_vector(16), 16)
-    grid = MixingMeasure(tuple((F(i, 16), F(1, 17)) for i in range(17)))
-    assert cdf_distance(rec.measure, grid) == 0
+    assert rec.measure.atoms == tuple((F(i, 16), F(1, 17)) for i in range(17))
