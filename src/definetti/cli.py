@@ -9,15 +9,15 @@ streams that plan's blocks as ``_blocktext.texts`` scans and formats them:
 each SCAN_BLOCK_ROWS-row block (8,192 rows, about 0.6 MB of CSV) is written
 in order, so no process holds the whole scan or more than a few MB of it,
 and a failed ratio guard (exit 3) follows the blocks before it.
-Scans of at least SCAN_POOL_MIN_ROWS rows for the start method (a count
-that does not depend on the block size) run on worker processes: one per
-usable CPU, at most SCAN_MAX_WORKERS and never more than there are blocks.
-Each worker scans and formats its own share of the blocks and sends their
-texts as raw bytes on a one-way pipe; the parent only receives them in
-block order and writes them, as bytes to an --out file and as text to
-stdout.  Smaller scans, and one usable CPU, run in-process.  The bytes do
-not depend on the CPU count.  ``_blocktext`` makes the texts; only
-ratio-scan imports it.
+Scans of at least SCAN_POOL_MIN_ROWS rows (a count that does not depend
+on the block size) run on forked worker processes on Linux, whatever start
+method a caller set: one per usable CPU, at most SCAN_MAX_WORKERS and never
+more than there are blocks.  Each worker scans and formats its own share of
+the blocks and sends their texts as raw bytes on a one-way pipe; the parent
+only receives them in block order and writes them, as bytes to an --out
+file and as text to stdout.  Smaller scans, one usable CPU and other
+platforms run in-process.  The bytes do not depend on the CPU count.
+``_blocktext`` makes the texts; only ratio-scan imports it.
 
 Each subcommand declares the options it reads and those it requires
 (COMMANDS), and argparse checks every command line against that table, so
@@ -63,16 +63,14 @@ ERRORS = {
 }
 
 SCAN_BLOCK_ROWS = harness.SCAN_BLOCK_ROWS   # ratio-scan CSV rows formatted per write
-# Smaller scans format in-process, whatever the block size: below these row
-# counts, per start method, starting workers costs more than it saves.  A
-# forked worker has the parent's imports; a spawn or forkserver one starts
-# an interpreter and imports numpy.  Cold runs on 2 CPUs put the break-even
-# near 150,000 rows for fork and 1,300,000 for spawn and forkserver.
-SCAN_POOL_MIN_ROWS = {"fork": 200_000, "forkserver": 1_300_000, "spawn": 1_300_000}
-# Each worker adds 7 (fork) to 28 MB (spawn, forkserver) to the process
-# tree, and its block workspace about 4 MB more; 4 bound that while keeping
-# the parent, which only receives and writes (about 1 ms of its own per
-# block that takes a worker 7-9 ms), far from saturated.
+# Smaller scans format in-process, whatever the block size: below this row
+# count starting workers costs more than it saves.  A forked worker has the
+# parent's imports, and cold runs on 2 CPUs put the break-even near 150,000.
+SCAN_POOL_MIN_ROWS = 200_000
+# Each worker adds about 7 MB to the process tree, and its block workspace
+# about 4 MB more; 4 bound that while keeping the parent, which only
+# receives and writes (about 1 ms of its own per block that takes a worker
+# 7-9 ms), far from saturated.
 SCAN_MAX_WORKERS = 4
 # A worker sends each text in pieces this long, which the parent receives
 # into one buffer: Connection reads a message with reads as long as the
@@ -178,29 +176,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _start_method() -> str:
-    """The start method workers would take: the one set, else the
-    platform's default, which this leaves unset."""
-    import multiprocessing
-
-    return multiprocessing.get_start_method(allow_none=True) or multiprocessing.get_all_start_methods()[0]
-
-
-def _pool_min_rows() -> int:
-    """SCAN_POOL_MIN_ROWS for the start method workers would take."""
-    return SCAN_POOL_MIN_ROWS[_start_method()]
+    return len(os.sched_getaffinity(0))
 
 
 def _scan_workers(rows: int) -> int:
     """Block workers for a ``rows``-row scan: 1 (in-process) below
-    ``_pool_min_rows()``, else one per usable CPU, at most SCAN_MAX_WORKERS
-    and never more than there are blocks."""
-    if rows < _pool_min_rows():
+    SCAN_POOL_MIN_ROWS or off Linux, else one per usable CPU, at most
+    SCAN_MAX_WORKERS and never more than there are blocks."""
+    if rows < SCAN_POOL_MIN_ROWS or sys.platform != "linux":
         return 1
     return min(_usable_cpus(), SCAN_MAX_WORKERS, -(-rows // SCAN_BLOCK_ROWS))
 
@@ -212,7 +195,7 @@ def _format_worker(conn, readers, plan, share, shares) -> None:
     exception instead.  Returns quietly when the parent goes away or the
     user interrupts.
 
-    A forked worker holds copies of the parent's reading ends of the pipes
+    A worker holds forked copies of the parent's reading ends of the pipes
     made so far, its own among them; it closes them, or a killed parent
     would leave it blocked on a pipe that never breaks.
     """
@@ -237,13 +220,15 @@ def _format_worker(conn, readers, plan, share, shares) -> None:
 @contextlib.contextmanager
 def _block_formatter(plan, workers: int):
     """``_blocktext.texts(plan)`` in block order: worker w of ``workers``
-    runs the share w on its own and sends each item on a one-way pipe,
-    waiting until the parent takes it; in-process below 2 workers.  The
-    parent reads the pipes in turn, on its own thread, each text into one
-    buffer, and yields a view of it that holds until the next: a helper
+    runs the share w in a forked process and sends each item on a one-way
+    pipe, waiting until the parent takes it; in-process below 2 workers.
+    The parent reads the pipes in turn, on its own thread, each text into
+    one buffer, and yields a view of it that holds until the next: a helper
     thread would receive the texts into a malloc arena of its own, which
-    holds on to its peak.  The workers are gone when the block exits, also
-    when the consumer raises.
+    holds on to its peak.  The CLI starts no other Python thread, so a fork
+    copies no lock that one holds; numpy's BLAS may keep an idle thread,
+    which the workers never call into.  The workers are gone when the block
+    exits, also when the consumer raises.
     """
     from . import _blocktext, _kernels   # before any worker forks
 
@@ -252,9 +237,10 @@ def _block_formatter(plan, workers: int):
         return
     import multiprocessing
 
-    if plan[6] == "log" and _start_method() == "fork":
-        # forked workers inherit the parent's caches: build the digit
-        # kernel's tables once here, not in each worker
+    fork = multiprocessing.get_context("fork")
+    if plan[6] == "log":
+        # the workers inherit the parent's caches: build the digit kernel's
+        # tables once here, not in each worker
         _kernels._phi_table()
         _blocktext._digit_tables()
     readers, procs = [], []
@@ -279,9 +265,9 @@ def _block_formatter(plan, workers: int):
 
     try:
         for share in range(workers):
-            reader, writer = multiprocessing.Pipe(duplex=False)
+            reader, writer = fork.Pipe(duplex=False)
             readers.append(reader)
-            proc = multiprocessing.Process(
+            proc = fork.Process(
                 target=_format_worker, args=(writer, readers, plan, share, workers), daemon=True
             )
             proc.start()
@@ -500,16 +486,12 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, sub.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, for an argv that names none."""
-    return _parsers()[0]
-
-
 def parse_args(argv: list[str]) -> tuple[str, argparse.Namespace]:
     """(subcommand, its options) from argv.  A subcommand named first is
     parsed by its own parser, so a usage error shows that subcommand's usage
-    line; anything else (no arguments, -h, an unknown name) goes to
-    ``build_parser``.  A usage error exits 2 with argparse's usage text."""
+    line; anything else (no arguments, -h, an unknown name) goes to the
+    parser of every subcommand.  A usage error exits 2 with argparse's usage
+    text."""
     parser, commands = _parsers()
     if argv and argv[0] in commands:
         return argv[0], commands[argv[0]].parse_args(argv[1:])

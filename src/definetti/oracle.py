@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .model import MixingMeasure, PrefixEvent, ValidationError
 
@@ -35,12 +34,6 @@ class WordLaw:
         if any(w < 0 for w in self.weights):
             raise ValidationError("word weights must be nonnegative")
 
-    def word_tuple(self, word: int) -> tuple[int, ...]:
-        return tuple((word >> (self.N - 1 - j)) & 1 for j in range(self.N))
-
-    def words(self) -> Iterator[int]:
-        return iter(range(1 << self.N))
-
     def is_exchangeable(self) -> bool:
         """True iff the weight depends on the word only through its one-count."""
         seen: dict[int, Fraction] = {}
@@ -52,19 +45,6 @@ class WordLaw:
             else:
                 seen[c] = w
         return True
-
-    def permuted(self, sigma: Sequence[int]) -> "WordLaw":
-        """Pushforward under a coordinate permutation (sigma maps old -> new)."""
-        if sorted(sigma) != list(range(self.N)):
-            raise ValidationError("not a permutation of 0..N-1")
-        out = [Fraction(0)] * (1 << self.N)
-        for word, w in enumerate(self.weights):
-            new = 0
-            for j in range(self.N):
-                bit = (word >> (self.N - 1 - j)) & 1
-                new |= bit << (self.N - 1 - sigma[j])
-            out[new] += w
-        return WordLaw(N=self.N, weights=tuple(out))
 
     def count_prob(self, i: int) -> Fraction:
         return sum(
@@ -97,24 +77,6 @@ def word_law_from_mixture(mu: MixingMeasure, N: int) -> WordLaw:
         )
     weights = tuple(by_count[word.bit_count()] for word in range(1 << N))
     return WordLaw(N=N, weights=weights)
-
-
-def word_law_from_count_law(count_law) -> WordLaw:
-    """Spread a count law uniformly over each one-count class of words.
-
-    This is the canonical exchangeable word law with the given counts:
-    weight(word) = q_{ones(word)} / C(N, ones(word)).
-    """
-    from math import comb
-
-    N = count_law.N
-    if N > WORD_CAP:
-        raise ValidationError(f"oracle capped at N = {WORD_CAP}, got {N}")
-    q = [Fraction(x) for x in count_law.weights]
-    per_word = [q[c] / comb(N, c) for c in range(N + 1)]
-    return WordLaw(
-        N=N, weights=tuple(per_word[w.bit_count()] for w in range(1 << N))
-    )
 
 
 def brute_prefix_prob(law: WordLaw, e: PrefixEvent) -> Fraction:

@@ -12,6 +12,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -431,15 +432,7 @@ def small_blocks(monkeypatch):
     """997-row CSV blocks, so block edges fall inside regions, and workers
     for scans of any size."""
     monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", 997)
-    monkeypatch.setattr(cli, "SCAN_POOL_MIN_ROWS", dict.fromkeys(cli.SCAN_POOL_MIN_ROWS, 0))
-
-
-@pytest.fixture(params=sorted(multiprocessing.get_all_start_methods()))
-def start_method(request):
-    original = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method(request.param, force=True)
-    yield request.param
-    multiprocessing.set_start_method(original, force=True)
+    monkeypatch.setattr(cli, "SCAN_POOL_MIN_ROWS", 0)
 
 
 def _record_workers(monkeypatch):
@@ -453,6 +446,21 @@ def _record_workers(monkeypatch):
 
     monkeypatch.setattr(cli, "_block_formatter", recording)
     return counts
+
+
+def _record_starts(monkeypatch, record):
+    """record(process) for every process that starts, in start order: a
+    patch on BaseProcess.start, which ForkProcess takes where it would not
+    see one on multiprocessing.Process.start."""
+    seen = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recording(proc):
+        seen.append(record(proc))
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording)
+    return seen
 
 
 # at k = 5 the "num/den" fields of an exact block take more than ROW_MAX
@@ -496,7 +504,7 @@ def test_ratio_scan_to_a_text_only_stdout(small_blocks):
 def test_scan_workers_threshold_and_cap(monkeypatch):
     # only counts: no process starts here, so the CPU count may exceed the machine's
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
-    threshold = cli._pool_min_rows()
+    threshold = cli.SCAN_POOL_MIN_ROWS
     assert cli._scan_workers(threshold - 1) == 1
     assert cli._scan_workers(threshold) == min(
         cli.SCAN_MAX_WORKERS, -(-threshold // cli.SCAN_BLOCK_ROWS)
@@ -506,18 +514,18 @@ def test_scan_workers_threshold_and_cap(monkeypatch):
     assert cli._scan_workers(10**8) == 1
 
 
-def test_scan_workers_threshold_follows_the_start_method(start_method, monkeypatch):
-    # forked workers start cheaply and pay off at far fewer rows; counts only
+def test_scan_workers_off_linux_scan_in_process(monkeypatch):
+    # counts only: where the pool cannot fork, every scan runs in-process
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    threshold = cli.SCAN_POOL_MIN_ROWS[start_method]
-    assert cli._pool_min_rows() == threshold
-    assert (cli._scan_workers(threshold - 1), cli._scan_workers(threshold)) == (1, 2)
+    for platform in ("darwin", "win32"):
+        monkeypatch.setattr(sys, "platform", platform)
+        assert cli._scan_workers(10**8) == 1
 
 
 def test_ratio_scan_below_pool_threshold_starts_no_workers(tmp_path, monkeypatch):
     # two blocks, but too few rows to repay starting workers
     N = cli.SCAN_BLOCK_ROWS + 10
-    assert N + 1 < cli._pool_min_rows()
+    assert N + 1 < cli.SCAN_POOL_MIN_ROWS
     workers = _record_workers(monkeypatch)
     out_file = tmp_path / "scan.csv"
     argv = ["ratio-scan", "-N", str(N), "--pattern", "1,0", "--out", str(out_file)]
@@ -527,12 +535,37 @@ def test_ratio_scan_below_pool_threshold_starts_no_workers(tmp_path, monkeypatch
     assert multiprocessing.active_children() == []
 
 
-def test_ratio_scan_csv_under_every_start_method(start_method, small_blocks, tmp_path):
-    expected = _reference_scan_csv(10**4, 3, 1, 1, "log")
+@pytest.mark.parametrize("method", sorted(multiprocessing.get_all_start_methods()))
+def test_ratio_scan_csv_under_every_start_method(method, tmp_path, monkeypatch):
+    # the start method a caller set changes neither the threshold nor how
+    # the workers start: they fork
+    started = _record_starts(monkeypatch, lambda proc: proc._start_method)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    original = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        threshold = cli.SCAN_POOL_MIN_ROWS
+        assert (cli._scan_workers(threshold - 1), cli._scan_workers(threshold)) == (1, 2)
+        monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", 997)
+        monkeypatch.setattr(cli, "SCAN_POOL_MIN_ROWS", 0)
+        out_file = tmp_path / "scan.csv"
+        assert main(["ratio-scan", "-N", "10000", "--pattern", "0,1,0", "--out", str(out_file)]) == 0
+    finally:
+        multiprocessing.set_start_method(original, force=True)
+    assert out_file.read_bytes() == _reference_scan_csv(10**4, 3, 1, 1, "log").encode()
+    assert started == ["fork", "fork"]
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_fork_from_the_only_python_thread(small_blocks, tmp_path, monkeypatch):
+    # a fork copies only the forking thread, and with it any lock another
+    # thread held; the CLI starts none.  numpy's BLAS may keep an idle OS
+    # thread, which threading does not count and the workers never call into
+    threads = _record_starts(monkeypatch, lambda proc: threading.active_count())
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     out_file = tmp_path / "scan.csv"
-    argv = ["ratio-scan", "-N", "10000", "--pattern", "0,1,0", "--out", str(out_file)]
-    assert main(argv) == 0
-    assert out_file.read_bytes() == expected.encode()
+    assert main(["ratio-scan", "-N", "10000", "--pattern", "1,0", "--out", str(out_file)]) == 0
+    assert threads == [1, 1]
     assert multiprocessing.active_children() == []
 
 
@@ -544,7 +577,7 @@ def test_ratio_scan_failed_write_leaves_no_workers(small_blocks):
     assert multiprocessing.active_children() == []
 
 
-def test_ratio_scan_invariant_failure_mid_stream(start_method, small_blocks, monkeypatch, capsys):
+def test_ratio_scan_invariant_failure_mid_stream(small_blocks, monkeypatch, capsys):
     # for an all-ones pattern a_i / b_i = i^(k) N^k / (i^k N^(k)) with falling
     # factorials x^(k); a correction of 1/2 is first crossed past the blocks
     # that can be in flight, so earlier blocks are already written
@@ -568,11 +601,11 @@ def test_ratio_scan_invariant_failure_mid_stream(start_method, small_blocks, mon
 
 @pytest.mark.parametrize("block_rows", ["default", 997])
 def test_ratio_scan_pool_threshold_is_in_rows(block_rows, tmp_path, monkeypatch):
-    # one row short of the default start method's threshold: with fork, 25
-    # blocks at the default size and 201 at 997 rows, and no worker at either
+    # one row short of the threshold: 25 blocks at the default size and 201
+    # at 997 rows, and no worker at either
     if block_rows != "default":
         monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", block_rows)
-    rows = cli._pool_min_rows() - 1
+    rows = cli.SCAN_POOL_MIN_ROWS - 1
     assert cli._scan_workers(rows) == 1
     workers = _record_workers(monkeypatch)
     out_file = tmp_path / "scan.csv"
@@ -584,7 +617,7 @@ def test_ratio_scan_pool_threshold_is_in_rows(block_rows, tmp_path, monkeypatch)
 
 def _in_process_scan_peak(N, out_file):
     """The tracemalloc peak, in MB, of an in-process ``ratio-scan`` to a file."""
-    assert N + 1 < cli._pool_min_rows()
+    assert N + 1 < cli.SCAN_POOL_MIN_ROWS
     tracemalloc.start()
     try:
         code = main(["ratio-scan", "-N", str(N), "--pattern", "1,1,0,0,0", "--out", str(out_file)])
@@ -658,28 +691,15 @@ def test_block_formatter_relays_worker_errors():
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
 def test_forked_workers_inherit_the_digit_tables(monkeypatch):
     # the parent builds the digit kernel's tables before the first worker
     # forks, so that no worker builds them again
-    filled = []
-    start = multiprocessing.Process.start
-
-    def recording(proc):
-        filled.append((_kernels._phi_table.cache_info().currsize,
-                       _blocktext._digit_tables.cache_info().currsize))
-        start(proc)
-
-    monkeypatch.setattr(multiprocessing.Process, "start", recording)
-    original = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("fork", force=True)
+    filled = _record_starts(monkeypatch, lambda proc: (_kernels._phi_table.cache_info().currsize,
+                                                       _blocktext._digit_tables.cache_info().currsize))
     _kernels._phi_table.cache_clear()
     _blocktext._digit_tables.cache_clear()
-    try:
-        with cli._block_formatter(harness._scan_plan(10**4, 2, 1, 1, "log", 997), 2) as texts:
-            rows = b"".join(bytes(text) for text, _ in texts).decode()
-    finally:
-        multiprocessing.set_start_method(original, force=True)
+    with cli._block_formatter(harness._scan_plan(10**4, 2, 1, 1, "log", 997), 2) as texts:
+        rows = b"".join(bytes(text) for text, _ in texts).decode()
     # the CSV between its header and its summary line
     assert rows == _reference_scan_csv(10**4, 2, 1, 1, "log").split("\n", 1)[1].rsplit("\n", 2)[0] + "\n"
     assert filled == [(1, 1), (1, 1)]
@@ -1388,7 +1408,7 @@ def test_readme_cli_lines_parse():
         command, args = cli.parse_args(argv)
         assert command == argv[0]
         # the full parser, used when argv names no subcommand, reads them alike
-        assert vars(cli.build_parser().parse_args(argv)) == {**vars(args), "command": command}
+        assert vars(cli._parsers()[0].parse_args(argv)) == {**vars(args), "command": command}
 
 
 def test_readme_library_quick_start_runs(capsys):
@@ -1504,7 +1524,7 @@ _SCAN_INTO_CLOSED_PIPE = """
 import multiprocessing, sys
 from definetti import cli
 if sys.argv[2] == "workers":
-    cli.SCAN_BLOCK_ROWS, cli.SCAN_POOL_MIN_ROWS = 997, dict.fromkeys(cli.SCAN_POOL_MIN_ROWS, 0)
+    cli.SCAN_BLOCK_ROWS, cli.SCAN_POOL_MIN_ROWS = 997, 0
 code = cli.main(["ratio-scan", "-N", "100000", "--pattern", "1,0"])
 with open(sys.argv[1], "w") as fh:
     fh.write(f"{code} {len(multiprocessing.active_children())}")

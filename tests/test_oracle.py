@@ -8,7 +8,6 @@ import definetti as d
 from definetti.model import (
     MixingMeasure,
     PrefixEvent,
-    SampleMeanLaw,
     ValidationError,
     mixture_prefix_prob,
     prefix_prob_from_mean_law,
@@ -19,7 +18,6 @@ from definetti.oracle import (
     all_prefix_probs,
     brute_conditional_prefix,
     brute_prefix_prob,
-    word_law_from_count_law,
     word_law_from_mixture,
 )
 
@@ -45,13 +43,6 @@ def test_word_law_caps_and_rejections():
         word_law_from_mixture(MixingMeasure.point_mass(F(1, 2)), 21)
     with pytest.raises(ValidationError):
         word_law_from_mixture(MixingMeasure.point_mass(0.5), 4)  # float atoms
-
-
-def test_word_tuple_is_lexicographic():
-    law = word_law_from_mixture(MixingMeasure.point_mass(F(1, 3)), 3)
-    tuples = [law.word_tuple(w) for w in law.words()]
-    assert tuples == sorted(tuples)
-    assert tuples[0] == (0, 0, 0) and tuples[-1] == (1, 1, 1)
 
 
 def test_brute_prefix_prob(fair_coin):
@@ -157,39 +148,3 @@ def test_conditional_uniformity_within_count_class():
     for word, w in enumerate(law.weights):
         by_count.setdefault(word.bit_count(), set()).add(w)
     assert all(len(vals) == 1 for vals in by_count.values())
-
-
-def test_permutation_invariance_exhaustive_small():
-    rng = random.Random(7)
-    mu = random_rational_measure(rng)
-    law = word_law_from_mixture(mu, 4)
-    for sigma in itertools.permutations(range(4)):
-        assert law.permuted(sigma).weights == law.weights
-
-
-def test_permutation_invariance_sampled_larger():
-    rng = random.Random(8)
-    mu = random_rational_measure(rng)
-    law = word_law_from_mixture(mu, 9)
-    perm = list(range(9))
-    for _ in range(10):
-        rng.shuffle(perm)
-        assert law.permuted(tuple(perm)).weights == law.weights
-
-
-def test_word_law_from_count_law_exchangeable_and_invariant():
-    counts = SampleMeanLaw(N=3, weights=[F(1, 6), F(1, 3), F(1, 3), F(1, 6)])
-    law = word_law_from_count_law(counts)
-    assert law.is_exchangeable()
-    for sigma in itertools.permutations(range(3)):
-        assert law.permuted(sigma).weights == law.weights
-    # implied pairwise probability matches the conditional-weight formula
-    assert brute_prefix_prob(law, PrefixEvent((1, 1))) == prefix_prob_from_mean_law(
-        counts, PrefixEvent((1, 1))
-    )
-
-
-def test_permuted_rejects_non_permutation():
-    law = word_law_from_mixture(MixingMeasure.point_mass(F(1, 2)), 3)
-    with pytest.raises(ValidationError):
-        law.permuted((0, 0, 1))
