@@ -435,6 +435,15 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(cli, "SCAN_POOL_MIN_ROWS", 0)
 
 
+@pytest.fixture(params=sorted(multiprocessing.get_all_start_methods()))
+def start_method(request):
+    """Each start method a caller may set; the scan's workers fork under all."""
+    original = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    yield request.param
+    multiprocessing.set_start_method(original, force=True)
+
+
 def _record_workers(monkeypatch):
     """Record the worker count of every ratio-scan block formatter."""
     counts = []
@@ -514,6 +523,13 @@ def test_scan_workers_threshold_and_cap(monkeypatch):
     assert cli._scan_workers(10**8) == 1
 
 
+def test_scan_workers_threshold_follows_the_start_method(start_method, monkeypatch):
+    # counts only: the start method a caller set leaves the threshold as it is
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    threshold = cli.SCAN_POOL_MIN_ROWS
+    assert (cli._scan_workers(threshold - 1), cli._scan_workers(threshold)) == (1, 2)
+
+
 def test_scan_workers_off_linux_scan_in_process(monkeypatch):
     # counts only: where the pool cannot fork, every scan runs in-process
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -535,23 +551,12 @@ def test_ratio_scan_below_pool_threshold_starts_no_workers(tmp_path, monkeypatch
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("method", sorted(multiprocessing.get_all_start_methods()))
-def test_ratio_scan_csv_under_every_start_method(method, tmp_path, monkeypatch):
-    # the start method a caller set changes neither the threshold nor how
-    # the workers start: they fork
+def test_ratio_scan_csv_under_every_start_method(start_method, small_blocks, tmp_path, monkeypatch):
+    # the start method a caller set does not change how the workers start: they fork
     started = _record_starts(monkeypatch, lambda proc: proc._start_method)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    original = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method(method, force=True)
-    try:
-        threshold = cli.SCAN_POOL_MIN_ROWS
-        assert (cli._scan_workers(threshold - 1), cli._scan_workers(threshold)) == (1, 2)
-        monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", 997)
-        monkeypatch.setattr(cli, "SCAN_POOL_MIN_ROWS", 0)
-        out_file = tmp_path / "scan.csv"
-        assert main(["ratio-scan", "-N", "10000", "--pattern", "0,1,0", "--out", str(out_file)]) == 0
-    finally:
-        multiprocessing.set_start_method(original, force=True)
+    out_file = tmp_path / "scan.csv"
+    assert main(["ratio-scan", "-N", "10000", "--pattern", "0,1,0", "--out", str(out_file)]) == 0
     assert out_file.read_bytes() == _reference_scan_csv(10**4, 3, 1, 1, "log").encode()
     assert started == ["fork", "fork"]
     assert multiprocessing.active_children() == []
@@ -577,7 +582,7 @@ def test_ratio_scan_failed_write_leaves_no_workers(small_blocks):
     assert multiprocessing.active_children() == []
 
 
-def test_ratio_scan_invariant_failure_mid_stream(small_blocks, monkeypatch, capsys):
+def test_ratio_scan_invariant_failure_mid_stream(start_method, small_blocks, monkeypatch, capsys):
     # for an all-ones pattern a_i / b_i = i^(k) N^k / (i^k N^(k)) with falling
     # factorials x^(k); a correction of 1/2 is first crossed past the blocks
     # that can be in flight, so earlier blocks are already written
