@@ -23,30 +23,20 @@ from .model import (
     check_complete_monotonicity,
     mean_law_from_moments,
     mixture_prefix_prob,
-    moments_from_measure,
     prefix_prob_from_mean_law,
     prefix_prob_from_moments,
     sample_mean_law,
 )
 from .numerics import (
     DomainError,
-    RatioFactors,
     RegionBounds,
-    binomial,
     conditional_prefix_prob,
     iid_kernel,
-    ratio_factors,
-    ratio_within_correction,
     region_bounds,
     replacement_correction,
     replacement_correction_float,
 )
-from .oracle import (
-    WordLaw,
-    brute_conditional_prefix,
-    brute_prefix_prob,
-    word_law_from_mixture,
-)
+from .oracle import WordLaw, word_law_from_mixture
 from .recovery import RecoveredMeasure, recover_from_moments
 
 __version__ = "0.1.0"
@@ -57,7 +47,6 @@ __all__ = [
     "MixingMeasure",
     "MomentVector",
     "PrefixEvent",
-    "RatioFactors",
     "RatioScan",
     "RecoveredMeasure",
     "RegionBounds",
@@ -66,20 +55,14 @@ __all__ = [
     "ValidationError",
     "VerificationReport",
     "WordLaw",
-    "binomial",
-    "brute_conditional_prefix",
-    "brute_prefix_prob",
     "check_complete_monotonicity",
     "conditional_prefix_prob",
     "iid_kernel",
     "mean_law_from_moments",
     "mixture_prefix_prob",
-    "moments_from_measure",
     "prefix_prob_from_mean_law",
     "prefix_prob_from_moments",
-    "ratio_factors",
     "ratio_scan",
-    "ratio_within_correction",
     "recover_from_moments",
     "region_bounds",
     "replacement_correction",

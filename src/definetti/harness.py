@@ -51,7 +51,6 @@ from .model import (
 from .numerics import (
     RegionBounds,
     check_index_range,
-    iid_kernel,
     region_bounds,
     replacement_correction,
     replacement_correction_float,
@@ -412,11 +411,12 @@ def tail_bounds_check(N: int, k: int, alpha: int) -> TailBounds:
     upper_applicable = alpha <= k - 1
 
     lower_cap, upper_cap = _tail_caps(N, k, alpha)
+    # the kernel (i/N)^alpha (1-i/N)^beta is i^alpha (N-i)^beta over N^k:
+    # sum and max the integer numerators, then reduce once
+    beta = k - alpha
     lower_sum = lower_chain_mid = lower_ok = None
     if lower_applicable:
-        lower_sum = sum(
-            (iid_kernel(N, k, alpha, i) for i in range(b.M1 + 1)), Fraction(0)
-        )
+        lower_sum = Fraction(sum(i**alpha * (N - i) ** beta for i in range(b.M1 + 1)), N**k)
         lower_chain_mid = Fraction(b.M1 ** (1 + alpha), N**alpha)
         # sum <= N^(-(2a-1)/3)  <=>  sum^3 * N^(2a-1) <= 1, exactly
         chain_first = lower_sum <= lower_chain_mid
@@ -427,12 +427,9 @@ def tail_bounds_check(N: int, k: int, alpha: int) -> TailBounds:
             raise AssertionError("inconsistent tail chain")  # unreachable
     upper_max = upper_ok = None
     if upper_applicable:
-        upper_max = max(
-            (iid_kernel(N, k, alpha, i) for i in range(b.M2 + 1, N + 1)),
-            default=Fraction(0),
-        )
+        upper_max = Fraction(max(i**alpha * (N - i) ** beta for i in range(b.M2 + 1, N + 1)), N**k)
         # max <= N^(-(k-a)/2)  <=>  max^2 * N^(k-a) <= 1, exactly
-        upper_ok = bool(upper_max**2 * N ** (k - alpha) <= 1)
+        upper_ok = bool(upper_max**2 * N**beta <= 1)
     return TailBounds(
         N=N,
         k=k,
@@ -472,7 +469,8 @@ def mid_window_eps(N: int, k: int, alpha: int, bounds: RegionBounds) -> Fraction
       there is exactly 1.
     * On the support, rho(i) = a_i / b_i = falling(i) * edge(i) * r with
       log falling = sum_{m<alpha} log(1 - m/i) and
-      log edge = sum_{0<j<k-alpha} log(1 - j/(N-i)).  Every term is concave
+      log edge = sum_{0<j<k-alpha} log(1 - j/(N-i)).  Both factors lie in
+      (0, 1], so rho(i) <= r: the ratio lemma.  Every term is concave
       in i and every factor is positive there, so log rho is concave and
       rho is unimodal: rho(i+1) > rho(i) holds on a prefix of the support.
     * Hence over [lo, hi], the window inside the support,

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .numerics import DomainError, binomial, check_index_range
+from .numerics import DomainError, check_index_range
 
 Value = Union[Fraction, int, float]
 
@@ -537,13 +537,6 @@ def prefix_prob_from_mean_law(law: SampleMeanLaw, e: PrefixEvent) -> Value:
     return math.fsum(np.exp(log_a) * q[idx])
 
 
-def moments_from_measure(mu: MixingMeasure, n: int) -> MomentVector:
-    """Raw moments c_j = E[p^j], j = 0..n."""
-    if n < 0:
-        raise ValidationError("moment order must be nonnegative")
-    return MomentVector(sum(w * p**j for p, w in mu.atoms) for j in range(n + 1))
-
-
 def prefix_prob_from_moments(c: MomentVector, e: PrefixEvent) -> Value:
     """P(prefix pattern) from the moment sequence by inclusion-exclusion:
     sum_t (-1)^t C(k-alpha, t) c_{alpha+t}."""
@@ -553,7 +546,7 @@ def prefix_prob_from_moments(c: MomentVector, e: PrefixEvent) -> Value:
             f"pattern length {k} needs moments up to order {k}, have {c.order}"
         )
     terms = [
-        (-1) ** t * binomial(k - alpha, t) * c.c[alpha + t] for t in range(k - alpha + 1)
+        (-1) ** t * math.comb(k - alpha, t) * c.c[alpha + t] for t in range(k - alpha + 1)
     ]
     if c.is_exact:
         return sum(terms, Fraction(0))
@@ -611,11 +604,11 @@ def mean_law_from_moments(c: MomentVector, n: int) -> SampleMeanLaw:
     flagged = False
     for j in range(n + 1):
         terms = [
-            (-1) ** t * binomial(n - j, t) * c.c[j + t] for t in range(n - j + 1)
+            (-1) ** t * math.comb(n - j, t) * c.c[j + t] for t in range(n - j + 1)
         ]
         inner = math.fsum(terms)
         gross = math.fsum(abs(t) for t in terms)
-        q = binomial(n, j) * inner
+        q = math.comb(n, j) * inner
         if gross > 0 and abs(inner) < CANCELLATION_TOL * gross:
             flagged = True
         if q < -FLOAT_SUM_TOL:

@@ -17,10 +17,10 @@ a sequence of length N:
 * ``iid_kernel``                (i/N)^alpha (1-i/N)^(k-alpha), the Bernoulli
                                 product kernel at the empirical mean
 * ``replacement_correction``    N^k / (N (N-1) ... (N-k+1)) >= 1, the
-                                with/without-replacement correction
-* ``ratio_factors``             exact three-factor decomposition of the
-                                quotient of the two, bounded above by the
-                                correction constant
+                                with/without-replacement correction, which
+                                bounds the quotient of the first two above
+                                (the factor form of that quotient is in
+                                ``harness.mid_window_eps``)
 """
 
 from __future__ import annotations
@@ -66,24 +66,6 @@ class RegionBounds:
         return "mid" if i <= self.M2 else "upper"
 
 
-@dataclass(frozen=True)
-class RatioFactors:
-    """Decomposition of conditional-prefix / iid-kernel into three factors.
-
-    ``falling`` is i! / ((i-alpha)! i^alpha), ``edge`` the product of
-    (1 - j/(N-i)) for j = 1..k-alpha-1, ``correction`` the replacement
-    correction; their product is the exact quotient and never exceeds
-    ``correction``.
-    """
-
-    falling: Fraction
-    edge: Fraction
-    correction: Fraction
-
-    def product(self) -> Fraction:
-        return self.falling * self.edge * self.correction
-
-
 # ---------------------------------------------------------------------------
 # log-factorial table
 # ---------------------------------------------------------------------------
@@ -112,15 +94,6 @@ def default_table() -> LogFactorialTable:
 # exact primitives
 # ---------------------------------------------------------------------------
 
-def binomial(n: int, r: int) -> int:
-    """C(n, r) as an exact integer; 0 when r < 0 or r > n."""
-    if n < 0:
-        raise DomainError("negative row in binomial coefficient")
-    if r < 0 or r > n:
-        return 0
-    return math.comb(n, r)
-
-
 def _check_prefix_args(N: int, k: int, alpha: int, i: int) -> None:
     if k > N:
         raise DomainError(f"pattern length {k} exceeds sequence length {N}")
@@ -139,10 +112,9 @@ def conditional_prefix_prob(N: int, k: int, alpha: int, i: int) -> Fraction:
     i - alpha > N - k (no word can match).
     """
     _check_prefix_args(N, k, alpha, i)
-    num = binomial(N - k, i - alpha)
-    if num == 0:
+    if not alpha <= i <= N - k + alpha:
         return Fraction(0)
-    return Fraction(num, math.comb(N, i))
+    return Fraction(math.comb(N - k, i - alpha), math.comb(N, i))
 
 
 def iid_kernel(N: int, k: int, alpha: int, i: int) -> Fraction:
@@ -168,63 +140,6 @@ def replacement_correction_float(N: int, k: int) -> float:
     for j in range(1, k):
         out /= 1.0 - j / N
     return out
-
-
-def ratio_factors(N: int, k: int, alpha: int, i: int) -> RatioFactors:
-    """Exact factor decomposition of conditional-prefix / iid-kernel at i.
-
-    Valid wherever the kernel is positive (raises otherwise).  The product
-    of the three factors reproduces the quotient identically, including the
-    zero cases where a factor of the edge product vanishes.
-    """
-    _check_prefix_args(N, k, alpha, i)
-    if iid_kernel(N, k, alpha, i) == 0:
-        raise DomainError(f"iid kernel vanishes at i={i}; ratio undefined")
-    falling = Fraction(1)
-    for m in range(alpha):
-        falling *= Fraction(i - m, i)
-    edge = Fraction(1)
-    for j in range(1, k - alpha):
-        edge *= Fraction(N - i - j, N - i)
-    return RatioFactors(falling, edge, replacement_correction(N, k))
-
-
-def ratio_within_correction(N: int, k: int, alpha: int, i: int) -> bool:
-    """Exact check that the prefix/kernel quotient is <= the correction.
-
-    Cross-multiplied integer comparison, no rational reduction:
-    C(N-k, i-alpha) * fall(N, k) <= C(N, i) * i^alpha * (N-i)^(k-alpha).
-    Requires the kernel to be positive at i.
-    """
-    _check_prefix_args(N, k, alpha, i)
-    if (i == 0 and alpha > 0) or (i == N and alpha < k):
-        raise DomainError(f"iid kernel vanishes at i={i}; ratio undefined")
-    lhs = binomial(N - k, i - alpha) * math.perm(N, k)
-    rhs = math.comb(N, i) * i**alpha * (N - i) ** (k - alpha)
-    return lhs <= rhs
-
-
-def ratio_bound_holds_all(N: int, k: int, alpha: int) -> bool:
-    """ratio_within_correction over every i with a positive kernel, by
-    multiplicative recurrences (one pass, exact integers)."""
-    _check_prefix_args(N, k, alpha, min(N, 1))
-    fall = math.perm(N, k)
-    lo = 0 if alpha == 0 else 1
-    hi = N if alpha == k else N - 1
-    choose_full = math.comb(N, lo)
-    choose_a = math.comb(N - k, lo - alpha) if lo >= alpha else 0
-    support_top = N - k + alpha
-    for i in range(lo, hi + 1):
-        if alpha <= i <= support_top:
-            if choose_a == 0:
-                choose_a = 1  # first in-support index: C(N-k, 0)
-            if choose_a * fall > choose_full * i**alpha * (N - i) ** (k - alpha):
-                return False
-            if i < support_top:
-                j = i - alpha
-                choose_a = choose_a * (N - k - j) // (j + 1)
-        choose_full = choose_full * (N - i) // (i + 1)
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Brute-force reference over all 2^N binary words.
 
-The word sweep validates every formula-based pipeline at small N by direct
-summation with exact rationals.  Words are integers 0 .. 2^N - 1 with the
+``word_law_from_mixture`` materializes a mixture's exact law word by word,
+and ``all_prefix_probs`` sums it into every length-k prefix probability in
+one sweep; ``cmd_oracle`` and the tests check the formula-based pipelines
+against those sums at small N.  Words are integers 0 .. 2^N - 1 with the
 first coordinate in the most significant bit, so numeric order is
 lexicographic order of the tuples.  The cap at N = 20 (about a million
 words) is a hard error, never a silent truncation.
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import MixingMeasure, PrefixEvent, ValidationError
+from .model import MixingMeasure, ValidationError
 
 WORD_CAP = 20
 
@@ -34,24 +36,6 @@ class WordLaw:
         if any(w < 0 for w in self.weights):
             raise ValidationError("word weights must be nonnegative")
 
-    def is_exchangeable(self) -> bool:
-        """True iff the weight depends on the word only through its one-count."""
-        seen: dict[int, Fraction] = {}
-        for word, w in enumerate(self.weights):
-            c = word.bit_count()
-            if c in seen:
-                if seen[c] != w:
-                    return False
-            else:
-                seen[c] = w
-        return True
-
-    def count_prob(self, i: int) -> Fraction:
-        return sum(
-            (w for word, w in enumerate(self.weights) if word.bit_count() == i),
-            Fraction(0),
-        )
-
 
 def word_law_from_mixture(mu: MixingMeasure, N: int) -> WordLaw:
     """Exact word law of the iid mixture; requires rational atoms and N <= 20."""
@@ -62,8 +46,8 @@ def word_law_from_mixture(mu: MixingMeasure, N: int) -> WordLaw:
     if not mu.is_exact:
         raise ValidationError("the word oracle requires rational atom data")
     # weight(word) depends on the word only through its one-count, but the
-    # law is still materialized word by word: the sweeps below must see a
-    # genuine assignment on {0,1}^N
+    # law is still materialized word by word: ``all_prefix_probs`` must
+    # sweep a genuine assignment on {0,1}^N
     by_count = []
     for c in range(N + 1):
         by_count.append(
@@ -79,21 +63,6 @@ def word_law_from_mixture(mu: MixingMeasure, N: int) -> WordLaw:
     return WordLaw(N=N, weights=weights)
 
 
-def brute_prefix_prob(law: WordLaw, e: PrefixEvent) -> Fraction:
-    """Prefix probability by direct summation over matching words."""
-    N, k = law.N, e.k
-    if k > N:
-        raise ValidationError(f"pattern length {k} exceeds N={N}")
-    target = 0
-    for bit in e.pattern:
-        target = (target << 1) | bit
-    shift = N - k
-    return sum(
-        (w for word, w in enumerate(law.weights) if word >> shift == target),
-        Fraction(0),
-    )
-
-
 def all_prefix_probs(law: WordLaw, k: int) -> dict[int, Fraction]:
     """One sweep accumulating every length-k prefix probability (keyed by the
     prefix read as an integer)."""
@@ -104,31 +73,3 @@ def all_prefix_probs(law: WordLaw, k: int) -> dict[int, Fraction]:
     for word, w in enumerate(law.weights):
         out[word >> shift] += w
     return out
-
-
-def brute_conditional_prefix(law: WordLaw, e: PrefixEvent, i: int) -> Fraction:
-    """P(prefix | one-count = i) by direct summation; requires an
-    exchangeable law and positive count probability."""
-    N, k = law.N, e.k
-    if k > N:
-        raise ValidationError(f"pattern length {k} exceeds N={N}")
-    if not 0 <= i <= N:
-        raise ValidationError(f"count {i} outside [0, {N}]")
-    if not law.is_exchangeable():
-        raise ValidationError("conditional sweep requires an exchangeable law")
-    denom = law.count_prob(i)
-    if denom == 0:
-        raise ValidationError(f"conditioning on zero-probability count {i}")
-    target = 0
-    for bit in e.pattern:
-        target = (target << 1) | bit
-    shift = N - k
-    num = sum(
-        (
-            w
-            for word, w in enumerate(law.weights)
-            if word.bit_count() == i and word >> shift == target
-        ),
-        Fraction(0),
-    )
-    return num / denom

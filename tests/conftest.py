@@ -44,6 +44,11 @@ def random_rational_measure(rng: random.Random, max_atoms: int = 4,
     return d.MixingMeasure(tuple((p, w / total) for p, w in zip(locs, raw)))
 
 
+def measure_moments(mu, n):
+    """The exact moment vector c_j = E[p^j], j = 0..n, of a rational measure."""
+    return model.MomentVector.from_integer_ratios(*model.level_moments(mu, n))
+
+
 def kernel_gap(law, target, a, k):
     """E[(S/N)^a (1 - S/N)^(k-a)] under an exact count law minus
     E[p^a (1-p)^(k-a)] under a measure, exactly; the monomial p^m is the

@@ -1068,6 +1068,9 @@ OUTPUT_DIGESTS = [   # (id, argv, exit code, document stream, sha256)
      0, "stdout", "c7c0ccf515845261b236348ef2a820df6e5d0d76d10485a6d192d33d440db8e2"),
     ("tail-check", ["tail-check", "-N", "10000", "--pattern", "1,0,0"],
      0, "stdout", "f69f95b8a750a240df19d65775efb230aa191a0f29a0ddaec91c8c17c730185d"),
+    # 10^5 upper-tail indices: the size where a per-index cost shows
+    ("tail-check-1e10", ["tail-check", "-N", "10000000000", "--pattern", "1,0,0"],
+     0, "stdout", "83b26a6830cac011e31271b95a53f03dea2dce647386154aaea4ee193be760ce"),
 ]
 
 

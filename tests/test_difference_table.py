@@ -28,8 +28,9 @@ from definetti.model import (
     ValidationError,
     check_complete_monotonicity,
     mean_law_from_moments,
-    moments_from_measure,
 )
+
+from conftest import measure_moments
 
 F = Fraction
 fmt = io.format_value
@@ -90,7 +91,7 @@ def moment_cases(draw):
     # below order 8 a perturbed vector is often still extendable
     n = draw(st.integers(8 if form == "perturbed" else 1, 64))
     extra = draw(st.integers(1, 8)) if form == "longer" else 0
-    c = list(moments_from_measure(mu, n + extra).c)
+    c = list(measure_moments(mu, n + extra).c)
     if form == "perturbed":
         j = draw(st.integers(1, n))
         share = F(draw(st.integers(1, 10)), 10)
@@ -129,7 +130,7 @@ def test_exact_moment_paths_match_reference(case):
 def test_perturbed_moments_rejected_like_reference(n):
     # the benchmark's reject shape: c_{n/2} raised part of the way to c_{n/2-1}
     mu = MixingMeasure(((F(1, 5), F(3, 10)), (F(1, 2), F(2, 5)), (F(9, 10), F(3, 10))))
-    c = list(moments_from_measure(mu, n).c)
+    c = list(measure_moments(mu, n).c)
     j = n // 2
     c[j] += F(3, 10) * (c[j - 1] - c[j])
     c = MomentVector(_mixed(c))
@@ -157,7 +158,7 @@ def test_all_integer_moments():
 def test_cli_recover_and_extend_check_match_reference(tmp_path, capsys):
     mu = MixingMeasure(((F(1, 3), F(1, 2)), (F(3, 4), F(1, 2))))
     n = 24
-    good = list(moments_from_measure(mu, n).c)
+    good = list(measure_moments(mu, n).c)
     bad = list(good)
     bad[n // 2] += F(1, 2) * (bad[n // 2 - 1] - bad[n // 2])
     for c, extendable in ((good, True), (bad, False)):
@@ -239,7 +240,7 @@ def moment_files(draw):
     mu = draw(rational_measures())
     # below order 8 a perturbed vector is often still extendable
     n = draw(st.integers(8 if fault == "perturbed" else 0, 16))
-    c = list(moments_from_measure(mu, n).c)
+    c = list(measure_moments(mu, n).c)
     j = draw(st.integers(0, n))
     shift = F(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
     if fault == "c0":

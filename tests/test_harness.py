@@ -754,17 +754,13 @@ def test_mid_window_eps_matches_brute(data):
     assert mid_window_eps(N, k, alpha, b) == brute
 
 
-def _fraction_bisection_eps(N, k, alpha, bounds):
-    """mid_window_eps as first written: the bisection compares the Fraction
-    products of ``ratio_factors`` at every step."""
+def _fraction_bisection_eps(N, k, alpha, bounds, rho):
+    """mid_window_eps as first written: a plain bisection that compares the
+    Fraction ratios rho(i) = a_i / b_i at every step."""
     lo = max(bounds.M1 + 1, alpha)
     hi = min(bounds.M2, N - k + alpha)
     if lo > hi:
         return F(1)
-
-    def rho(i):
-        return d.ratio_factors(N, k, alpha, i).product()
-
     left, right = lo, hi
     while left < right:
         mid = (left + right) // 2
@@ -778,13 +774,19 @@ def _fraction_bisection_eps(N, k, alpha, bounds):
     return eps
 
 
-# N past 2^53 too: the seeded search works in integers at any N
+# N past 2^53 too: the seeded search works in integers at any N.  The
+# binomials of a_i have millions of digits here, so rho is the Fraction
+# product falling * edge * r of mid_window_eps' docstring
 @pytest.mark.parametrize("N", [10**4, 10**5, 10**6, 10**7, 2**53 + 1, 10**20])
 def test_mid_window_eps_matches_fraction_bisection(N):
     b = region_bounds(N)
     for k in range(1, 9):
+        r = replacement_correction(N, k)
         for alpha in range(k + 1):
-            assert mid_window_eps(N, k, alpha, b) == _fraction_bisection_eps(N, k, alpha, b)
+            def rho(i):
+                falling = math.prod(F(i - m, i) for m in range(alpha))
+                return falling * math.prod(F(N - i - j, N - i) for j in range(1, k - alpha)) * r
+            assert mid_window_eps(N, k, alpha, b) == _fraction_bisection_eps(N, k, alpha, b, rho)
 
 
 @given(st.data())
@@ -794,7 +796,11 @@ def test_mid_window_eps_matches_fraction_bisection_small_n(data):
     k = data.draw(st.integers(1, min(N, 40)), label="k")
     alpha = data.draw(st.integers(0, k), label="alpha")
     b = region_bounds(N)
-    assert mid_window_eps(N, k, alpha, b) == _fraction_bisection_eps(N, k, alpha, b)
+
+    def rho(i):
+        return conditional_prefix_prob(N, k, alpha, i) / iid_kernel(N, k, alpha, i)
+
+    assert mid_window_eps(N, k, alpha, b) == _fraction_bisection_eps(N, k, alpha, b, rho)
 
 
 def test_log_verify_from_measure_runs_no_search(monkeypatch):
@@ -978,22 +984,15 @@ def test_pathological_decomposition_for_random_edge_laws():
 
 
 def test_alpha_k_shortcut_row_identity():
-    # at alpha = k the ratio reduces to falling * correction; check the
-    # general factorization agrees row-wise
+    # at alpha = k the ratio reduces to falling * correction,
+    # i! / ((i-k)! i^k) * r, which vanishes below i = k with a_i
     N, k = 120, 3
     r = replacement_correction(N, k)
     for i in range(1, N + 1):
         a = conditional_prefix_prob(N, k, k, i)
         b = iid_kernel(N, k, k, i)
-        factors = d.ratio_factors(N, k, k, i)
-        closed = (
-            F(math.factorial(i), math.factorial(i - k) * i**k) * r
-            if i >= k
-            else factors.falling * factors.edge * r
-        )
-        assert a / b == factors.product()
-        if i >= k:
-            assert factors.product() == closed
+        closed = F(math.factorial(i), math.factorial(i - k) * i**k) * r if i >= k else 0
+        assert a / b == closed
 
 
 @given(st.lists(st.floats(-2.0**-9, 2.0**-9), min_size=1, max_size=200))

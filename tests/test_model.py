@@ -17,13 +17,12 @@ from definetti.model import (
     check_complete_monotonicity,
     mean_law_from_moments,
     mixture_prefix_prob,
-    moments_from_measure,
     prefix_prob_from_mean_law,
     prefix_prob_from_moments,
     sample_mean_law,
 )
 
-from conftest import random_rational_measure
+from conftest import measure_moments, random_rational_measure
 
 F = Fraction
 
@@ -226,11 +225,11 @@ def test_prefix_prob_from_plain_weights_law(fair_coin):
 # ---------------------------------------------------------------------------
 
 def test_moments_examples(fair_coin):
-    assert moments_from_measure(fair_coin, 3).c == (1, F(1, 2), F(1, 4), F(1, 8))
+    assert measure_moments(fair_coin, 3).c == (1, F(1, 2), F(1, 4), F(1, 8))
     zero_one = MixingMeasure(((F(0), F(1, 2)), (F(1), F(1, 2))))
-    assert moments_from_measure(zero_one, 2).c == (1, F(1, 2), F(1, 2))
+    assert measure_moments(zero_one, 2).c == (1, F(1, 2), F(1, 2))
     grid = MixingMeasure(tuple((F(j, 100), F(1, 101)) for j in range(101)))
-    assert moments_from_measure(grid, 1).c[1] == F(1, 2)
+    assert measure_moments(grid, 1).c[1] == F(1, 2)
 
 
 def test_prefix_prob_from_moments():
@@ -239,7 +238,7 @@ def test_prefix_prob_from_moments():
     rng = random.Random(8)
     for _ in range(5):
         mu = random_rational_measure(rng)
-        c = moments_from_measure(mu, 5)
+        c = measure_moments(mu, 5)
         for pattern in [(1,), (0, 1), (1, 0, 1), (0, 0, 0, 1, 1)]:
             e = PrefixEvent(pattern)
             assert prefix_prob_from_moments(c, e) == mixture_prefix_prob(mu, e)
@@ -263,14 +262,14 @@ def test_mean_law_from_moments_examples():
 
 @given(rational_measures(), st.integers(1, 64))
 def test_moment_round_trip(mu, n):
-    c = moments_from_measure(mu, n)
+    c = measure_moments(mu, n)
     law = mean_law_from_moments(c, n)
     assert law.weights == sample_mean_law(mu, n).weights
 
 
 @given(rational_measures(), st.integers(1, 24))
 def test_moments_always_completely_monotone(mu, n):
-    c = moments_from_measure(mu, n)
+    c = measure_moments(mu, n)
     assert check_complete_monotonicity(c).ok
 
 

@@ -1,54 +1,19 @@
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from definetti import _kernels as K
-from definetti import numerics as nx
+from definetti.harness import _ratio_terms
 from definetti.numerics import (
-    binomial,
     conditional_prefix_prob,
     iid_kernel,
-    ratio_bound_holds_all,
-    ratio_factors,
-    ratio_within_correction,
     region_bounds,
     replacement_correction,
     replacement_correction_float,
 )
-
-
-# ---------------------------------------------------------------------------
-# binomial
-# ---------------------------------------------------------------------------
-
-def pascal_triangle(rows):
-    tri = [[1]]
-    for n in range(1, rows + 1):
-        prev = tri[-1]
-        tri.append(
-            [1] + [prev[j - 1] + prev[j] for j in range(1, n)] + [1]
-        )
-    return tri
-
-
-def test_binomial_against_pascal_recurrence():
-    tri = pascal_triangle(40)
-    for n in range(41):
-        for r in range(n + 1):
-            assert binomial(n, r) == tri[n][r]
-    assert binomial(40, 20) == 137846528820  # from the recurrence above
-
-
-def test_binomial_small_and_out_of_range():
-    assert binomial(5, 2) == 10
-    assert binomial(7, -1) == 0
-    assert binomial(3, 4) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +75,15 @@ def enumeration_conditional(N, k, alpha, i):
 
 def test_conditional_prefix_matches_enumeration():
     assert conditional_prefix_prob(5, 2, 1, 2) == Fraction(3, 10)
-    assert conditional_prefix_prob(5, 2, 1, 2) == enumeration_conditional(5, 2, 1, 2)
-    rng = random.Random(11)
-    for _ in range(25):
-        N = rng.randint(2, 9)
-        k = rng.randint(1, N)
-        alpha = rng.randint(0, k)
-        i = rng.randint(0, N)
-        assert conditional_prefix_prob(N, k, alpha, i) == enumeration_conditional(
-            N, k, alpha, i
-        )
+    # exhaustive for N <= 8, support edges (i < alpha, i - alpha > N - k,
+    # the whole word as the prefix) included
+    for N in range(1, 9):
+        for k in range(1, N + 1):
+            for alpha in range(k + 1):
+                for i in range(N + 1):
+                    assert conditional_prefix_prob(N, k, alpha, i) == enumeration_conditional(
+                        N, k, alpha, i
+                    )
 
 
 def test_conditional_prefix_zero_and_edge_cases():
@@ -144,7 +108,7 @@ def test_hypergeometric_identity_small():
                         1 for s in subsets if len([x for x in s if x < k]) == alpha
                     )
                     pmf = Fraction(hits, len(subsets))
-                    assert binomial(k, alpha) * conditional_prefix_prob(
+                    assert math.comb(k, alpha) * conditional_prefix_prob(
                         N, k, alpha, i
                     ) == pmf
 
@@ -164,7 +128,7 @@ def test_iid_kernel_values():
 def test_iid_kernel_is_binomial_pmf():
     # C(k, alpha) * kernel is the Binomial(k, i/N) pmf; check partition of unity
     for N, k, i in [(10, 4, 3), (8, 2, 8), (9, 5, 0)]:
-        total = sum(binomial(k, a) * iid_kernel(N, k, a, i) for a in range(k + 1))
+        total = sum(math.comb(k, a) * iid_kernel(N, k, a, i) for a in range(k + 1))
         assert total == 1
 
 
@@ -206,80 +170,47 @@ def test_replacement_correction_at_least_one():
 # ---------------------------------------------------------------------------
 
 def test_ratio_factors_reproduce_quotient_exactly():
-    f = ratio_factors(10, 2, 1, 5)
-    a = conditional_prefix_prob(10, 2, 1, 5)
-    b = iid_kernel(10, 2, 1, 5)
-    assert f.product() == a / b
-    # exhaustive on a small grid wherever the kernel is positive
+    # the commands' falling-factorial form of a_i / b_i,
+    # r i^(alpha) (N-i)^(k-alpha) / (i^alpha (N-i)^(k-alpha)), against the
+    # binomial form C(N-k, i-alpha) / C(N, i) over the kernel, exhaustive on
+    # a small grid wherever the kernel is positive; the quotient never
+    # exceeds r
     for N in (8, 17, 30):
         for k in range(1, 6):
-            if k > N:
-                continue
             rk = replacement_correction(N, k)
             for alpha in range(k + 1):
                 for i in range(N + 1):
                     b = iid_kernel(N, k, alpha, i)
                     if b == 0:
                         continue
-                    f = ratio_factors(N, k, alpha, i)
                     a = conditional_prefix_prob(N, k, alpha, i)
-                    assert f.product() == a / b
-                    assert f.correction == rk
+                    assert rk * Fraction(*_ratio_terms(N, k, alpha, i)) == a / b
                     assert a / b <= rk
 
 
 def test_ratio_factors_trivial_k1():
-    f = ratio_factors(100, 1, 0, 42)
-    assert f.falling == 1 and f.edge == 1 and f.correction == 1
-
-
-def test_ratio_factors_rejects_vanishing_kernel():
-    with pytest.raises(ValueError):
-        ratio_factors(10, 2, 1, 0)
+    # at k = 1 both factors are empty products and r = 1
+    num, den = _ratio_terms(100, 1, 0, 42)
+    assert num == den == 58
+    assert replacement_correction(100, 1) == 1
 
 
 def test_alpha_extremes_match_reduced_factor_forms():
-    # alpha = k: edge product is empty, ratio = falling * correction;
-    # alpha = 0: falling is empty, ratio = edge * correction
+    # alpha = k: the edge product is empty, ratio = falling * correction;
+    # alpha = 0: falling is empty, ratio = edge * correction, with
+    # falling = prod_{m<alpha} (1 - m/i), edge = prod_{0<j<k-alpha} (1 - j/(N-i))
     N = 200
     for k in (2, 4):
         rk = replacement_correction(N, k)
         for i in range(1, N):
-            fk = ratio_factors(N, k, k, i)
-            assert fk.edge == 1
+            falling = math.prod(Fraction(i - m, i) for m in range(k))
             a = conditional_prefix_prob(N, k, k, i)
             b = iid_kernel(N, k, k, i)
-            assert a / b == fk.falling * rk
-            f0 = ratio_factors(N, k, 0, i)
-            assert f0.falling == 1
+            assert a / b == falling * rk
+            edge = math.prod(Fraction(N - i - j, N - i) for j in range(1, k))
             a0 = conditional_prefix_prob(N, k, 0, i)
             b0 = iid_kernel(N, k, 0, i)
-            assert a0 / b0 == f0.edge * rk
-
-
-# ---------------------------------------------------------------------------
-# ratio bound
-# ---------------------------------------------------------------------------
-
-def test_ratio_within_correction_matches_fraction_comparison():
-    rng = random.Random(5)
-    for _ in range(200):
-        N = rng.randint(8, 150)
-        k = rng.randint(1, min(6, N))
-        alpha = rng.randint(0, k)
-        lo = 1 if alpha > 0 else 0
-        hi = N - 1 if alpha < k else N
-        i = rng.randint(lo, hi)
-        got = ratio_within_correction(N, k, alpha, i)
-        a = conditional_prefix_prob(N, k, alpha, i)
-        b = iid_kernel(N, k, alpha, i)
-        assert got == (a / b <= replacement_correction(N, k))
-        assert got  # holds at every valid index
-
-
-def test_ratio_bound_holds_all_agrees_with_pointwise():
-    for N, k, alpha in [(8, 2, 1), (64, 6, 0), (129, 5, 5), (200, 3, 2)]:
-        assert ratio_bound_holds_all(N, k, alpha)
+            assert a0 / b0 == edge * rk
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,7 @@ from definetti.model import (
     prefix_prob_from_mean_law,
     sample_mean_law,
 )
-from definetti.oracle import (
-    WordLaw,
-    all_prefix_probs,
-    brute_conditional_prefix,
-    brute_prefix_prob,
-    word_law_from_mixture,
-)
+from definetti.oracle import all_prefix_probs, word_law_from_mixture
 
 from conftest import random_rational_measure
 
@@ -46,81 +40,48 @@ def test_word_law_caps_and_rejections():
 
 
 def test_brute_prefix_prob(fair_coin):
-    law = word_law_from_mixture(fair_coin, 5)
-    assert brute_prefix_prob(law, PrefixEvent((1, 0))) == F(1, 4)
+    assert all_prefix_probs(word_law_from_mixture(fair_coin, 5), 2)[0b10] == F(1, 4)
     zero_one = MixingMeasure(((F(0), F(1, 2)), (F(1), F(1, 2))))
-    assert brute_prefix_prob(word_law_from_mixture(zero_one, 4), PrefixEvent((1, 0))) == 0
+    assert all_prefix_probs(word_law_from_mixture(zero_one, 4), 2)[0b10] == 0
     rng = random.Random(2)
     mu = random_rational_measure(rng)
     law = word_law_from_mixture(mu, 6)
     for k in (1, 3, 6):
-        total = sum(
-            brute_prefix_prob(law, PrefixEvent(bits))
-            for bits in itertools.product((0, 1), repeat=k)
-        )
-        assert total == 1
+        table = all_prefix_probs(law, k)
+        assert len(table) == 1 << k and sum(table.values()) == 1
 
 
 def test_all_prefix_probs_matches_pointwise():
+    # the sweep's integer keys against the words as tuples: word integers
+    # run in lexicographic order, first coordinate most significant
     rng = random.Random(6)
     mu = random_rational_measure(rng)
     law = word_law_from_mixture(mu, 7)
+    words = list(itertools.product((0, 1), repeat=7))
     for k in (1, 4, 7):
         table = all_prefix_probs(law, k)
         for bits in itertools.product((0, 1), repeat=k):
             key = int("".join(map(str, bits)), 2)
-            assert table[key] == brute_prefix_prob(law, PrefixEvent(bits))
-
-
-def test_brute_conditional_matches_formula():
-    rng = random.Random(13)
-    mu = random_rational_measure(rng)
-    law = word_law_from_mixture(mu, 5)
-    e = PrefixEvent((1, 0))
-    if law.count_prob(2) != 0:
-        assert brute_conditional_prefix(law, e, 2) == F(3, 10)
-        assert brute_conditional_prefix(law, e, 2) == d.conditional_prefix_prob(
-            5, 2, 1, 2
-        )
-
-
-def test_brute_conditional_edge_cases(fair_coin):
-    law = word_law_from_mixture(fair_coin, 4)
-    assert brute_conditional_prefix(law, PrefixEvent((1, 1)), 1) == 0   # i < alpha
-    assert brute_conditional_prefix(law, PrefixEvent((1, 1, 1, 1)), 4) == 1
-    with pytest.raises(ValidationError):
-        brute_conditional_prefix(
-            word_law_from_mixture(MixingMeasure.point_mass(F(1)), 4),
-            PrefixEvent((1,)),
-            0,  # zero-probability count
-        )
-
-
-def test_brute_conditional_requires_exchangeable():
-    weights = [F(0)] * 16
-    weights[0b1000] = F(1, 2)
-    weights[0b0000] = F(1, 2)
-    law = WordLaw(N=4, weights=tuple(weights))
-    assert not law.is_exchangeable()
-    with pytest.raises(ValidationError):
-        brute_conditional_prefix(law, PrefixEvent((1,)), 1)
+            want = sum(w for word, w in zip(words, law.weights) if word[:k] == bits)
+            assert table[key] == want
 
 
 def test_conditional_equals_formula_everywhere():
+    # the sum over counts of P(prefix | count = i) q_i, with the exact
+    # conditional weights, against the word sweep's prefix probability
     rng = random.Random(3)
     for _ in range(3):
         mu = random_rational_measure(rng)
         N = rng.randint(3, 8)
         law = word_law_from_mixture(mu, N)
+        q = sample_mean_law(mu, N).weights
         for k in range(1, N + 1):
+            brute = all_prefix_probs(law, k)
             for alpha in range(k + 1):
-                e = PrefixEvent((1,) * alpha + (0,) * (k - alpha))
-                for i in range(N + 1):
-                    if law.count_prob(i) == 0:
-                        continue
-                    assert brute_conditional_prefix(law, e, i) == d.conditional_prefix_prob(
-                        N, k, alpha, i
-                    )
+                key = int("1" * alpha + "0" * (k - alpha), 2)
+                assert brute[key] == sum(
+                    d.conditional_prefix_prob(N, k, alpha, i) * q[i] for i in range(N + 1)
+                )
 
 
 def test_three_path_equivalence_small():
@@ -131,9 +92,10 @@ def test_three_path_equivalence_small():
             law = word_law_from_mixture(mu, N)
             mean_law = sample_mean_law(mu, N)
             for k in range(1, N + 1):
+                brute = all_prefix_probs(law, k)
                 for bits in itertools.product((0, 1), repeat=k):
                     e = PrefixEvent(bits)
-                    v1 = brute_prefix_prob(law, e)
+                    v1 = brute[int("".join(map(str, bits)), 2)]
                     v2 = mixture_prefix_prob(mu, e)
                     v3 = prefix_prob_from_mean_law(mean_law, e)
                     assert v1 == v2 == v3
@@ -143,7 +105,6 @@ def test_conditional_uniformity_within_count_class():
     rng = random.Random(19)
     mu = random_rational_measure(rng)
     law = word_law_from_mixture(mu, 6)
-    assert law.is_exchangeable()
     by_count = {}
     for word, w in enumerate(law.weights):
         by_count.setdefault(word.bit_count(), set()).add(w)

@@ -15,11 +15,7 @@ import definetti
 ALLOWED = {
     "ratio_scan": "perfbench wraps it as the harness.ratio_scan span",
     "conditional_prefix_prob": "the exact P(prefix | count = i) that the tests sum by hand",
-    "ratio_factors": "the ratio lemma's exact factors, which the scan tests check rows against",
-    "ratio_within_correction": "the ratio lemma at one index, the reference for ratio_bound_holds_all",
-    "moments_from_measure": "builds the moment vectors that the recovery tests recover",
-    "brute_prefix_prob": "the word sweep's prefix probability, the oracle for the count-law formulas",
-    "brute_conditional_prefix": "the word sweep's conditional probability, the oracle for conditional_prefix_prob",
+    "iid_kernel": "the exact kernel (i/N)^alpha (1-i/N)^(k-alpha) that the tests sum by hand",
 }
 
 

@@ -4,17 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-import definetti as d
 from definetti.model import (
     ExtendabilityError,
     MixingMeasure,
     MomentVector,
-    moments_from_measure,
     sample_mean_law,
 )
 from definetti.recovery import recover_from_moments
 
-from conftest import kernel_gap, random_rational_measure
+from conftest import kernel_gap, measure_moments, random_rational_measure
 
 F = Fraction
 
@@ -41,7 +39,7 @@ def test_recover_point_mass_moments():
     c = MomentVector(tuple(F(1, 2) ** j for j in range(5)))
     rec = recover_from_moments(c, 4)
     assert rec.measure.atoms == tuple(
-        (F(i, 4), F(d.binomial(4, i), 16)) for i in range(5)
+        (F(i, 4), F(math.comb(4, i), 16)) for i in range(5)
     )
 
 
@@ -56,7 +54,7 @@ def test_exact_round_trip(n):
     rng = random.Random(n)
     mu = random_rational_measure(rng)
     law = sample_mean_law(mu, n)
-    rec = recover_from_moments(moments_from_measure(mu, n), n)
+    rec = recover_from_moments(measure_moments(mu, n), n)
     recovered = dict(rec.measure.atoms)
     for i, q in enumerate(law.weights):
         if q != 0:
@@ -69,14 +67,14 @@ def test_degenerate_point_masses_recover_exactly():
     for p in (F(0), F(1)):
         mu = MixingMeasure.point_mass(p)
         for n in (1, 7, 32):
-            rec = recover_from_moments(moments_from_measure(mu, n), n)
+            rec = recover_from_moments(measure_moments(mu, n), n)
             assert rec.measure.atoms == ((p, F(1)),)
 
 
 def test_recovered_atoms_in_unit_interval():
     rng = random.Random(77)
     mu = random_rational_measure(rng)
-    rec = recover_from_moments(moments_from_measure(mu, 20), 20)
+    rec = recover_from_moments(measure_moments(mu, 20), 20)
     assert all(0 <= p <= 1 for p, _ in rec.measure.atoms)
 
 
