@@ -20,9 +20,13 @@ platforms run in-process.  The bytes do not depend on the CPU count.
 ``_blocktext`` makes the texts; only ratio-scan imports it.
 
 Each subcommand declares the options it reads and those it requires
-(COMMANDS), and argparse checks every command line against that table, so
-an option it would ignore is refused.  Documents hold exact values as
-Fractions, which one ``json.dumps`` hook writes as "num/den" text.
+(COMMANDS), and every command line is checked against that table, so an
+option it would ignore is refused.  A plainly spelled line, the subcommand
+and then ``flag value`` pairs that the table allows (``_plain_parse``), is
+read straight from the table; argparse reads every other spelling and
+reports every fault, so its usage text is what a user sees.
+Documents hold exact values as Fractions, which one JSON encoder's hook
+writes as "num/den" text.
 
 Exit codes: 0 success, 2 input/domain errors, 3 invariant violations
 (invalid input objects and failed internal guards), 4 extendability
@@ -126,15 +130,20 @@ def _output(out_path: str | None, binary: bool = False):
 
 
 def _exact_text(v):
-    """The ``json.dumps`` hook: an exact value as its "num/den" text."""
+    """The JSON encoder's hook: an exact value as its "num/den" text."""
     if isinstance(v, Fraction):
         return io.format_value(v)
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
+# writes every report, summary and error line: ``json.dumps(doc,
+# default=...)`` would build an encoder on each call, for the same bytes
+_JSON = json.JSONEncoder(default=_exact_text)
+
+
 def _emit_json(doc, out_path: str | None) -> None:
     with _output(out_path) as fh:
-        fh.write(json.dumps(doc, default=_exact_text) + "\n")
+        fh.write(_JSON.encode(doc) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +307,7 @@ def cmd_ratio_scan(args: argparse.Namespace) -> int:
                 eps_mid.append(eps)
             summary = {"eps_mid": max(eps_mid), "r": r, "M1": bounds.M1, "M2": bounds.M2,
                        "stride": stride, "sampled": stride > 1, "backend": backend}
-            fh.write((json.dumps(summary, default=_exact_text) + "\n").encode())
+            fh.write((_JSON.encode(summary) + "\n").encode())
     return EXIT_OK
 
 
@@ -461,11 +470,58 @@ COMMANDS = {
     "tail-check": (cmd_tail_check, "tail-bound verification",
                    ("-N", "--pattern"), ("--out",)),
 }
+# defaults a subcommand sets for itself: the sweep's size when -N is left out
+COMMAND_DEFAULTS = {"oracle": {"N": 6}}
+
+
+@functools.cache
+def _plain_options(command: str):
+    """``_plain_parse``'s table for a subcommand: its required groups (a
+    required flag is a group of one), each flag's (dest, type, choices), and
+    each dest's default, read from OPTIONS, COMMANDS and COMMAND_DEFAULTS."""
+    _, _, required, optional = COMMANDS[command]
+    groups = [entry if isinstance(entry, tuple) else (entry,) for entry in required]
+    flags, defaults = {}, {}
+    for flag in itertools.chain(*groups, optional):
+        keywords = OPTIONS[flag]
+        dest = keywords.get("dest", flag.lstrip("-"))
+        flags[flag] = (dest, keywords.get("type"), keywords.get("choices"))
+        defaults[dest] = keywords.get("default")
+    return groups, flags, {**defaults, **COMMAND_DEFAULTS.get(command, {})}
+
+
+def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The options of a plainly spelled command line, read straight from the
+    option table: a subcommand, then ``flag value`` pairs in which each flag
+    is one the subcommand declares, given once, with a value that does not
+    start with "-" and passes its type and choices, and each required flag
+    or source group given exactly once.  Any other line gives None, and
+    argparse reads it."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    groups, flags, defaults = _plain_options(argv[0])
+    values, given = dict(defaults), set()
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or flag in given or text.startswith("-"):
+            return None
+        given.add(flag)
+        dest, kind, choices = flags[flag]
+        try:
+            values[dest] = text if kind is None else kind(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and values[dest] not in choices:
+            return None
+    if any(len(given.intersection(group)) != 1 for group in groups):
+        return None
+    return argparse.Namespace(**values)
 
 
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and each subcommand's own, built once per process."""
+    """The full parser and each subcommand's own, built on first use, once
+    per process, and only for a command line that is not plainly spelled
+    (``_plain_parse``)."""
     parser = argparse.ArgumentParser(
         prog="definetti",
         description="Finite-N diagnostics for exchangeable Bernoulli mixtures",
@@ -482,16 +538,21 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                 command_parser.add_argument(entry, required=True, **OPTIONS[entry])
         for flag in optional:
             command_parser.add_argument(flag, **OPTIONS[flag])
-    sub.choices["oracle"].set_defaults(N=6)   # the sweep's size when -N is left out
+    for command, defaults in COMMAND_DEFAULTS.items():
+        sub.choices[command].set_defaults(**defaults)
     return parser, sub.choices
 
 
 def parse_args(argv: list[str]) -> tuple[str, argparse.Namespace]:
-    """(subcommand, its options) from argv.  A subcommand named first is
-    parsed by its own parser, so a usage error shows that subcommand's usage
-    line; anything else (no arguments, -h, an unknown name) goes to the
-    parser of every subcommand.  A usage error exits 2 with argparse's usage
-    text."""
+    """(subcommand, its options) from argv.  A plainly spelled line is read
+    by ``_plain_parse``; argparse reads every other.  A subcommand named
+    first is parsed by its own parser, so a usage error shows that
+    subcommand's usage line; anything else (no arguments, -h, an unknown
+    name) goes to the parser of every subcommand.  A usage error exits 2
+    with argparse's usage text."""
+    args = _plain_parse(argv)
+    if args is not None:
+        return argv[0], args
     parser, commands = _parsers()
     if argv and argv[0] in commands:
         return argv[0], commands[argv[0]].parse_args(argv[1:])
@@ -508,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
         doc = {"error": kind, "message": str(exc)}
         if isinstance(exc, ExtendabilityError):
             doc["certificate"] = exc.value
-        print(json.dumps(doc, default=_exact_text), file=sys.stderr)
+        print(_JSON.encode(doc), file=sys.stderr)
         return code
 
 

@@ -427,7 +427,11 @@ def tail_bounds_check(N: int, k: int, alpha: int) -> TailBounds:
             raise AssertionError("inconsistent tail chain")  # unreachable
     upper_max = upper_ok = None
     if upper_applicable:
-        upper_max = Fraction(max(i**alpha * (N - i) ** beta for i in range(b.M2 + 1, N + 1)), N**k)
+        # the kernel is log-concave in i with its real max at alpha N / k, so
+        # over (M2, N] it peaks at M2 + 1 or at an integer next to alpha N / k
+        top = alpha * N // k
+        upper_max = Fraction(max(i**alpha * (N - i) ** beta
+                                 for i in (b.M2 + 1, top, top + 1) if b.M2 < i <= N), N**k)
         # max <= N^(-(k-a)/2)  <=>  max^2 * N^(k-a) <= 1, exactly
         upper_ok = bool(upper_max**2 * N**beta <= 1)
     return TailBounds(

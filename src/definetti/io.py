@@ -83,8 +83,10 @@ def format_value(v: Value) -> Any:
 
 def _load_json(path: str) -> Any:
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        # bytes decoded once: no text layer, no locale lookup; invalid UTF-8
+        # is a ValueError, so it reads as "cannot parse"
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

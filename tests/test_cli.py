@@ -2,10 +2,12 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import multiprocessing
 import os
+import random
 import re
 import shlex
 import shutil
@@ -21,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from definetti import _blocktext, _kernels, cli, harness, io
 from definetti.cli import main
@@ -109,6 +113,24 @@ def test_prefix_prob_malformed_json_exit2(tmp_path, capsys):
     )
     assert code == 2
     assert json.loads(err)["error"] == "input"
+
+
+@pytest.mark.parametrize("text, code", [
+    ('{\r\n  "atoms": [\r\n    {"p": "1/2", "w": "1"}\r\n  ]\r\n}\r\n', 0),
+    ('\ufeff{"atoms": [{"p": "1/2", "w": "1"}]}', 2),
+    ('{"atoms": [{"p": "1/2", "w": "1", "note": "\udcff"}]}', 2),
+], ids=["crlf", "bom", "invalid-utf-8"])
+def test_measure_file_encodings(text, code, tmp_path, capsys):
+    # a file is read as UTF-8 bytes: CRLF line endings are JSON whitespace,
+    # and a byte-order mark or a byte that is not UTF-8 is an input error
+    path = tmp_path / "mu.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    got, out, err = run_cli(["prefix-prob", "--measure", str(path), "--pattern", "1,1,0"], capsys)
+    assert got == code
+    if code == 0:
+        assert (json.loads(out), err) == ({"value": "1/8"}, "")
+    else:
+        assert out == "" and json.loads(err)["error"] == "input"
 
 
 def usage_error(argv, capsys):
@@ -1389,6 +1411,8 @@ def test_command_line_faults_are_usage_errors(command, fault, args, fair_file,
 
 
 def test_a_process_builds_its_parsers_once(fair_file, monkeypatch, capsys):
+    # a plainly spelled line builds no parser; the first line that argparse
+    # reads builds them all, and later ones build none
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1397,10 +1421,92 @@ def test_a_process_builds_its_parsers_once(fair_file, monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parsers.cache_clear()
     assert main(["prefix-prob", "--measure", fair_file, "--pattern", "1"]) == 0
-    built.clear()
     assert main(["oracle", "-N", "3"]) == 0
     assert built == []
+    capsys.readouterr()
+    usage_error(["oracle", "-N", "0"], capsys)
+    assert len(built) == 1 + len(cli.COMMANDS)
+    built.clear()
+    usage_error(["tail-check", "-N", "100"], capsys)
+    assert main(["prefix-prob", f"--measure={fair_file}", "--pat", "1"]) == 0
+    assert built == []
+
+
+# a valid value of each option (the file options take any path), and tokens
+# for lines that argparse may read otherwise than the option table: every
+# flag, abbreviations, --flag=value and -N5 spellings, help, values that
+# start with "-", and bad ints, patterns and choices
+_GOOD_VALUES = {"--backend": ["auto", "log", "exact"], "-N": ["3", "100"],
+                "--pattern": ["1", "1,1,0"], "--stride": ["1", "97"], "--level": ["2"],
+                "--seed": ["0", "7"]}
+_FLAG_TOKENS = [*cli.OPTIONS, "--meas", "--pat", "--st", "--lev", "--se", "--o", "--m",
+                "--back", "-h", "--help", "--", "--N", "-n", "--nope"]
+_VALUE_TOKENS = ["1", "3", "100", "1,0", "0", "-1", "1,x", "1,2", "", "x", "mu.json",
+                 "auto", "log", "fast", "1.5", " 2", "-x", "--", "1e3", "\u0663"]
+
+
+@st.composite
+def _argvs(draw):
+    """A valid line of a subcommand, flags in any order, with up to three
+    edits: a token dropped, replaced or glued, or a pair inserted."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "nope", "-h"]))
+    _, _, required, optional = cli.COMMANDS.get(command, (None, None, (), ()))
+    flags = [draw(st.sampled_from(e)) if isinstance(e, tuple) else e for e in required]
+    flags += [flag for flag in optional if draw(st.booleans())]
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv += [flag, draw(st.sampled_from(_GOOD_VALUES.get(flag, ["mu.json", "o.csv"])))]
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(1, len(argv)))
+        flag, value = draw(st.sampled_from(_FLAG_TOKENS)), draw(st.sampled_from(_VALUE_TOKENS))
+        argv[j:j + draw(st.integers(0, 1))] = draw(st.sampled_from(
+            [[], [flag, value], [flag], [value], [f"{flag}={value}"], [f"{flag}{value}"]]))
+    return argv
+
+
+@settings(max_examples=2000)
+@given(_argvs())
+def test_plain_parse_reads_a_line_as_argparse_does(argv):
+    # a line argparse refuses is never read plainly, and one read plainly
+    # gives argparse's options
+    plain = cli._plain_parse(argv)
+    if argv[0] not in cli.COMMANDS:
+        assert plain is None
+        return
+    try:
+        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
+            args = cli._parsers()[1][argv[0]].parse_args(argv[1:])
+    except SystemExit:
+        assert plain is None, argv
+        return
+    assert plain is None or vars(plain) == vars(args), argv
+
+
+def _bench_argvs(workdir, monkeypatch):
+    """The command line of every op slot of every benchmark workload."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return [op.argv for wl in workloads.WORKLOADS.values() for slot in range(wl.slots)
+            for op in wl.make(random.Random(slot), slot, str(workdir))]
+
+
+def test_plain_lines_skip_argparse(fair_file, polya_file, tmp_path, monkeypatch):
+    # the rule lines, the README lines and the benchmark's command lines are
+    # all plainly spelled; a _plain_parse that gave up on them would pass
+    # every other test and leave each command to argparse
+    lines = [_rule_argv(command, args, fair_file, polya_file)
+             for command, (args, _, _) in RULE_COMMANDS.items()]
+    lines += _readme_cli_lines() + _bench_argvs(tmp_path, monkeypatch)
+    assert {argv[0] for argv in lines} == set(cli.COMMANDS)
+    for argv in lines:
+        plain = cli._plain_parse(argv)
+        assert plain is not None, argv
+        assert vars(plain) == vars(cli._parsers()[1][argv[0]].parse_args(argv[1:]))
 
 
 def _readme_cli_lines():

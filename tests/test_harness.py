@@ -322,6 +322,17 @@ def test_tail_bounds_upper_value():
     assert tb.upper_max == iid_kernel(10**6, 2, 1, b.M2 + 1)
 
 
+def test_tail_bounds_upper_max_is_the_brute_force_max():
+    # the max over (M2, N] is taken at three candidate indices, not found by
+    # a loop over the whole tail
+    for N in range(8, 401):
+        m2 = tail_bounds_check(N, 1, 0).bounds.M2
+        for k in range(1, min(N, 8) + 1):
+            for alpha in range(k):
+                brute = max(i**alpha * (N - i) ** (k - alpha) for i in range(m2 + 1, N + 1))
+                assert tail_bounds_check(N, k, alpha).upper_max == F(brute, N**k), (N, k, alpha)
+
+
 def test_tail_bounds_independent_float_sum():
     N, k, alpha = 10**5, 4, 2
     tb = tail_bounds_check(N, k, alpha)
