@@ -63,9 +63,10 @@ support alpha <= i <= N - k + alpha, then its terms at every index outside
 the window, and so its whole lower-tail, upper-tail, below-alpha and
 above-support sums, are below (N + 1) exp(-800) < 2^-1074 (N <= 2^76 =
 7.6e22 leaves 2.9 nats of the 55-nat margin; ``_window_inside`` refuses
-larger N).  Its mid-window sums then equal its exact totals up to less than
-the float spacing, and ``harness`` takes those totals from the atom's
-moments (``model.kernel_mean_ratios``) instead of from these kernels.  The
+larger N).  So ``harness`` runs no per-index pass for it: every atom's
+totals come from its moments (``model.kernel_mean_ratios``), the other
+atoms take these kernels on the tail indices of their windows alone, and
+each mid sum is a total minus the tail sums.  The
 set being an interval around floor(Np), ``_window_inside`` decides this
 from N D next to the two edges, as the bisection does.  ``_n_kl`` takes its
 log1p arguments as correctly rounded integer ratios, so it errs by about

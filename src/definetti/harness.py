@@ -18,11 +18,12 @@ region sums and two edge masses), held as integer numerators over two
 denominators, and one function, ``_report``, turns them into a
 ``VerificationReport`` in integer arithmetic: exact on the exact backend,
 each field correctly rounded and the budget rounded up on the log backend.
-There, a measure's atoms whose windows (``_kernels._atom_window``) lie
-inside the mid window add nothing to the tails in float64, so their exact
-totals from moments are their mid sums (``_kernels._window_inside`` decides
-which); only the other atoms take the per-index kernels
-(``_measure_log_sums``), whose int64 indices need N < 2^63.
+A measure takes one algorithm on both backends (``_measure_sums``): lhs and
+rhs are exact totals from its moments, the tail and edge sums come from
+per-index passes over the two tails alone (exact integers, or float64
+over the atoms' windows, whose int64 indices need N < 2^63), and each mid
+sum is its total minus its tails.  A law file takes one pass over its
+entries.
 """
 
 from __future__ import annotations
@@ -45,10 +46,13 @@ from .model import (
     Value,
     kernel_mean_ratios,
     level_moments,
-    sample_mean_law,
+    sample_mean_law,   # unused here: perfbench's model.sample_mean_law span wraps this name
+    _law_bits,
+    _law_terms,
     _log_mean_law_array,
 )
 from .numerics import (
+    DomainError,
     RegionBounds,
     check_index_range,
     region_bounds,
@@ -57,6 +61,11 @@ from .numerics import (
 )
 
 EXACT_BACKEND_MAX_N = 2000
+# The most bits the exact backend lets a measure's count-law terms, and so
+# the report's numbers, take (``_measure_sums``): about N log2 d for atoms
+# over the denominator d.  The three-atom measure (d = 10) at N = 1e5 has
+# 3.3e5 bits; the limit is measured in the README.
+EXACT_MEASURE_MAX_BITS = 2**20
 # rows per ``scan_blocks`` block wherever a whole scan is taken: the CLI's
 # stream and ``ratio_scan``'s aggregator
 SCAN_BLOCK_ROWS = 8_192
@@ -267,15 +276,12 @@ def _scan_exact(N, k, alpha, idx, region, r):
     a_col, b_col, ratio_col = [], [], []
     eps_mid = Fraction(0)
     for i, code in zip(idx.tolist(), region.tolist()):
-        a = Fraction(math.perm(i, alpha) * math.perm(N - i, k - alpha), a_den)
-        b = Fraction(i**alpha * (N - i) ** (k - alpha), b_den)
+        a, b = map(Fraction, _ratio_terms(N, k, alpha, i), (a_den, b_den))
         ratio = None
         if b != 0 and not (a == 0 and i < alpha):
             ratio = a / b
             if ratio > r:
-                raise AssertionError(
-                    f"ratio bound violated at i={i}: {ratio} > {r}"
-                )
+                raise AssertionError(f"ratio bound violated at i={i}: {ratio} > {r}")
             if code == 1:
                 eps_mid = max(eps_mid, abs(ratio - 1))
         a_col.append(a)
@@ -434,21 +440,8 @@ def tail_bounds_check(N: int, k: int, alpha: int) -> TailBounds:
                                  for i in (b.M2 + 1, top, top + 1) if b.M2 < i <= N), N**k)
         # max <= N^(-(k-a)/2)  <=>  max^2 * N^(k-a) <= 1, exactly
         upper_ok = bool(upper_max**2 * N**beta <= 1)
-    return TailBounds(
-        N=N,
-        k=k,
-        alpha=alpha,
-        bounds=b,
-        lower_applicable=lower_applicable,
-        lower_sum=lower_sum,
-        lower_chain_mid=lower_chain_mid,
-        lower_cap=lower_cap,
-        lower_ok=lower_ok,
-        upper_applicable=upper_applicable,
-        upper_max=upper_max,
-        upper_cap=upper_cap,
-        upper_ok=upper_ok,
-    )
+    return TailBounds(N, k, alpha, b, lower_applicable, lower_sum, lower_chain_mid, lower_cap,
+                      lower_ok, upper_applicable, upper_max, upper_cap, upper_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +449,8 @@ def tail_bounds_check(N: int, k: int, alpha: int) -> TailBounds:
 # ---------------------------------------------------------------------------
 
 def _ratio_terms(N: int, k: int, alpha: int, i: int) -> tuple[int, int]:
-    """(num, den) with a_i / b_i = r num / den, both positive on the support."""
+    """(num, den), the integer numerators of a_i = num / N^(k) and
+    b_i = den / N^k, so a_i / b_i = r num / den; both positive on the support."""
     beta = k - alpha
     return math.perm(i, alpha) * math.perm(N - i, beta), i**alpha * (N - i) ** beta
 
@@ -572,11 +566,12 @@ def verify_approximation(
     mass below alpha and above the support N - k + alpha, where the
     conditional weight is an exact zero.  They are held as integers, the
     three a-side numerators over one denominator and the five b-side ones
-    over another.  On the exact backend they come from the law's integer
-    numerators (``_exact_fields``); on the log backend from float64 sums,
-    each an integer multiple of 2^-1074 (``_indexed_sums``), plus exact
-    moment totals for a measure's interior atoms (``_measure_log_sums``).
-    ``_report`` assembles every report from them, with the budget.
+    over another.  A law's come from one pass over its entries: its integer
+    numerators on the exact backend (``_exact_fields``), float64 sums, each
+    an integer multiple of 2^-1074, on the log backend (``_indexed_sums``).
+    A measure's come from its exact moment totals and two tail passes, on
+    either backend (``_measure_sums``).  ``_report`` assembles every report
+    from them, with the budget.
     """
     if isinstance(source, MixingMeasure):
         if N is None:
@@ -593,15 +588,13 @@ def verify_approximation(
     if backend == "auto" and not source.is_exact:
         backend = "log"       # float data cannot run the exact pipeline
     backend = resolve_backend(backend, law_n)
-    if backend == "exact":
-        if not source.is_exact:
-            raise ValidationError(
-                "exact backend requires rational input data (num/den strings)"
-            )
-        law = sample_mean_law(source, law_n) if isinstance(source, MixingMeasure) else source
-        sums = _exact_fields(law, e, law_n, bounds)
-    elif isinstance(source, MixingMeasure):
-        sums = _measure_log_sums(source, e, law_n, bounds)
+    if backend == "exact" and not source.is_exact:
+        raise ValidationError("exact backend requires rational input data (num/den strings)")
+    if isinstance(source, MixingMeasure):
+        sums = _measure_sums(source, e, law_n, bounds, backend)
+    elif backend == "exact":
+        nums, den = source.integer_form()
+        sums = _exact_fields(enumerate(nums), den, e, law_n, bounds)
     else:
         # int / int rounds correctly, so it equals float() of the reduced Fraction
         form = source.integer_form()
@@ -633,10 +626,12 @@ def _report(e, N, bounds, backend, sums) -> VerificationReport:
     if the budget of the eight values falls short of their |lhs - rhs| by
     less than 2^-1074, then sandwich_bound > abs_diff - 2^-1074, and as both
     are floats, abs_diff <= sandwich_bound holds exactly.  A measure whose
-    atoms are all interior (``_measure_log_sums``) has that: its values
+    atoms are all interior (``_measure_sums``) has that: its values
     move tail mass below 2^-1074 into the mid sums.  Float per-index sums
-    (atoms near an end, law files) carry their rounding into the mid sums,
-    so there the claim holds only up to that rounding.
+    carry their rounding into the report, so there the claim holds only up
+    to that rounding: a measure's tail sums, whose rounding enters its mid
+    sums through the subtraction from the exact totals (lhs and rhs stay
+    correctly rounded), and a law file's sums, all of them per-index.
 
     All of it is integer arithmetic: a float field is a correctly rounded
     int / int division, the budget is one numerator over the product of the
@@ -679,36 +674,34 @@ def _report(e, N, bounds, backend, sums) -> VerificationReport:
     )
 
 
-def _exact_fields(law, e, N, bounds):
-    """The eight exact sums of ``verify_approximation``, accumulated as
-    integers, in the form ``_report`` reads.
+def _exact_fields(terms, den, e, N, bounds):
+    """The eight exact sums of ``verify_approximation`` over the count-law
+    terms (i, num), q_i the sum of num / den over the terms at i,
+    accumulated as integers in the form ``_report`` reads.
 
-    With q_i = nums[i] / den and falling factorials x^(m) = x (x-1) ... (x-m+1),
-    the conditional weight is a_i = C(N-k, i-alpha) / C(N, i)
-    = i^(alpha) (N-i)^(k-alpha) / N^(k), which vanishes off the support
-    alpha <= i <= N-k+alpha by itself, and b_i = i^alpha (N-i)^(k-alpha) / N^k.
-    So every left sum is an integer over den * N^(k) and every right sum
-    one over den * N^k: one pass of small-integer times numerator products,
-    with no bignum binomials and no per-term gcd.
+    With falling factorials x^(m) = x (x-1) ... (x-m+1), the conditional
+    weight is a_i = C(N-k, i-alpha) / C(N, i) = i^(alpha) (N-i)^(k-alpha) / N^(k),
+    which vanishes off the support alpha <= i <= N-k+alpha by itself, and
+    b_i = i^alpha (N-i)^(k-alpha) / N^k (``_ratio_terms`` gives both
+    numerators).  So every left sum is an integer over den * N^(k) and
+    every right sum one over den * N^k: small-integer times numerator
+    products, with no bignum binomials and no per-term gcd.
     """
     k, alpha = e.k, e.alpha
-    nums, den = law.integer_form()
     m1, m2 = bounds.M1, bounds.M2
     hi = N - k + alpha  # conditional prefix probability vanishes above
 
     lhs_num = [0, 0, 0]   # lower, mid, upper over den * N^(k)
     rhs_num = [0] * 5     # lower, mid, upper, below alpha, above hi over den * N^k
-    for i, num in enumerate(nums):
+    for i, num in terms:
         if num == 0:
             continue
         reg = 0 if i <= m1 else (1 if i <= m2 else 2)
-        lhs_num[reg] += math.perm(i, alpha) * math.perm(N - i, k - alpha) * num
-        rhs_term = i**alpha * (N - i) ** (k - alpha) * num
-        rhs_num[reg] += rhs_term
-        if i < alpha:
-            rhs_num[3] += rhs_term
-        elif i > hi:
-            rhs_num[4] += rhs_term
+        a, b = _ratio_terms(N, k, alpha, i)
+        lhs_num[reg] += a * num
+        rhs_num[reg] += b * num
+        if i < alpha or i > hi:   # b_i is an edge term: at most k indices
+            rhs_num[3 if i < alpha else 4] += b * num
     return lhs_num, den * math.perm(N, k), rhs_num, den * N**k
 
 
@@ -733,37 +726,53 @@ def _indexed_sums(idx, log_q, e, N, bounds):
     return nums[:3], 1 << 1074, nums[3:], 1 << 1074
 
 
-def _plus_mid(nums, den, mid, mid_den):
-    """Region sums nums / den with mid / mid_den added to the mid one."""
-    out = [n * mid_den for n in nums]
-    out[1] += mid * den
-    return out, den * mid_den
+def _measure_sums(mu, e, N, bounds, backend):
+    """The eight sums of a measure, by one algorithm on both backends: exact
+    totals from its moments, per-index work only in the two tails.
 
+    lhs and rhs are the exact totals of ``model.kernel_mean_ratios`` over
+    the measure's first k moments, O(k^2) integer work at any N.  The
+    lower, upper and edge sums all lie at i <= lo = max(M1, alpha - 1) or
+    at i > hi = min(M2, N - k + alpha), raised to lo where it is below
+    (small N, long patterns), so that the two passes cover each index at
+    most once.  Each mid sum is its total minus its lower and upper sums.
 
-def _measure_log_sums(mu, e, N, bounds):
-    """The eight sums of a measure on the log backend, exact where they can be.
-
-    An atom whose window (``_kernels._atom_window``: its binomial mass
-    outside it is below exp(-800)) lies inside the mid window (M1, M2] and
-    inside the support alpha <= i <= N - k + alpha has every tail and edge
-    sum below (N + 1) exp(-800) < 2^-1074, so it adds its exact closed form
-    (``model.kernel_mean_ratios``) to the mid sums and nothing elsewhere;
-    two values of N D decide this (``_kernels._window_inside``).  Only the
-    other atoms take the per-index pass, whose int64 indices need
-    N < 2^63; the sums are linear in the atoms.
+    * Exact backend: the passes run ``model._law_terms`` upward to lo and
+      downward from N, in integers, so no count law of N + 1 numerators is
+      built.  One size check, on the bits of those terms and so of the
+      report's numbers (``model._law_bits``), refuses a measure past
+      EXACT_MEASURE_MAX_BITS before any bignum work.
+    * Log backend: an atom whose window (``_kernels._atom_window``: its
+      binomial mass outside it is below exp(-800)) lies inside (lo, hi] has
+      every tail and edge term below (N + 1) exp(-800) < 2^-1074, so it
+      takes no pass; two values of N D decide this
+      (``_kernels._window_inside``).  The other atoms take the per-index
+      kernels over the tail indices of their windows (``_indexed_sums``),
+      whose int64 indices need N < 2^63.  The tails' float rounding enters
+      the mid sums through the subtraction; where it would make a mid sum
+      negative (all of the mass in the tails), that sum is 0.
     """
     k, alpha = e.k, e.alpha
-    lo_edge = max(bounds.M1, alpha - 1)          # a window must start above
-    hi_edge = min(bounds.M2, N - k + alpha)      # and end at or below
-    interior, tail = [], []
-    for p, w in mu.atoms:
-        inside = _kernels._window_inside(N, float(p), lo_edge, hi_edge)
-        (interior if inside else tail).append((p, w))
-    a, a_den, b, b_den = [0] * 3, 1, [0] * 5, 1
-    if tail:
-        a, a_den, b, b_den = _indexed_sums(*_log_mean_law_array(tail, N), e, N, bounds)
-    if interior:
-        lhs, lhs_den, rhs, rhs_den = kernel_mean_ratios(level_moments(interior, k), N, k, alpha)
-        a, a_den = _plus_mid(a, a_den, lhs, lhs_den)
-        b, b_den = _plus_mid(b, b_den, rhs, rhs_den)
-    return a, a_den, b, b_den
+    lo = max(bounds.M1, alpha - 1)
+    hi = max(lo, min(bounds.M2, N - k + alpha))
+    if backend == "exact":
+        check_index_range(N)
+        if (bits := _law_bits(mu, N)) > EXACT_MEASURE_MAX_BITS:
+            raise DomainError(f"exact verify at N={N} needs numbers of about {bits:.3g} bits, "
+                              f"more than the {EXACT_MEASURE_MAX_BITS} it may take")
+        tails = _exact_fields(*_law_terms(mu, N, lo, hi), e, N, bounds)
+    else:
+        tails = [0] * 3, 1, [0] * 5, 1
+        atoms = [(p, w) for p, w in mu.atoms if not _kernels._window_inside(N, float(p), lo, hi)]
+        if atoms:
+            idx, log_q = _log_mean_law_array(atoms, N)
+            keep = (idx <= lo) | (idx > hi)
+            tails = _indexed_sums(idx[keep], log_q[keep], e, N, bounds)
+    totals = kernel_mean_ratios(level_moments(mu, k), N, k, alpha)
+    sums = []
+    for nums, den, total, total_den in zip(tails[::2], tails[1::2], totals[::2], totals[1::2]):
+        common = math.lcm(den, total_den)
+        nums = [n * (common // den) for n in nums]
+        nums[1] = max(0, total * (common // total_den) - nums[0] - nums[2])
+        sums += [nums, common]
+    return sums

@@ -28,7 +28,8 @@ Value = Union[Fraction, int, float]
 
 FLOAT_SUM_TOL = 1e-12
 # The most bytes of numbers a ``sample_mean_law`` law may hold.  Exact
-# numerators take about N log2(d) bits each over the atoms' denominator d:
+# numerators take about N log2(d) bits each over the atoms' denominator d
+# (``_law_bits``):
 # exact N = 4e4 over d = 10, the largest size the README and ROADMAP use,
 # holds 0.62 GiB (700 MB RSS).  A float law, 32 bytes an entry, stops near 3.4e7.
 LAW_MAX_BYTES = 2**30
@@ -380,21 +381,15 @@ def mixture_prefix_prob(mu: MixingMeasure, e: PrefixEvent) -> Value:
 
 def sample_mean_law(mu: MixingMeasure, N: int) -> SampleMeanLaw:
     """Law of the sample mean of N coordinates under the mixture; exact for
-    rational atoms, log-space double precision otherwise.
-
-    An atom p = a/d with weight w = u/v adds u C(N, i) a^i (d-a)^(N-i) / (v d^N)
-    to q_i.  Over the lcm D of the atoms' v d^N these are integers, built
-    by one multiplicative recurrence per atom, whose exact floor divisions
-    carry the binomial along: no Fractions, no gcds.  A law past
-    LAW_MAX_BYTES is a DomainError, raised before any of that work.
+    rational atoms (``_law_terms`` over all of 0..N), log-space double
+    precision otherwise.  A law past LAW_MAX_BYTES is a DomainError, raised
+    before any bignum or array work.
     """
     if N < 1:
         raise ValidationError("N must be positive")
     check_index_range(N)
-    size = (N + 1) * 32   # a float and its tuple slot
-    if mu.is_exact:
-        p_den, w_den = (math.lcm(*(x.denominator for x in xs)) for xs in zip(*mu.atoms))
-        size = (N + 1) * (N * math.log2(p_den) + math.log2(w_den)) / 8
+    # bytes: numerators of about _law_bits each, or a float and its tuple slot
+    size = (N + 1) * (_law_bits(mu, N) / 8 if mu.is_exact else 32)
     if size > LAW_MAX_BYTES:
         raise DomainError(f"the count law at N={N} would hold about {size / 2**30:.3g} GB, "
                           f"more than the {LAW_MAX_BYTES / 2**30:g} GB it may take")
@@ -403,21 +398,55 @@ def sample_mean_law(mu: MixingMeasure, N: int) -> SampleMeanLaw:
         q = np.zeros(N + 1, dtype=np.float64)
         q[idx] = np.exp(log_q)
         return SampleMeanLaw(N=N, weights=tuple(q.tolist()))
+    terms, den = _law_terms(mu, N, N, N)
+    nums = [0] * (N + 1)
+    for i, t in terms:
+        nums[i] += t
+    return SampleMeanLaw.from_integer_ratios(nums, den)
+
+
+def _law_bits(mu: MixingMeasure, N: int) -> float:
+    """About the bit length of an exact measure's count-law denominator at
+    level N, and so of its numerators: N log2 d + log2 v, with d and v the
+    lcms of the atoms' location and weight denominators."""
+    p_den, w_den = (math.lcm(*(x.denominator for x in xs)) for xs in zip(*mu.atoms))
+    return N * math.log2(p_den) + math.log2(w_den)
+
+
+def _law_terms(mu: MixingMeasure, N: int, lo: int, hi: int) -> tuple[Iterator[tuple[int, int]], int]:
+    """(terms, den) of an exact measure's count law at level N, lo <= hi:
+    ``terms`` yields (i, t), t / den one atom's part of q_i, at every i <= lo
+    upward from 0 and at every i > hi downward from N, atom by atom.
+
+    An atom p = a/d with weight w = u/v adds u C(N, i) a^i (d-a)^(N-i) / (v d^N)
+    to q_i.  Over the lcm den of the atoms' v d^N these are integers, built
+    by multiplicative recurrences whose exact floor divisions carry the
+    binomial along, t_(i+1) = t_i (N-i) a // ((i+1) (d-a)) upward and
+    t_(i-1) = t_i i (d-a) // ((N-i+1) a) downward: no Fractions, no gcds.
+    An atom at 0 or 1 has one term, at i = 0 or N.
+    """
     atom_dens = [w.denominator * p.denominator**N for p, w in mu.atoms]
     den = math.lcm(*atom_dens)
-    nums = [0] * (N + 1)
-    for (p, w), d in zip(mu.atoms, atom_dens):
-        scale = w.numerator * (den // d)
-        a, b = p.numerator, p.denominator - p.numerator
-        if b == 0:   # p = 1
-            nums[N] += scale * a**N
-            continue
-        t = scale * b**N   # i = 0
-        nums[0] += t
-        for i in range(N if a else 0):
-            t = t * ((N - i) * a) // ((i + 1) * b)
-            nums[i + 1] += t
-    return SampleMeanLaw.from_integer_ratios(nums, den)
+
+    def terms():
+        for (p, w), d in zip(mu.atoms, atom_dens):
+            scale = w.numerator * (den // d)
+            a, b = p.numerator, p.denominator - p.numerator
+            if a == 0 or b == 0:   # p = 0/1 or 1/1: the one term scale
+                i = N if a else 0
+                if i <= lo or i > hi:
+                    yield i, scale
+                continue
+            t = scale * b**N
+            for i in range(lo + 1):
+                yield i, t
+                t = t * ((N - i) * a) // ((i + 1) * b)
+            t = scale * a**N if hi < N else 0
+            for i in range(N, hi, -1):
+                yield i, t
+                t = t * (i * b) // ((N - i + 1) * a)
+
+    return terms(), den
 
 
 def _log_mean_law_array(

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from definetti import _blocktext, _kernels, cli, harness, io
+from definetti import _blocktext, _kernels, cli, harness, io, model
 from definetti.cli import main
 from definetti.numerics import (
     conditional_prefix_prob,
@@ -1301,6 +1301,36 @@ def test_exact_count_law_past_int64_is_a_domain_error(command, fair_file, capsys
     [line] = err.splitlines()
     doc = json.loads(line)
     assert doc["error"] == "domain" and "exceeds 2^63 - 1" in doc["message"]
+
+
+def test_exact_verify_of_a_measure_past_its_count_law_size(three_atom_file, capsys):
+    # N = 6e4 once needed a count law of about 1.39 GB and exited 2; the
+    # exact totals and two tail passes need numbers of about 2e5 bits
+    N, pattern = 60_000, "1,1,0,1"
+    code, out, err = run_cli(["verify", "--measure", three_atom_file, "-N", str(N),
+                              "--pattern", pattern, "--backend", "exact"], capsys)
+    assert (code, err) == (0, "")
+    rep = {name: io.parse_value(json.loads(out)[name])
+           for name in ("lhs", "rhs", "abs_diff", "sandwich_bound")}
+    mu, e = io.load_measure(three_atom_file), model.PrefixEvent.from_string(pattern)
+    assert rep["lhs"] == model.mixture_prefix_prob(mu, e)
+    assert rep["rhs"] == model.kernel_mean(model.level_moments(mu, e.k), N, e.k, e.alpha)[1]
+    assert rep["abs_diff"] == abs(rep["lhs"] - rep["rhs"]) <= rep["sandwich_bound"]
+
+
+def test_exact_verify_past_its_size_limit_is_a_domain_error(three_atom_file, monkeypatch, capsys):
+    # N = 4e5 over the denominator 10 takes about 1.3e6 bits, past
+    # EXACT_MEASURE_MAX_BITS: refused before any term is built
+    def refuse(*args):
+        raise AssertionError("count-law terms built past the size limit")
+
+    monkeypatch.setattr(harness, "_law_terms", refuse)
+    code, out, err = run_cli(["verify", "--measure", three_atom_file, "-N", "400000",
+                              "--pattern", "1,1,0,1", "--backend", "exact"], capsys)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "domain" and "bits" in doc["message"]
 
 
 def test_interior_measure_past_int64_verifies(tmp_path, capsys):

@@ -638,6 +638,76 @@ def test_verify_log_mixed_measure_scans_only_its_tail_atoms(monkeypatch):
     assert rep.lhs_lower > 0 and rep.rhs_lower > 0
 
 
+ENDS_MU = MixingMeasure(((F(0), F(1, 4)), (F(1, 3), F(1, 4)), (F(1), F(1, 2))))
+
+
+def _sum_fractions(sums):
+    a, a_den, b, b_den = sums
+    return [F(n, a_den) for n in a] + [F(n, b_den) for n in b]
+
+
+def _assert_measure_sums_match_law_pass(mu, N, k, alpha, nums, den):
+    # the reference is one pass of _exact_fields over the whole count law
+    b = region_bounds(N)
+    e = PrefixEvent((1,) * alpha + (0,) * (k - alpha))
+    want = _sum_fractions(harness._exact_fields(enumerate(nums), den, e, N, b))
+    got = _sum_fractions(harness._measure_sums(mu, e, N, b, "exact"))
+    assert got == want, (N, k, alpha)
+
+
+@pytest.mark.parametrize("name", ["three", "ends"])
+def test_exact_measure_sums_match_the_full_law_pass(name, three_atom_mu):
+    # every N in 8..64, every k <= min(N, 10) and every alpha, so the grid
+    # holds the shapes where the two tail passes would overlap (lo >= hi
+    # before hi is raised to lo), such as N = 8, k = 7, alpha = 0
+    mu = three_atom_mu if name == "three" else ENDS_MU
+    overlaps = 0
+    for N in range(8, 65):
+        nums, den = sample_mean_law(mu, N).integer_form()
+        b = region_bounds(N)
+        for k in range(1, min(N, 10) + 1):
+            for alpha in range(k + 1):
+                overlaps += max(b.M1, alpha - 1) >= min(b.M2, N - k + alpha)
+                _assert_measure_sums_match_law_pass(mu, N, k, alpha, nums, den)
+    assert overlaps > 0
+
+
+@given(st.data())
+def test_exact_measure_sums_match_the_full_law_pass_random(data):
+    mu = random_rational_measure(random.Random(data.draw(st.integers(0, 10**6), label="seed")))
+    N = data.draw(st.integers(8, 3000), label="N")
+    k = data.draw(st.integers(1, min(N, 10)), label="k")
+    alpha = data.draw(st.integers(0, k), label="alpha")
+    _assert_measure_sums_match_law_pass(mu, N, k, alpha, *sample_mean_law(mu, N).integer_form())
+
+
+def test_log_measure_totals_are_exact_and_only_tails_are_scanned(monkeypatch):
+    # both atoms reach a tail: before, their whole windows were summed per
+    # index and lhs and rhs came out a few ulp off the exact totals
+    N, atoms = 10**7, ((1e-5, 0.2), (0.99995, 0.8))
+    e = PrefixEvent((1, 1, 1, 0, 0, 0))
+    b = region_bounds(N)
+    lo, hi = b.M1, b.M2   # the passes of _measure_sums run over i <= lo and i > hi
+    seen = []
+    indexed = harness._indexed_sums
+
+    def spy(idx, log_q, *args):
+        seen.append(idx)
+        return indexed(idx, log_q, *args)
+
+    monkeypatch.setattr(harness, "_indexed_sums", spy)
+    rep = verify_approximation(MixingMeasure(atoms), e, N=N, backend="log")
+    lhs, rhs = kernel_mean(level_moments(atoms, e.k), N, e.k, e.alpha)
+    assert (rep.lhs, rep.rhs) == (float(lhs), float(rhs))
+    [idx] = seen
+    assert idx.size and np.all((idx <= lo) | (idx > hi))
+    # the tail and edge fields are those of a pass over the whole windows
+    whole = _sum_fractions(indexed(*harness._log_mean_law_array(atoms, N), e, N, b))
+    got = _printed_sums(rep)
+    for j in (0, 2, 3, 5, 6, 7):
+        assert got[j] == whole[j], SUM_FIELDS[j]
+
+
 def _binomial_raw_moment(N, m):
     """E[S^m] for S ~ Bin(N, p) as integer coefficients of a polynomial in p,
     by the recurrence E[S^(m+1)] = p (1 - p) d/dp E[S^m] + N p E[S^m]."""
