@@ -735,7 +735,8 @@ def _measure_sums(mu, e, N, bounds, backend):
     lower, upper and edge sums all lie at i <= lo = max(M1, alpha - 1) or
     at i > hi = min(M2, N - k + alpha), raised to lo where it is below
     (small N, long patterns), so that the two passes cover each index at
-    most once.  Each mid sum is its total minus its lower and upper sums.
+    most once.  Each mid sum is its total minus its lower and upper sums,
+    over the product of the two denominators.
 
     * Exact backend: the passes run ``model._law_terms`` upward to lo and
       downward from N, in integers, so no count law of N + 1 numerators is
@@ -771,8 +772,7 @@ def _measure_sums(mu, e, N, bounds, backend):
     totals = kernel_mean_ratios(level_moments(mu, k), N, k, alpha)
     sums = []
     for nums, den, total, total_den in zip(tails[::2], tails[1::2], totals[::2], totals[1::2]):
-        common = math.lcm(den, total_den)
-        nums = [n * (common // den) for n in nums]
-        nums[1] = max(0, total * (common // total_den) - nums[0] - nums[2])
-        sums += [nums, common]
+        nums = [n * total_den for n in nums]
+        nums[1] = max(0, total * den - nums[0] - nums[2])
+        sums += [nums, den * total_den]
     return sums
