@@ -8,8 +8,9 @@ For a count law q and a prefix pattern (k, alpha) it computes
 splits both sums into lower tail (i <= M1), mid window (M1 < i <= M2) and
 upper tail (i > M2), and assembles a sound bound for |lhs - rhs| from the
 max ratio deviation in the mid window plus the four tail partial sums.
-The sums are exact rationals for N <= 2000 (or on request) and log-space
-float64 above.  The mid-window deviation does not depend on the law, and
+The exact backend (``auto`` picks it for rational input at N <= 2000)
+prints every field as an exact rational, the log backend each one rounded
+to float64.  The mid-window deviation does not depend on the law, and
 both backends take it from one exact function, ``mid_window_eps``, which
 certifies it from the unimodality of the ratio in a few O(k) evaluations.
 
@@ -22,8 +23,8 @@ A measure takes one algorithm on both backends (``_measure_sums``): lhs and
 rhs are exact totals from its moments, the tail and edge sums come from
 per-index passes over the two tails alone (exact integers, or float64
 over the atoms' windows, whose int64 indices need N < 2^63), and each mid
-sum is its total minus its tails.  A law file takes one pass over its
-entries.
+sum is its total minus its tails.  A law file, exact or float, takes one
+exact integer pass over its terms on both backends (``_exact_fields``).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .model import (
     _law_bits,
     _law_terms,
     _log_mean_law_array,
+    _tiny_multiple,
 )
 from .numerics import (
     DomainError,
@@ -566,10 +568,11 @@ def verify_approximation(
     mass below alpha and above the support N - k + alpha, where the
     conditional weight is an exact zero.  They are held as integers, the
     three a-side numerators over one denominator and the five b-side ones
-    over another.  A law's come from one pass over its entries: its integer
-    numerators on the exact backend (``_exact_fields``), float64 sums, each
-    an integer multiple of 2^-1074, on the log backend (``_indexed_sums``).
-    A measure's come from its exact moment totals and two tail passes, on
+    over another.  A law's come from one integer pass over its terms on
+    either backend (``_exact_fields``): an exact law's numerators over its
+    denominator, a float law's weights as integer multiples of 2^-1074
+    (``SampleMeanLaw.terms``), so its eight values are exact too.  A
+    measure's come from its exact moment totals and two tail passes, on
     either backend (``_measure_sums``).  ``_report`` assembles every report
     from them, with the budget.
     """
@@ -592,16 +595,8 @@ def verify_approximation(
         raise ValidationError("exact backend requires rational input data (num/den strings)")
     if isinstance(source, MixingMeasure):
         sums = _measure_sums(source, e, law_n, bounds, backend)
-    elif backend == "exact":
-        nums, den = source.integer_form()
-        sums = _exact_fields(enumerate(nums), den, e, law_n, bounds)
     else:
-        # int / int rounds correctly, so it equals float() of the reduced Fraction
-        form = source.integer_form()
-        values = [n / form[1] for n in form[0]] if form else source.weights
-        weights = np.array(values, dtype=np.float64)
-        idx = np.flatnonzero(weights)   # the law on its float64 support
-        sums = _indexed_sums(idx, np.log(weights[idx]), e, law_n, bounds)
+        sums = _exact_fields(*source.terms(), e, law_n, bounds)
     return _report(e, law_n, bounds, backend, sums)
 
 
@@ -625,13 +620,13 @@ def _report(e, N, bounds, backend, sums) -> VerificationReport:
     the budget plus max(0, abs_diff - |lhs - rhs|), exact, rounded up.  So
     if the budget of the eight values falls short of their |lhs - rhs| by
     less than 2^-1074, then sandwich_bound > abs_diff - 2^-1074, and as both
-    are floats, abs_diff <= sandwich_bound holds exactly.  A measure whose
-    atoms are all interior (``_measure_sums``) has that: its values
-    move tail mass below 2^-1074 into the mid sums.  Float per-index sums
-    carry their rounding into the report, so there the claim holds only up
-    to that rounding: a measure's tail sums, whose rounding enters its mid
-    sums through the subtraction from the exact totals (lhs and rhs stay
-    correctly rounded), and a law file's sums, all of them per-index.
+    are floats, abs_diff <= sandwich_bound holds exactly.  A law file has
+    that, its eight values being exact, and so does a measure whose atoms
+    are all interior (``_measure_sums``): its values move tail mass below
+    2^-1074 into the mid sums.  A measure's float per-index tail sums carry
+    their rounding into the report, so there the claim holds only up to
+    that rounding, which enters its mid sums through the subtraction from
+    the exact totals (lhs and rhs stay correctly rounded).
 
     All of it is integer arithmetic: a float field is a correctly rounded
     int / int division, the budget is one numerator over the product of the
@@ -705,17 +700,12 @@ def _exact_fields(terms, den, e, N, bounds):
     return lhs_num, den * math.perm(N, k), rhs_num, den * N**k
 
 
-def _tiny_multiple(x: float) -> int:
-    """x as an integer multiple of 2^-1074, which every finite float is."""
-    num, den = x.as_integer_ratio()
-    return num << (1075 - den.bit_length())
-
-
 def _indexed_sums(idx, log_q, e, N, bounds):
-    """The eight sums of a law given on the ascending indices ``idx`` by
-    log q, each float64 sum read exactly as an integer over 2^1074: the six
-    region sums, then the b-side mass where the conditional weight is an
-    exact zero, i < alpha and i > N - k + alpha."""
+    """The eight sums of a measure's tail atoms, given on the ascending tail
+    indices ``idx`` by their count law's log q (``_measure_sums``), each
+    float64 sum read exactly as an integer over 2^1074: the six region sums,
+    then the b-side mass where the conditional weight is an exact zero,
+    i < alpha and i > N - k + alpha."""
     k, alpha = e.k, e.alpha
     log_a, log_b = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)
     sums = _kernels.pair_region_sums(log_a, log_b, log_q, idx, bounds.M1, bounds.M2)

@@ -33,9 +33,6 @@ FLOAT_SUM_TOL = 1e-12
 # exact N = 4e4 over d = 10, the largest size the README and ROADMAP use,
 # holds 0.62 GiB (700 MB RSS).  A float law, 32 bytes an entry, stops near 3.4e7.
 LAW_MAX_BYTES = 2**30
-# float results whose estimated rounding error exceeds this relative level
-# get the cancellation flag
-CANCELLATION_TOL = 1e-6
 
 
 def any_size(convert, x):
@@ -275,6 +272,12 @@ def _check_law(nums: Sequence, den: Value, tol: float) -> None:
         raise ValidationError(f"weights sum to {show(total)}, expected {want}")
 
 
+def _tiny_multiple(x: float) -> int:
+    """x as an integer multiple of 2^-1074, which every finite float is."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
 class SampleMeanLaw(_Ratios):
     """Distribution of the sample mean over {0, 1/N, ..., 1} as weights q_0..q_N.
 
@@ -285,14 +288,8 @@ class SampleMeanLaw(_Ratios):
 
     _check = staticmethod(_check_law)
     N = _Ratios._last
-    cancellation_flagged = False   # for laws built without __init__
 
-    def __init__(
-        self,
-        N: int,
-        weights: Sequence[Value],
-        cancellation_flagged: bool = False,
-    ):
+    def __init__(self, N: int, weights: Sequence[Value]):
         if N < 1:
             raise ValidationError("N must be positive")
         weights = tuple(weights)
@@ -301,11 +298,22 @@ class SampleMeanLaw(_Ratios):
                 f"expected {N + 1} weights for N={N}, got {len(weights)}"
             )
         self._hold(weights)
-        self.cancellation_flagged = cancellation_flagged
 
     @property
     def weights(self) -> tuple[Value, ...]:
         return self._exact_or_float()
+
+    def terms(self) -> tuple[Iterator[tuple[int, int]], int]:
+        """(terms, den) of the law, as ``_law_terms`` gives a measure's:
+        ``terms`` yields (i, t) with q_i = t / den exactly, ascending in i.
+        An exact law gives its ``integer_form``; a float law the nonzero
+        weights as integer multiples of 2^-1074 (``_tiny_multiple``) over
+        den = 2^1074."""
+        if self._nums is not None:
+            return enumerate(self._nums), self._den
+        q = self._values
+        support = itertools.compress(range(len(q)), q)   # the i with q_i != 0
+        return ((i, _tiny_multiple(q[i])) for i in support), 1 << 1074
 
     def __repr__(self) -> str:
         kind = "exact" if self.is_exact else "float"
@@ -462,33 +470,14 @@ def _log_mean_law_array(
 
 
 def level_moments(
-    source: SampleMeanLaw | MixingMeasure | Iterable[tuple[Value, Value]], k: int
+    source: MixingMeasure | Iterable[tuple[Value, Value]], k: int
 ) -> tuple[list[int], int]:
-    """c_0..c_k, c_j = P(the first j coordinates are all one), as integer
-    numerators over one denominator.
-
-    For a measure (or any (p, w) atoms, whose weights need not sum to one)
-    c_j = sum w p^j at every level; a float enters by its exact
-    ``as_integer_ratio``, so float atoms give one power-of-two denominator.
-    For an exact count law at level N, c_j = E[S^(j)] / N^(j) with falling
-    factorials x^(j) = x (x-1) ... (x-j+1), and E[S^(j)] = j! B_j with the
-    binomial moments B_j = sum_i C(i, j) q_i.  Since sum_i q_i x^i =
-    sum_j B_j (x - 1)^j, dividing the law's polynomial by x - 1 j times
-    leaves B_j as the remainder; each division is one running sum of N
-    bignum additions, with no products.  No coordinate j > N exists, so
-    c_j = 0 there (only its product N^(j) c_j = 0 is ever read, by
-    ``kernel_mean``).
+    """c_0..c_k, c_j = P(the first j coordinates are all one) = sum w p^j,
+    as integer numerators over one denominator, for a measure or any
+    (p, w) atoms, whose weights need not sum to one.  A float enters by its
+    exact ``as_integer_ratio``, so float atoms give one power-of-two
+    denominator.
     """
-    if isinstance(source, SampleMeanLaw):
-        nums, den = source.integer_form()
-        N = source.N
-        top = min(k, N)
-        out, rev = [], nums[::-1]   # highest coefficient first
-        for j in range(top + 1):
-            rev = list(itertools.accumulate(rev))
-            # the remainder is the full sum; the rest is the quotient
-            out.append(rev.pop() * math.factorial(j) * math.perm(N - j, top - j))
-        return out + [0] * (k - top), den * math.perm(N, top)
     if isinstance(source, MixingMeasure):
         source = source.atoms
     atoms = [(p.as_integer_ratio(), w.as_integer_ratio()) for p, w in source]
@@ -542,28 +531,21 @@ def kernel_mean_ratios(
     return lhs, den, rhs, den * N**k
 
 
-def kernel_mean(
-    moments: tuple[Sequence[int], int], N: int, k: int, alpha: int
-) -> tuple[Fraction, Fraction]:
-    """(lhs, rhs) of ``kernel_mean_ratios`` as Fractions."""
-    lhs, lhs_den, rhs, rhs_den = kernel_mean_ratios(moments, N, k, alpha)
-    return Fraction(lhs, lhs_den), Fraction(rhs, rhs_den)
-
-
 def prefix_prob_from_mean_law(law: SampleMeanLaw, e: PrefixEvent) -> Value:
     """P(prefix pattern) implied by a count law via the exchangeable
     conditional weights: sum_i P(prefix | count=i) q_i.
 
-    An exact law's value is ``kernel_mean``'s lhs over its ``level_moments``."""
+    With P(prefix | count=i) = i^(alpha) (N-i)^(k-alpha) / N^(k) in falling
+    factorials, the value is one integer sum over the law's ``terms``, over
+    den N^(k): a Fraction for an exact law, correctly rounded for a float
+    one."""
     N, k, alpha = law.N, e.k, e.alpha
     if k > N:
         raise ValidationError(f"pattern length {k} exceeds N={N}")
-    if law.is_exact:
-        return kernel_mean(level_moments(law, k), N, k, alpha)[0]
-    q = np.array(law.weights, dtype=np.float64)
-    idx = np.flatnonzero(q)
-    log_a, _ = _kernels.scan_log_ab(_kernels.RESIDUALS, N, k, alpha, idx)
-    return math.fsum(np.exp(log_a) * q[idx])
+    terms, den = law.terms()
+    total = sum(math.perm(i, alpha) * math.perm(N - i, k - alpha) * t for i, t in terms)
+    den *= math.perm(N, k)
+    return Fraction(total, den) if law.is_exact else total / den
 
 
 def prefix_prob_from_moments(c: MomentVector, e: PrefixEvent) -> Value:
@@ -608,8 +590,7 @@ def mean_law_from_moments(c: MomentVector, n: int) -> SampleMeanLaw:
     ``check_complete_monotonicity`` scans): O(n^2) integer subtractions and
     no per-term binomials or gcds.  The law keeps those numerators over the
     same D, so validating it sums integers.  The float path uses
-    exactly-rounded summation and flags the law when cancellation may exceed
-    1e-6 relative.
+    exactly-rounded summation.
     """
     if n < 1:
         raise ValidationError("level must be positive")
@@ -630,23 +611,17 @@ def mean_law_from_moments(c: MomentVector, n: int) -> SampleMeanLaw:
             choose = choose * (n - j) // (j + 1)
         return SampleMeanLaw.from_integer_ratios(nums, D)
     weights: list[Value] = []
-    flagged = False
     for j in range(n + 1):
-        terms = [
+        q = math.comb(n, j) * math.fsum(
             (-1) ** t * math.comb(n - j, t) * c.c[j + t] for t in range(n - j + 1)
-        ]
-        inner = math.fsum(terms)
-        gross = math.fsum(abs(t) for t in terms)
-        q = math.comb(n, j) * inner
-        if gross > 0 and abs(inner) < CANCELLATION_TOL * gross:
-            flagged = True
+        )
         if q < -FLOAT_SUM_TOL:
             raise ExtendabilityError(level=n, index=j, value=q)
         weights.append(max(q, 0.0))
     total = math.fsum(weights)
     if abs(total - 1) > FLOAT_SUM_TOL:
         raise ExtendabilityError(level=n, index=0, value=total - 1)
-    return SampleMeanLaw(N=n, weights=tuple(weights), cancellation_flagged=flagged)
+    return SampleMeanLaw(N=n, weights=tuple(weights))
 
 
 def check_complete_monotonicity(c: MomentVector) -> MonotonicityCheck:

@@ -49,12 +49,21 @@ def measure_moments(mu, n):
     return model.MomentVector.from_integer_ratios(*model.level_moments(mu, n))
 
 
+def kernel_mean(moments, N, k, alpha):
+    """(lhs, rhs) of ``model.kernel_mean_ratios`` as Fractions."""
+    lhs, lhs_den, rhs, rhs_den = model.kernel_mean_ratios(moments, N, k, alpha)
+    return Fraction(lhs, lhs_den), Fraction(rhs, rhs_den)
+
+
 def kernel_gap(law, target, a, k):
     """E[(S/N)^a (1 - S/N)^(k-a)] under an exact count law minus
     E[p^a (1-p)^(k-a)] under a measure, exactly; the monomial p^m is the
-    a = k = m kernel.  The law's side is ``kernel_mean``'s rhs over its
-    ``level_moments``, the measure's a direct sum over its atoms."""
-    law_side = model.kernel_mean(model.level_moments(law, k), law.N, k, a)[1]
+    a = k = m kernel.  Both sides are direct sums: the law's of
+    q_i i^a (N-i)^(k-a) / N^k over its integer numerators, the measure's
+    over its atoms."""
+    nums, den = law.integer_form()
+    N = law.N
+    law_side = Fraction(sum(q * i**a * (N - i) ** (k - a) for i, q in enumerate(nums)), den * N**k)
     return law_side - sum(w * p**a * (1 - p) ** (k - a) for p, w in target.atoms)
 
 

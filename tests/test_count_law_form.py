@@ -1,12 +1,11 @@
 """Exact count laws against per-term Fraction references.
 
 Every exact ``SampleMeanLaw`` is integer numerators over one denominator,
-and ``sample_mean_law``, ``prefix_prob_from_mean_law`` and
-``level_moments`` sum those integers.  The references below evaluate
-the same quantities term by term in ``Fraction`` arithmetic: the mixture
-sum w C(N, i) p^i (1-p)^(N-i), the conditional prefix probability times
-q_i, and the kernel expectation over reduced weights.  A float law holds
-float64 weights only.
+and ``sample_mean_law`` and ``prefix_prob_from_mean_law`` sum those
+integers.  The references below evaluate the same quantities term by term
+in ``Fraction`` arithmetic: the mixture sum w C(N, i) p^i (1-p)^(N-i), the
+conditional prefix probability times q_i, and the kernel expectation over
+reduced weights.  A float law holds float64 weights only.
 """
 
 import json
@@ -24,12 +23,13 @@ from definetti.model import (
     PrefixEvent,
     SampleMeanLaw,
     ValidationError,
-    kernel_mean,
     level_moments,
     prefix_prob_from_mean_law,
     sample_mean_law,
 )
 from definetti.numerics import conditional_prefix_prob
+
+from conftest import kernel_mean
 
 F = Fraction
 
@@ -120,20 +120,16 @@ def test_prefix_prob_from_counts_matches_reference(q, data):
     got = prefix_prob_from_mean_law(law, e)
     assert isinstance(got, Fraction)
     assert got == reference_prefix_prob(law, e)
-    # a count law that is no mixture's law: the kernel expectation too
-    want = (got, reference_kernel_expectation(law, e.alpha, e.k))
-    assert kernel_mean(level_moments(law, e.k), law.N, e.k, e.alpha) == want
 
 
 @given(rational_measures(), st.data())
 def test_kernel_mean_of_a_measure_and_of_its_law_agree(mu, data):
-    # c_j = E[p^j] for the measure and E[S^(j)] / N^(j) for its level-N law
-    # are the same numbers, and both give the Fraction references' lhs and rhs
+    # the measure's moments c_j = E[p^j] give the lhs and rhs that the
+    # Fraction references sum over its level-N law
     N = data.draw(st.integers(1, 40))
     law = sample_mean_law(mu, N)
     e = data.draw(patterns(N))
     want = (reference_prefix_prob(law, e), reference_kernel_expectation(law, e.alpha, e.k))
-    assert kernel_mean(level_moments(law, e.k), N, e.k, e.alpha) == want
     assert kernel_mean(level_moments(mu, e.k), N, e.k, e.alpha) == want
 
 

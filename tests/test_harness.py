@@ -1,6 +1,8 @@
 import json
 import math
+import pathlib
 import random
+import tempfile
 import warnings
 from fractions import Fraction
 
@@ -25,7 +27,6 @@ from definetti.model import (
     PrefixEvent,
     SampleMeanLaw,
     ValidationError,
-    kernel_mean,
     level_moments,
     sample_mean_law,
 )
@@ -36,7 +37,7 @@ from definetti.numerics import (
     replacement_correction,
 )
 
-from conftest import dense_log_mean_law, random_rational_measure
+from conftest import dense_log_mean_law, kernel_mean, random_rational_measure
 
 F = Fraction
 
@@ -567,8 +568,8 @@ def test_verify_log_on_support_matches_dense_row(atoms, N, pattern, monkeypatch)
 
 
 @pytest.mark.parametrize("pattern", [(1, 1, 0), (1, 0, 0), (1, 1, 1, 0)])
-def test_verify_log_float_law_with_zeros_matches_dense_row(pattern):
-    # zero weights are left out of the index set; mass at 1 and N - 1 puts
+def test_verify_log_float_law_with_zeros_matches_dense_row(pattern, monkeypatch):
+    # zero weights are left out of the terms; mass at 1 and N - 1 puts
     # terms below alpha and above the support
     N = 3000
     rng = np.random.default_rng(5)
@@ -581,27 +582,114 @@ def test_verify_log_float_law_with_zeros_matches_dense_row(pattern):
     with np.errstate(divide="ignore"):
         want = _dense_log_verify(np.log(q), N, e)
     assert want["rhs_below_alpha"] > 0 or want["rhs_above_support"] > 0
-    rep = verify_approximation(law, e, backend="log")
+    rep, sums = _report_and_sums(monkeypatch, law, e)
     _assert_matches_dense(vars(rep), want, N)
-    # a law's sums are floats: the printed ones are the exact values
-    _assert_rounding_rule(rep, _printed_sums(rep))
+    # the report rests on the exact sums of the law's own weights
+    assert sums == _reference_law_sums(N, law.weights, e)
+    _assert_rounding_rule(rep, sums)
 
 
 @pytest.mark.parametrize("N", [300, 1500])
 def test_verify_log_exact_law_follows_rounding_rule(N, three_atom_mu, tmp_path, capsys,
                                                     monkeypatch):
-    # an exact law file on the log backend: its floats are nums[i] / den
+    # an exact law file on the log backend rests on the exact report's sums
     mu, path = tmp_path / "mu.json", tmp_path / "law.json"
     mu.write_text(json.dumps(io.measure_to_doc(three_atom_mu)))
     assert main(["yn-law", "--measure", str(mu), "-N", str(N), "--out", str(path)]) == 0
     law = io.load_law(str(path))
     for pattern in ((1, 0), (1, 1, 0, 1), (0, 0, 0), (1, 1, 1, 1, 1, 0)):
         rep, sums = _report_and_sums(monkeypatch, law, PrefixEvent(pattern))
-        assert sums == _printed_sums(rep)
+        exact = verify_approximation(law, PrefixEvent(pattern), backend="exact")
+        assert sums == [getattr(exact, name) for name in SUM_FIELDS]
         _assert_rounding_rule(rep, sums)
         assert main(["verify", "--law", str(path), "--pattern", ",".join(map(str, pattern)),
                      "--backend", "log"]) == 0
         assert json.loads(capsys.readouterr().out) == vars(rep)
+
+
+def _reference_law_sums(N, q, e):
+    """The eight exact values behind the report of the float law q, summed
+    term by term in Fractions of its weights' exact values, with
+    ``conditional_prefix_prob`` and ``iid_kernel``."""
+    b = region_bounds(N)
+    sums = [F(0)] * 8
+    for i, x in enumerate(q):
+        if x:
+            reg = 0 if i <= b.M1 else (1 if i <= b.M2 else 2)
+            a_i = conditional_prefix_prob(N, e.k, e.alpha, i) * F(x)
+            b_i = iid_kernel(N, e.k, e.alpha, i) * F(x)
+            sums[reg] += a_i
+            sums[3 + reg] += b_i
+            if i < e.alpha or i > N - e.k + e.alpha:
+                sums[6 if i < e.alpha else 7] += b_i
+    return sums
+
+
+def _law_file_runs(law_path, e, tmp):
+    """The report of ``verify --law`` on a law file, log backend, and the
+    value ``prefix-prob --law`` prints for it."""
+    pattern = ",".join(map(str, e.pattern))
+    out = pathlib.Path(tmp) / "out.json"
+    assert main(["verify", "--law", str(law_path), "--pattern", pattern, "--backend", "log",
+                 "--out", str(out)]) == 0
+    rep = harness.VerificationReport(**json.loads(out.read_text()))
+    assert main(["prefix-prob", "--law", str(law_path), "--pattern", pattern,
+                 "--out", str(out)]) == 0
+    return rep, json.loads(out.read_text())["value"]
+
+
+@pytest.mark.parametrize("pattern", [(1, 0), (0, 1)])
+def test_float_law_file_certifies_its_bound(pattern, tmp_path):
+    # the yn-law file of a float measure at N = 2000: per-index float sums
+    # once printed abs_diff 8.750000000004587e-05 above sandwich_bound
+    # 8.7499999999999e-05 for both patterns
+    N, e = 2000, PrefixEvent(pattern)
+    mu, law = tmp_path / "mu.json", tmp_path / "law.json"
+    mu.write_text(json.dumps({"atoms": [{"p": 0.2, "w": 0.3}, {"p": 0.5, "w": 0.4},
+                                        {"p": 0.9, "w": 0.3}]}))
+    assert main(["yn-law", "--measure", str(mu), "-N", str(N), "--out", str(law)]) == 0
+    rep, value = _law_file_runs(law, e, tmp_path)
+    assert rep.abs_diff <= rep.sandwich_bound
+    sums = _reference_law_sums(N, json.loads(law.read_text())["q"], e)
+    _assert_rounding_rule(rep, sums)
+    assert value == float(sum(sums[:3])) == rep.lhs
+
+
+@st.composite
+def sparse_float_laws(draw):
+    """(N, q): a float count law at N <= 3000 with a few nonzero weights
+    anywhere in 0..N, the edges among them, subnormal ones included."""
+    N = draw(st.integers(8, 3000), label="N")
+    edges = st.sampled_from([0, 1, 2, N - 2, N - 1, N])
+    idx = draw(st.lists(st.one_of(st.integers(0, N), edges), min_size=1, max_size=24,
+                        unique=True), label="idx")
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=len(idx), max_size=len(idx)),
+               label="raw")
+    raw[0] += 1.0
+    total = math.fsum(raw)
+    q = [0.0] * (N + 1)
+    for i, x in zip(idx, raw):
+        q[i] = x / total
+    return N, q
+
+
+@given(sparse_float_laws(), st.data())
+def test_float_law_file_fields_are_its_exact_values_rounded(law, data):
+    # every field of a float law file's report is the exact value for the
+    # file's own weights, correctly rounded, so abs_diff <= sandwich_bound
+    # is a proof; prefix-prob prints the same lhs
+    N, q = law
+    k = data.draw(st.integers(1, min(N, 6)), label="k")
+    e = PrefixEvent(tuple(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                                    label="pattern")))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "law.json"
+        path.write_text(json.dumps({"N": N, "q": q}))
+        rep, value = _law_file_runs(path, e, tmp)
+    sums = _reference_law_sums(N, q, e)
+    _assert_rounding_rule(rep, sums)
+    assert rep.abs_diff <= rep.sandwich_bound
+    assert value == float(sum(sums[:3])) == rep.lhs
 
 
 @pytest.mark.parametrize("N", [8, 60, 300])
@@ -1028,6 +1116,22 @@ def test_log_verify_of_interior_float_measure_builds_no_fraction():
         got = verify_approximation(mu, e, N=N)
     _assert_same_report(got, want)
     assert got.backend == "log" and got.abs_diff <= got.sandwich_bound
+
+
+def test_law_files_use_no_float_kernel(monkeypatch):
+    # a float law is summed as integers on the log backend, and so is its
+    # prefix probability: no per-index kernel runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("float kernel called on a law path")
+
+    for name in ("scan_log_ab", "pair_region_sums"):
+        monkeypatch.setattr(_kernels, name, refuse)
+    monkeypatch.setattr(harness, "_indexed_sums", refuse)
+    law = sample_mean_law(MixingMeasure(((0.0, 0.3), (0.4, 0.7))), 3000)
+    e = PrefixEvent((1, 0, 1))
+    rep = verify_approximation(law, e, backend="log")
+    assert rep.abs_diff <= rep.sandwich_bound
+    assert model.prefix_prob_from_mean_law(law, e) == rep.lhs
 
 
 def test_exact_verify_uses_no_float_kernel(three_atom_mu, monkeypatch):

@@ -346,10 +346,10 @@ def test_mean_law_window_reaching_an_end_matches_exact(p):
 
 
 def test_float_count_law_callers_match_dense_row():
-    # sample_mean_law scatters the support into zeros, and the float
-    # prefix probability sums over nonzero weights only: both equal the
-    # results over the scattered law bit for bit, and the law is the
-    # 40-digit mixture to float accuracy
+    # sample_mean_law scatters the support into zeros, bit for bit, and the
+    # law is the 40-digit mixture to float accuracy; the float prefix
+    # probability is the exact value for the law's own weights, correctly
+    # rounded, with P(prefix | count=i) = i^(alpha) (N-i)^(k-alpha) / N^(k)
     N = 20_000
     atoms = ((0.0, 0.1), (0.004, 0.2), (0.5, 0.3), (0.93, 0.2), (1.0, 0.2))
     mu = MixingMeasure(atoms)
@@ -362,11 +362,13 @@ def test_float_count_law_callers_match_dense_row():
     assert law.weights == tuple(scattered.tolist())
     dense = np.exp(dense_log_mean_law(N, ps, lws))
     assert np.allclose(scattered, dense, rtol=1e-11, atol=0)
-    all_idx = np.arange(N + 1)
+    support = [(i, Fraction(q)) for i, q in enumerate(law.weights) if q]
     for pattern in ((1,), (0, 0), (1, 0, 1), (0, 0, 1, 1)):
         e = PrefixEvent(pattern)
-        log_a, _ = K.scan_log_ab(K.RESIDUALS, N, e.k, e.alpha, all_idx)
-        assert prefix_prob_from_mean_law(law, e) == math.fsum(np.exp(log_a) * scattered)
+        k, a = e.k, e.alpha
+        exact = sum((q * math.perm(i, a) * math.perm(N - i, k - a) for i, q in support),
+                    Fraction(0)) / math.perm(N, k)
+        assert prefix_prob_from_mean_law(law, e) == float(exact)
     sparse = SampleMeanLaw(N=4, weights=(0.25, 0.0, 0.5, 0.0, 0.25))
     assert prefix_prob_from_mean_law(sparse, PrefixEvent((0,))) == 0.5
 
